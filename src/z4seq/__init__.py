@@ -17,7 +17,6 @@ from .analysis import (
     lc_by_count,
     lc_by_theorem,
     power_table,
-    rho_constancy,
     rho_value,
     verify_identities,
 )
@@ -26,10 +25,8 @@ from .cyclotomy import (
     CASE2,
     CyclotomicSystem,
     build_system,
-    case_of,
     classify,
     count_solutions,
-    locate_two,
 )
 from .galois import (
     GaloisRing,
@@ -66,13 +63,13 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalysisReport", "CASE1", "CASE2", "CyclotomicSystem", "DefiningPolynomial",
     "GaloisRing", "GrElement", "LfsrResult", "QuaternarySequence", "R_MAX",
-    "TraceParams", "admissible_pairs", "analyze", "build_system", "case_of",
+    "TraceParams", "admissible_pairs", "analyze", "build_system",
     "check_trace_repr", "class_sum", "classify", "common_primitive_root",
     "count_solutions", "crt_pair", "defining_poly_formula", "dft",
     "digit_histogram", "euler_phi", "eval_trace_repr", "factorize", "frobenius",
     "from_text", "generate", "inner_product_check", "is_constant", "is_prime",
-    "lc_by_count", "lc_by_theorem", "locate_two", "make_ring", "mult_order",
-    "power_table", "reeds_sloane", "rho_constancy", "rho_value", "root_of_unity",
+    "lc_by_count", "lc_by_theorem", "make_ring", "mult_order",
+    "power_table", "reeds_sloane", "rho_value", "root_of_unity",
     "snf_min_length", "solvable_z4", "teichmuller_decompose", "to_csv", "to_text",
     "trace", "trace_params", "verify_identities",
 ]

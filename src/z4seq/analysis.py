@@ -155,13 +155,6 @@ def inner_product_check(system: CyclotomicSystem, ring: GaloisRing, beta: GrElem
     return acc + ring.scalar((system.q - 1) // 4)
 
 
-def rho_constancy(system: CyclotomicSystem, ring: GaloisRing, beta: GrElement,
-                  powers=None):
-    """(rho, rho lies in Z4)."""
-    rho = rho_value(system, beta, powers)
-    return rho, is_constant(rho) is not None
-
-
 def lc_by_count(defpoly: DefiningPolynomial) -> int:
     """Linear complexity as the number of nonzero DFT coefficients."""
     return defpoly.nonzero_count()
@@ -229,15 +222,15 @@ def analyze(system: CyclotomicSystem, r_max: int = R_MAX) -> AnalysisReport:
     seq = generate(system)
     pows = power_table(beta, system.pq)
     defpoly = dft(seq, ring, beta)
-    rho, in_z4 = rho_constancy(system, ring, beta, pows)
+    rho = rho_value(system, beta, pows)
     lc_formula = lc_by_theorem(system)
     lc_dft = lc_by_count(defpoly)
     synth = reeds_sloane(seq.digits * 2)
     agree = lc_formula == lc_dft == synth.length
     return AnalysisReport(
         p=system.p, q=system.q, case=system.case, two_class=system.two_class,
-        rho=rho, rho_in_z4=in_z4, lc_formula=lc_formula, lc_dft=lc_dft,
-        lc_reeds_sloane=synth.length, agree=agree, ring_degree=ell,
+        rho=rho, rho_in_z4=is_constant(rho) is not None, lc_formula=lc_formula,
+        lc_dft=lc_dft, lc_reeds_sloane=synth.length, agree=agree, ring_degree=ell,
     )
 
 
@@ -300,10 +293,12 @@ def verify_identities(system: CyclotomicSystem, ring: GaloisRing,
     ok = True
     target = ring.scalar(3 * (q - 1) // 4)
     for i in range(4):
+        members = system.members(f"D{i}")
+        # D_i at beta^m is the sum of beta^(m*u) over u in D_i
         for k in range(q):
-            ok = ok and class_sum(system, i, pows[k * p % n]) == zero
+            ok = ok and sum((pows[k * p * u % n] for u in members), zero) == zero
         for k in range(1, p):
-            ok = ok and class_sum(system, i, pows[k * q % n]) == target
+            ok = ok and sum((pows[k * q * u % n] for u in members), zero) == target
     checks["class-sums"] = ok
 
     from .cyclotomy import count_solutions
@@ -327,7 +322,7 @@ def verify_identities(system: CyclotomicSystem, ring: GaloisRing,
             ok = ok and val == expected
     checks["inner-products"] = ok
 
-    _, in_z4 = rho_constancy(system, ring, beta, pows)
+    in_z4 = is_constant(rho_value(system, beta, pows)) is not None
     checks["rho-membership"] = in_z4 == (system.two_class == 0)
 
     return checks

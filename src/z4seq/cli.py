@@ -35,13 +35,33 @@ def _load_config(path: str) -> dict:
     return out
 
 
-def _setting(args, config, name, default, cast=int):
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    if name in config:
-        return cast(config[name])
-    return default
+def _apply_config(parser, args):
+    """Fill the flags left unset on the command line from the --config file.
+
+    Each value is checked like its flag, with the subcommand's own argparse
+    `type` and `choices`; a key that names no valued flag is an error.
+    """
+    commands = next(a for a in parser._actions if a.dest == "command")
+    actions = {a.dest: a for a in commands.choices[args.command]._actions
+               if a.option_strings and a.nargs != 0 and a.dest != "config"}
+    for key, raw in _load_config(args.config).items():
+        action = actions.get(key)
+        if action is None:
+            raise ValueError(f"unknown config key {key!r} for {args.command}")
+        try:
+            value = action.type(raw) if action.type else raw
+        except ValueError as exc:
+            raise ValueError(f"config {key}: {exc}") from None
+        if action.choices is not None and value not in action.choices:
+            raise ValueError(f"config {key} = {raw!r} is not one of "
+                             f"{', '.join(action.choices)}")
+        if getattr(args, key) is None:
+            setattr(args, key, value)
+
+
+def _setting(args, name, default):
+    value = getattr(args, name)
+    return default if value is None else value
 
 
 def _emit(text: str, out_path):
@@ -52,12 +72,10 @@ def _emit(text: str, out_path):
         sys.stdout.write(text)
 
 
-def _require_pair(args, config):
-    p = _setting(args, config, "p", None)
-    q = _setting(args, config, "q", None)
-    if p is None or q is None:
+def _require_pair(args):
+    if args.p is None or args.q is None:
         raise ValueError("both --p and --q are required")
-    return int(p), int(q)
+    return args.p, args.q
 
 
 def _ring_and_beta(system, r_max):
@@ -66,38 +84,38 @@ def _ring_and_beta(system, r_max):
     return ring, root_of_unity(ring, system.pq)
 
 
-def cmd_system(args, config) -> int:
-    p, q = _require_pair(args, config)
+def cmd_system(args) -> int:
+    p, q = _require_pair(args)
     system = cyclotomy.build_system(p, q)
     summary = system.summary()
-    fmt = _setting(args, config, "format", "text", str)
+    fmt = _setting(args, "format", "text")
     if fmt == "json":
         text = json.dumps(summary, indent=2) + "\n"
     else:
         parts = [f"{k}={v}" for k, v in summary.items() if k != "class_sizes"]
         parts += [f"size_{lab}={n}" for lab, n in summary["class_sizes"].items()]
         text = "\n".join(parts) + "\n"
-    _emit(text, _setting(args, config, "out", None, str))
+    _emit(text, args.out)
     return 0
 
 
-def cmd_gen(args, config) -> int:
-    p, q = _require_pair(args, config)
+def cmd_gen(args) -> int:
+    p, q = _require_pair(args)
     system = cyclotomy.build_system(p, q)
     seq = sequence.generate(system)
-    fmt = _setting(args, config, "format", "text", str)
+    fmt = _setting(args, "format", "text")
     text = sequence.to_csv(seq) if fmt == "csv" else sequence.to_text(seq)
-    _emit(text, _setting(args, config, "out", None, str))
+    _emit(text, args.out)
     return 0
 
 
-def cmd_lc(args, config) -> int:
-    p, q = _require_pair(args, config)
-    method = _setting(args, config, "method", "all", str)
-    r_max = _setting(args, config, "r_max", R_MAX)
+def cmd_lc(args) -> int:
+    p, q = _require_pair(args)
+    method = _setting(args, "method", "all")
+    r_max = _setting(args, "r_max", R_MAX)
     system = cyclotomy.build_system(p, q)
-    fmt = _setting(args, config, "format", "text", str)
-    out = _setting(args, config, "out", None, str)
+    fmt = _setting(args, "format", "text")
+    out = args.out
 
     if method == "all":
         report = analysis.analyze(system, r_max)
@@ -130,13 +148,13 @@ def cmd_lc(args, config) -> int:
     return 0
 
 
-def cmd_defpoly(args, config) -> int:
-    p, q = _require_pair(args, config)
-    r_max = _setting(args, config, "r_max", R_MAX)
+def cmd_defpoly(args) -> int:
+    p, q = _require_pair(args)
+    r_max = _setting(args, "r_max", R_MAX)
     system = cyclotomy.build_system(p, q)
     ring, beta = _ring_and_beta(system, r_max)
     defpoly = analysis.dft(sequence.generate(system), ring, beta)
-    fmt = _setting(args, config, "format", "text", str)
+    fmt = _setting(args, "format", "text")
     rows = [(u, cyclotomy.classify(system, u), "".join(str(c) for c in coeff.coeffs))
             for u, coeff in enumerate(defpoly.coeffs)]
     if fmt == "json":
@@ -150,16 +168,16 @@ def cmd_defpoly(args, config) -> int:
         lines = ["exponent,label,coefficient"]
         lines += [f"{u},{lab},{cf}" for u, lab, cf in rows]
         text = "\n".join(lines) + "\n"
-    _emit(text, _setting(args, config, "out", None, str))
+    _emit(text, args.out)
     return 0
 
 
-def cmd_trace(args, config) -> int:
-    p, q = _require_pair(args, config)
-    r_max = _setting(args, config, "r_max", R_MAX)
+def cmd_trace(args) -> int:
+    p, q = _require_pair(args)
+    r_max = _setting(args, "r_max", R_MAX)
     system = cyclotomy.build_system(p, q)
     ring, beta = _ring_and_beta(system, r_max)
-    out = _setting(args, config, "out", None, str)
+    out = args.out
     try:
         params = trace_repr.trace_params(system, ring, beta)
     except TraceFormulaPreconditionFailed as exc:
@@ -173,16 +191,16 @@ def cmd_trace(args, config) -> int:
     return 1
 
 
-def cmd_verify(args, config) -> int:
-    p, q = _require_pair(args, config)
-    r_max = _setting(args, config, "r_max", R_MAX)
+def cmd_verify(args) -> int:
+    p, q = _require_pair(args)
+    r_max = _setting(args, "r_max", R_MAX)
     system = cyclotomy.build_system(p, q)
     ring, beta = _ring_and_beta(system, r_max)
     checks = analysis.verify_identities(system, ring, beta)
     lines = [f"{name} {'PASS' if ok else 'FAIL'}" for name, ok in checks.items()]
     all_ok = all(checks.values())
     lines.append(f"result {'PASS' if all_ok else 'FAIL'}")
-    _emit("\n".join(lines) + "\n", _setting(args, config, "out", None, str))
+    _emit("\n".join(lines) + "\n", args.out)
     return 0 if all_ok else 1
 
 
@@ -193,7 +211,7 @@ def _sweep_worker(pair, r_max):
         report = analysis.analyze(cyclotomy.build_system(p, q), r_max)
         row = report.to_dict()
         row["error"] = ""
-    except Z4SeqError as exc:
+    except Exception as exc:  # a failing pair is a row, never a lost sweep
         row = {"p": p, "q": q, "error": f"{type(exc).__name__}: {exc}"}
     row["seconds"] = round(time.perf_counter() - started, 3)
     return row
@@ -211,16 +229,16 @@ def _sweep_row_text(row, timings):
     return ",".join(v.lower() if v in ("True", "False") else v for v in vals)
 
 
-def cmd_sweep(args, config) -> int:
-    p_max = _setting(args, config, "p_max", 40)
-    q_max = _setting(args, config, "q_max", 40)
-    r_max = _setting(args, config, "r_max", SWEEP_R_MAX_DEFAULT)
+def cmd_sweep(args) -> int:
+    p_max = _setting(args, "p_max", 40)
+    q_max = _setting(args, "q_max", 40)
+    r_max = _setting(args, "r_max", SWEEP_R_MAX_DEFAULT)
     if r_max > R_MAX:
         raise ValueError(f"r_max {r_max} exceeds the hard cap {R_MAX}")
-    fmt = _setting(args, config, "format", "csv", str)
-    out_path = _setting(args, config, "out", None, str)
-    timings = bool(getattr(args, "timings", False))
-    workers = _setting(args, config, "workers", 0)
+    fmt = _setting(args, "format", "csv")
+    out_path = args.out
+    timings = args.timings
+    workers = _setting(args, "workers", 0)
 
     pairs = analysis.admissible_pairs(p_max, q_max, r_max)
     if workers <= 0:
@@ -337,8 +355,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _load_config(args.config) if getattr(args, "config", None) else {}
-        return _COMMANDS[args.command](args, config)
+        if args.config:
+            _apply_config(parser, args)
+        return _COMMANDS[args.command](args)
     except Z4SeqError as exc:
         print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

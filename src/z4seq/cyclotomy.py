@@ -137,15 +137,6 @@ def classify(system: CyclotomicSystem, u: int) -> str:
     return system.class_of[u % system.pq]
 
 
-def case_of(system: CyclotomicSystem) -> str:
-    return system.case
-
-
-def locate_two(system: CyclotomicSystem) -> int:
-    """Index i of the class D_i containing 2."""
-    return system.two_class
-
-
 def count_solutions(system: CyclotomicSystem, a: int, modulus: str) -> int:
     """Number of w in D0 with g^a + w = 0 modulo p, q, or pq (by enumeration).
 

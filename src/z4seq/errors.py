@@ -54,7 +54,7 @@ class InternalCaseError(Z4SeqError):
 
 
 class OracleTooLarge(Z4SeqError):
-    """The SNF oracle is capped at period 64."""
+    """The SNF oracle is capped at period 128."""
 
 
 class TraceFormulaPreconditionFailed(Z4SeqError):

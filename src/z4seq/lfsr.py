@@ -1,11 +1,17 @@
 """Minimal LFSR synthesis over Z4 plus an independent solvability oracle.
 
-reeds_sloane finds the shortest register by binary search on the length:
-solvability of the order-L recurrence system is monotone in L (a shorter
-register is also a longer one with a vacuous head), and each candidate is
-decided exactly over Z4 through a Howell-form echelon of the column space.
-Zero divisors are handled by keying pivots on 2-adic valuation and queueing
-the doubled image of every non-unit pivot, so membership reduction is exact.
+reeds_sloane is the Reeds-Sloane algorithm (J. A. Reeds and N. J. A. Sloane,
+"Shift-register synthesis (modulo m)", SIAM J. Comput. 14 (1985) 505-513)
+specialised to Z4 = Z/2^2.  It is the Berlekamp-Massey recurrence carried on
+two levels: level eta keeps one connection polynomial with constant term 2^eta
+and a length L_eta that annihilates every digit seen so far past L_eta.  When
+step k exposes a nonzero discrepancy d, the polynomial is corrected by an
+earlier one, shifted by x^(k - k*), whose discrepancy at its own step k* has
+2-adic valuation at most that of d, so that a multiple of it cancels d.  For
+each valuation only the earlier polynomial with the smallest L - k* is kept,
+from either level, and the correction is taken only if it gives a shorter
+register than raising L to k + 1.  Level 1 never yields the answer; it is a
+source of corrections for even discrepancies.  O(N^2) on plain ints.
 
 snf_min_length is the independent oracle: for each length ascending it
 decides solvability of the recurrence on the *periodic* sequence by Smith
@@ -13,6 +19,7 @@ diagonalization over Z4.  The two routes share no linear algebra.
 """
 
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -39,100 +46,46 @@ def _conv(poly, seq, k):
     return acc % 4
 
 
-def _howell_solve(A, b):
-    """A particular solution of A x = b over Z4, or None.
-
-    Columns of A (augmented with an identity tail that records the
-    combination) are reduced to an echelon set with one pivot per leading
-    position; a pivot with even leading entry also contributes its double,
-    which reaches further positions.  b is then reduced against the pivots.
-    """
-    A = np.asarray(A, dtype=np.int64) % 4
-    rhs = np.asarray(b, dtype=np.int64) % 4
-    m, L = A.shape
-    if L == 0:
-        return np.zeros(0, dtype=np.int64) if not np.any(rhs % 4) else None
-    ident = np.eye(L, dtype=np.int64)
-    queue = [np.concatenate([A[:, j], ident[j]]) for j in range(L)]
-    pivots: dict[int, np.ndarray] = {}
-    while queue:
-        v = queue.pop() % 4
-        while True:
-            lead = np.nonzero(v[:m])[0]
-            if lead.size == 0:
-                break
-            j = int(lead[0])
-            pv = pivots.get(j)
-            if pv is None:
-                pivots[j] = v
-                if v[j] % 2 == 0:
-                    queue.append(2 * v % 4)
-                break
-            if pv[j] % 2 == 1:
-                v = (v - (v[j] * pv[j] % 4) * pv) % 4  # units are self-inverse
-            elif v[j] % 2 == 1:
-                pivots[j] = v  # unit pivot displaces the even one
-                v = pv
-            else:
-                v = (v - ((v[j] // 2) * (pv[j] // 2) % 2) * pv) % 4
-    x = np.zeros(L, dtype=np.int64)
-    r = rhs.copy()
-    for j in sorted(pivots):
-        if r[j] % 4 == 0:
-            continue
-        pv = pivots[j]
-        if pv[j] % 2 == 1:
-            c = r[j] * pv[j] % 4
-        elif r[j] % 2 == 0:
-            c = (r[j] // 2) * (pv[j] // 2) % 2
-        else:
-            return None
-        r = (r - c * pv[:m]) % 4
-        x = (x + c * pv[m:]) % 4
-    if np.any(r % 4):
-        return None
-    return x
+def _sub_shifted(a, t, b, shift):
+    """a(x) - t * x^shift * b(x) over Z4, as a new coefficient list."""
+    c = a + [0] * max(0, shift + len(b) - len(a))
+    for j, bj in enumerate(b):
+        c[shift + j] = (c[shift + j] - t * bj) % 4
+    return c
 
 
-def _finite_system(seq, L):
-    """Toeplitz system for an order-L recurrence on positions L..len(seq)-1."""
-    N = len(seq)
-    A = np.empty((N - L, L), dtype=np.int64)
-    b = np.empty(N - L, dtype=np.int64)
-    for t, i in enumerate(range(L, N)):
-        for j in range(1, L + 1):
-            A[t, j - 1] = seq[i - j]
-        b[t] = -seq[i] % 4
-    return A, b
-
-
-def reeds_sloane(digits, n: int | None = None) -> LfsrResult:
-    """Minimal-length linear recurrence over Z4 generating the first n digits.
+def reeds_sloane(digits) -> LfsrResult:
+    """Minimal-length linear recurrence over Z4 generating the given digits.
 
     For one full period repeated twice the returned length is the linear
     complexity of the periodic sequence.
     """
-    seq = [int(d) % 4 for d in (digits if n is None else list(digits)[:n])]
+    seq = [int(d) % 4 for d in digits]
     N = len(seq)
-    if all(v == 0 for v in seq):
-        return LfsrResult(length=0, connection=(1,), annihilates=True)
-
-    def solve(L):
-        if L >= N:
-            return np.zeros(L, dtype=np.int64)
-        return _howell_solve(*_finite_system(seq, L))
-
-    lo, hi = 1, N
-    best = solve(N)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        x = solve(mid)
-        if x is not None:
-            best, hi = x, mid
-        else:
-            lo = mid + 1
-    L = lo
-    poly = [1] + [int(c) % 4 for c in best[:L]]
+    rev = seq[::-1]
+    regs = [(0, [1]), (0, [2])]  # (L_eta, connection) for eta = 0, 1
+    stored = {}  # d % 2 -> (L - k, poly, d, k) of an earlier discrepancy d
+    for k in range(N):
+        window = rev[N - 1 - k:]  # s_k, s_(k-1), ..., s_0
+        discs = [sum(map(mul, a, window)) % 4 for _, a in regs]
+        new = []
+        for (L, a), d in zip(regs, discs):
+            if d == 0:
+                new.append((L, a))
+                continue
+            best = (k + 1, a)  # raising L to k + 1 needs no correction
+            for gap, b, db, kb in stored.values():
+                # b cancels d when its valuation is no larger; units are self-inverse
+                if (db % 2 or d % 2 == 0) and max(L, k + gap) < best[0]:
+                    t = d * db % 4 if db % 2 else 1
+                    best = (max(L, k + gap), _sub_shifted(a, t, b, k - kb))
+            new.append(best)
+        for (L, a), d in zip(regs, discs):
+            if d and (d % 2 not in stored or L - k < stored[d % 2][0]):
+                stored[d % 2] = (L - k, a, d, k)
+        regs = new
+    L, a = regs[0]
+    poly = [c * a[0] % 4 for c in a] + [0] * (L + 1 - len(a))  # make c_0 = 1
     ok = all(_conv(poly, seq, i) == 0 for i in range(L, N))
     return LfsrResult(length=L, connection=tuple(poly), annihilates=ok)
 
@@ -207,8 +160,8 @@ def _periodic_system(s, L, period):
 
 def snf_min_length(digits, period: int) -> int:
     """Smallest order of a periodic recurrence over Z4, by ascending SNF tests."""
-    if period > 64:
-        raise OracleTooLarge(f"oracle capped at period 64, got {period}")
+    if period > 128:
+        raise OracleTooLarge(f"oracle capped at period 128, got {period}")
     s = [int(d) % 4 for d in digits]
     if len(s) != period:
         raise ValueError(f"{len(s)} digits for period {period}")

@@ -14,7 +14,7 @@ from z4seq.analysis import (
     verify_identities,
 )
 from z4seq.cli import main as cli_main
-from z4seq.cyclotomy import build_system, locate_two
+from z4seq.cyclotomy import build_system
 from z4seq.errors import TraceFormulaPreconditionFailed
 from z4seq.galois import make_ring, root_of_unity
 from z4seq.lfsr import reeds_sloane, snf_min_length
@@ -54,7 +54,7 @@ def test_criterion_2_reduced_complexity_branches():
         system = build_system(*pair)
         ring, beta = ring_beta(system)
         seq = generate(system)
-        branch = locate_two(system)
+        branch = system.two_class
         expected = (system.q + 3 * system.e) if branch == 0 else \
             (system.pq - system.p + 1)
         by_formula = lc_by_theorem(system)

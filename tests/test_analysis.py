@@ -12,7 +12,6 @@ from z4seq.analysis import (
     lc_by_count,
     lc_by_theorem,
     power_table,
-    rho_constancy,
     rho_value,
     verify_identities,
 )
@@ -126,7 +125,7 @@ def test_formula_structure():
     poly = defining_poly_formula(s, ring, beta)
     for u in s.members("Q"):
         assert poly.coeffs[u] == ring.zero
-    rho, in_z4 = rho_constancy(s, ring, beta)
+    in_z4 = is_constant(rho_value(s, beta)) is not None
     zero_classes = [i for i in range(4)
                     if poly.coeffs[s.members(f"D{i}")[0]] == ring.zero]
     if in_z4:
@@ -163,10 +162,9 @@ def test_rho_constancy_follows_two_class():
     for pair, expected in [((5, 113), True), ((5, 17), False), ((5, 13), False)]:
         s = build_system(*pair)
         ring, beta = ring_beta(s)
-        rho, in_z4 = rho_constancy(s, ring, beta)
+        in_z4 = is_constant(rho_value(s, beta)) is not None
         assert in_z4 == expected, pair
         assert in_z4 == (s.two_class == 0)
-        assert (is_constant(rho) is not None) == in_z4
 
 
 def test_lc_by_theorem_fixtures():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from z4seq import analysis
 from z4seq.cli import main
 
 
@@ -163,3 +164,41 @@ def test_byte_determinism(capsys):
         assert code == 0
         outs.add(out)
     assert len(outs) == 1
+
+
+def test_sweep_error_is_a_row(monkeypatch, capsys):
+    argv = ("sweep", "--p-max", "13", "--q-max", "13", "--workers", "1")
+    _, clean, _ = run(capsys, *argv)
+    real = analysis.analyze
+
+    def analyze(system, r_max):
+        if (system.p, system.q) == (13, 5):
+            raise RuntimeError("injected failure")
+        return real(system, r_max)
+
+    monkeypatch.setattr(analysis, "analyze", analyze)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and "Traceback" not in err
+    lines = out.strip().splitlines()
+    clean_lines = clean.strip().splitlines()
+    assert lines[0] == clean_lines[0]
+    assert lines[1] == clean_lines[1] and lines[1].startswith("5,13,")
+    assert lines[2] == "13,5,,,,,,,,RuntimeError: injected failure"
+    assert lines[-1] == "# pairs=2 agree=1 disagree=0 errors=1"
+
+
+def test_config_value_checked_like_flag(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    for body, named in (("format = xml", "'xml'"), ("p = five", "config p:")):
+        cfg.write_text(f"q = 13\n{body}\n")
+        code, out, err = run(capsys, "system", "--config", str(cfg))
+        assert code == 2 and not out
+        assert err.startswith("ERROR ValueError:") and named in err
+
+
+def test_config_unknown_key(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("p = 5\nq = 13\ncolour = red\n")
+    code, out, err = run(capsys, "system", "--config", str(cfg))
+    assert code == 2 and not out
+    assert err.startswith("ERROR ValueError:") and "'colour'" in err

@@ -6,10 +6,8 @@ from z4seq.cyclotomy import (
     CASE1,
     CASE2,
     build_system,
-    case_of,
     classify,
     count_solutions,
-    locate_two,
 )
 from z4seq.errors import EqualPrimes, GcdNotFour, NotPrime
 
@@ -55,10 +53,10 @@ def test_classify_fixtures():
 
 
 def test_case_of():
-    assert case_of(build_system(5, 17)) == CASE1
-    assert case_of(build_system(13, 17)) == CASE1
-    assert case_of(build_system(5, 13)) == CASE2
-    assert case_of(build_system(17, 5)) == CASE2
+    assert build_system(5, 17).case == CASE1
+    assert build_system(13, 17).case == CASE1
+    assert build_system(5, 13).case == CASE2
+    assert build_system(17, 5).case == CASE2
 
 
 def test_pq_one_mod_four():
@@ -70,9 +68,9 @@ def test_locate_two_case_pattern():
     for p, q in PAIRS + [(5, 29), (29, 5), (5, 41), (41, 5)]:
         s = build_system(p, q)
         if s.case == CASE1:
-            assert locate_two(s) in (0, 2)
+            assert s.two_class in (0, 2)
         else:
-            assert locate_two(s) in (1, 3)
+            assert s.two_class in (1, 3)
 
 
 def test_locate_two_fixtures():
@@ -80,7 +78,7 @@ def test_locate_two_fixtures():
     expected = {(5, 13): 1, (13, 5): 1, (5, 17): 2, (17, 5): 3,
                 (13, 17): 2, (17, 13): 1, (5, 113): 0}
     for pair, cls in expected.items():
-        assert locate_two(build_system(*pair)) == cls, pair
+        assert build_system(*pair).two_class == cls, pair
 
 
 def test_quadratic_residue_criterion():
@@ -88,7 +86,7 @@ def test_quadratic_residue_criterion():
     for p, q in PAIRS + [(5, 29), (5, 41), (5, 113)]:
         s = build_system(p, q)
         is_square = pow(2, (q - 1) // 2, q) == 1
-        assert (locate_two(s) in (0, 2)) == is_square
+        assert (s.two_class in (0, 2)) == is_square
         assert is_square == (q % 8 == 1)
 
 

@@ -2,7 +2,9 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from z4seq.analysis import lc_by_theorem
 from z4seq.cyclotomy import build_system
 from z4seq.errors import OracleTooLarge
 from z4seq.lfsr import _conv, reeds_sloane, snf_min_length, solvable_z4
@@ -38,11 +40,6 @@ def test_finite_impulse():
     # s_{k} = 0 * s_{k-1} generates 1,0,0,... so one cell suffices
     res = reeds_sloane([1, 0, 0, 0, 0, 0])
     assert res.length == 1 and res.annihilates
-
-
-def test_prefix_argument():
-    digits = [1, 0, 0, 2, 3, 1]
-    assert reeds_sloane(digits, 3).length == reeds_sloane(digits[:3]).length
 
 
 def test_connection_shape():
@@ -87,8 +84,9 @@ def test_snf_fixtures():
     assert snf_min_length([0] * 15, 15) == 0
     assert snf_min_length([1] + [0] * 14, 15) == 15  # periodic impulse
     assert snf_min_length([2] * 6, 6) == 1
+    assert snf_min_length([2] * 128, 128) == 1
     with pytest.raises(OracleTooLarge):
-        snf_min_length([0] * 65, 65)
+        snf_min_length([0] * 129, 129)
 
 
 def test_snf_matches_reeds_sloane_on_two_periods():
@@ -107,6 +105,53 @@ def test_stabilization_beyond_two_periods():
         two = reeds_sloane(digits * 2).length
         assert reeds_sloane(digits * 3).length == two
         assert reeds_sloane(digits * 4).length == two
+
+
+DIGIT = st.integers(0, 3)
+EVEN = st.sampled_from([0, 2])
+
+
+@st.composite
+def perturbed_even_tap_outputs(draw, max_len):
+    """Output of a register with taps in 2*Z4, then one digit changed.
+
+    Such inputs keep discrepancies of both 2-adic valuations in play.
+    """
+    taps = draw(st.lists(EVEN, min_size=1, max_size=4))
+    digits = draw(st.lists(DIGIT, min_size=len(taps), max_size=len(taps)))
+    n = draw(st.integers(len(taps), max_len))
+    while len(digits) < n:
+        digits.append(-sum(t * digits[-1 - j] for j, t in enumerate(taps)) % 4)
+    i = draw(st.integers(0, n - 1))
+    digits[i] = (digits[i] + draw(st.integers(1, 3))) % 4
+    return digits
+
+
+def z4_inputs(min_len, max_len):
+    return st.one_of(st.lists(DIGIT, min_size=min_len, max_size=max_len),
+                     st.lists(EVEN, min_size=min_len, max_size=max_len),
+                     perturbed_even_tap_outputs(max_len))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(z4_inputs(0, 6))
+def test_reeds_sloane_vs_bruteforce_hypothesis(seq):
+    res = reeds_sloane(seq)
+    assert res.annihilates and res.length == brute_min_length(seq)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(z4_inputs(1, 40))
+def test_reeds_sloane_vs_snf_hypothesis(digits):
+    assert reeds_sloane(digits * 2).length == snf_min_length(digits, len(digits))
+
+
+def test_snf_oracle_on_paper_sequences():
+    # periods 65 and 85: the oracle checks the closed form on real pairs
+    for pair in [(5, 13), (13, 5), (5, 17), (17, 5)]:
+        system = build_system(*pair)
+        seq = generate(system)
+        assert snf_min_length(seq.digits, system.pq) == lc_by_theorem(system), pair
 
 
 def test_quaternary_sequence_5_13():
