@@ -5,9 +5,16 @@ rho_i = sum_u s_u beta^(-iu) against a primitive T-th root of unity beta;
 for the cyclotomic quaternary sequences the coefficients also follow a
 closed form per residue case, and the linear complexity equals the number
 of nonzero coefficients.  An LFSR-synthesis oracle cross-checks everything.
+
+Ring data is one (T, r) uint8 array of the coefficient rows of beta^0 ..
+beta^(T-1), checked to have order exactly T (`power_table`).  The DFT, the
+class sums, rho, the inner products and the identity suite are index-and-sum
+reductions over it; a product with a ring value a is a matrix product with
+its multiplication matrix M(a).  Single values come back as `GrElement`.
 """
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,23 +38,62 @@ from .numtheory import factorize, is_prime, mult_order
 from .sequence import QuaternarySequence, generate
 
 
-def power_table(gamma: GrElement, n: int) -> list:
-    """[gamma^0, ..., gamma^(n-1)]."""
-    pows = [gamma.ring.one]
-    for _ in range(n - 1):
-        pows.append(pows[-1] * gamma)
-    return pows
+# Sums and matrix products of coefficient rows are taken in uint8: the wrap
+# mod 256 is harmless because 4 divides 256, so each result is reduced mod 4
+# once at the end.
+
+# Bound on the temporaries of one power_sums block: per gathered element, r
+# bytes of row plus 8 bytes of int64 index.
+_GATHER_BYTES = 1 << 16
 
 
-def _checked_powers(ring: GaloisRing, beta: GrElement, period: int) -> list:
-    """Power table of beta after verifying ord(beta) = period."""
-    pows = power_table(beta, period)
-    if pows[-1] * beta != ring.one:
-        raise PeriodMismatch(f"beta^{period} != 1")
-    for d in factorize(period):
-        if period // d > 0 and pows[period // d] == ring.one:
-            raise PeriodMismatch(f"ord(beta) divides {period // d} < {period}")
-    return pows
+def _power_rows(gamma: GrElement, count: int) -> np.ndarray:
+    """Rows gamma^0 .. gamma^(count-1), doubling: P[m:2m] = P[:m] @ M(gamma^m)."""
+    ring = gamma.ring
+    rows = np.zeros((count, ring.r), dtype=np.uint8)
+    rows[0, 0] = 1
+    step = ring.mul_matrix(gamma.coeffs)
+    m = 1
+    while m < count:
+        k = min(m, count - m)
+        rows[m:m + k] = rows[:k] @ step % 4
+        step = step @ step % 4
+        m *= 2
+    return rows
+
+
+def power_table(beta: GrElement, n: int) -> np.ndarray:
+    """(n, r) uint8 rows of beta^0 .. beta^(n-1) after verifying ord(beta) = n."""
+    rows = _power_rows(beta, n + 1)
+    one = rows[0]
+    if (rows[n] != one).any():
+        raise PeriodMismatch(f"beta^{n} != 1")
+    for d in factorize(n):
+        if (rows[n // d] == one).all():
+            raise PeriodMismatch(f"ord(beta) divides {n // d} < {n}")
+    return rows[:n]
+
+
+def power_sums(pows: np.ndarray, mults, members) -> np.ndarray:
+    """Row k: the sum of pows[mults[k] * w mod n] over w in members, mod 4.
+
+    The gather runs over blocks of mults so its temporaries stay small.
+    """
+    n, r = pows.shape
+    mults = np.asarray(mults, dtype=np.int64)
+    members = np.asarray(members, dtype=np.int64)
+    out = np.empty((len(mults), r), dtype=np.uint8)
+    block = max(1, _GATHER_BYTES // max(1, members.size * (r + 8)))
+    for start in range(0, len(mults), block):
+        idx = np.outer(mults[start:start + block], members) % n
+        out[start:start + block] = pows[idx].sum(axis=1, dtype=np.uint8)
+    return out % 4
+
+
+def _class_rows(system: CyclotomicSystem, pows: np.ndarray) -> np.ndarray:
+    """(4, r): D_0 .. D_3 evaluated at the table's base, as coefficient rows."""
+    return np.stack([pows[list(system.members(f"D{i}"))].sum(axis=0, dtype=np.uint8)
+                     for i in range(4)]) % 4
 
 
 @dataclass(frozen=True)
@@ -65,50 +111,37 @@ class DefiningPolynomial:
     def nonzero_count(self) -> int:
         return sum(1 for c in self.coeffs if c)
 
-    def evaluate(self, u: int, powers=None) -> GrElement:
-        """G(beta^u) = sum_i rho_i beta^(iu)."""
-        T = self.period
-        pows = powers if powers is not None else power_table(self.beta, T)
-        acc = self.ring.zero
-        for i, c in enumerate(self.coeffs):
-            if c:
-                acc = acc + c * pows[i * u % T]
-        return acc
 
+def dft(seq: QuaternarySequence, ring: GaloisRing, beta: GrElement,
+        powers: np.ndarray | None = None) -> DefiningPolynomial:
+    """Galois-ring DFT of one period; exact inversion needs T = 1 (mod 4).
 
-def dft(seq: QuaternarySequence, ring: GaloisRing, beta: GrElement) -> DefiningPolynomial:
-    """Galois-ring DFT of one period; exact inversion needs T = 1 (mod 4)."""
+    `powers` is the checked table `power_table(beta, T)` when the caller has it.
+    """
     T = seq.period
     if T % 4 != 1:
         raise PeriodNotCongruent1Mod4(f"period {T} = {T % 4} (mod 4)")
-    pows = _checked_powers(ring, beta, T)
-    table = np.array([el.coeffs for el in pows], dtype=np.int64)
-    s = np.array(seq.digits, dtype=np.int64)
+    pows = powers if powers is not None else power_table(beta, T)
+    s = np.array(seq.digits, dtype=np.uint8)
     u = np.arange(T)
     coeffs = []
     for i in range(T):
-        idx = (-i * u) % T
-        vec = (s @ table[idx]) % 4
-        coeffs.append(GrElement(ring, tuple(int(x) for x in vec)))
+        vec = s @ pows[(-i * u) % T] % 4
+        coeffs.append(GrElement(ring, tuple(vec.tolist())))
     return DefiningPolynomial(ring=ring, beta=beta, coeffs=tuple(coeffs))
 
 
 def class_sum(system: CyclotomicSystem, i: int, gamma: GrElement, powers=None) -> GrElement:
     """D_i evaluated at gamma: sum of gamma^u over u in D_i."""
-    pows = powers if powers is not None else power_table(gamma, system.pq)
-    acc = gamma.ring.zero
-    for u in system.members(f"D{i % 4}"):
-        acc = acc + pows[u]
-    return acc
+    pows = powers if powers is not None else _power_rows(gamma, system.pq)
+    return gamma.ring.element(_class_rows(system, pows)[i % 4])
 
 
 def rho_value(system: CyclotomicSystem, beta: GrElement, powers=None) -> GrElement:
     """rho = sum_{i=1..3} i * D_i(beta)."""
-    pows = powers if powers is not None else power_table(beta, system.pq)
-    acc = beta.ring.zero
-    for i in (1, 2, 3):
-        acc = acc + class_sum(system, i, beta, pows) * i
-    return acc
+    pows = powers if powers is not None else _power_rows(beta, system.pq)
+    weights = np.arange(4, dtype=np.uint8)
+    return beta.ring.element(weights @ _class_rows(system, pows) % 4)
 
 
 def defining_poly_formula(system: CyclotomicSystem, ring: GaloisRing,
@@ -121,8 +154,7 @@ def defining_poly_formula(system: CyclotomicSystem, ring: GaloisRing,
     T = system.pq
     if T % 4 != 1:
         raise PeriodNotCongruent1Mod4(f"period {T} = {T % 4} (mod 4)")
-    pows = _checked_powers(ring, beta, T)
-    rho = rho_value(system, beta, pows)
+    rho = rho_value(system, beta, power_table(beta, T))
     two = ring.scalar(2)
     coeffs = [ring.zero] * T
     if system.case == CASE1:
@@ -144,15 +176,25 @@ def defining_poly_formula(system: CyclotomicSystem, ring: GaloisRing,
     return DefiningPolynomial(ring=ring, beta=beta, coeffs=tuple(coeffs))
 
 
+def _inner_products(system: CyclotomicSystem, ring: GaloisRing,
+                    pows: np.ndarray) -> np.ndarray:
+    """(4, 4, r): entry (i, j) is C_i . C_j^T + (q-1)/4 as a coefficient row."""
+    sums = _class_rows(system, pows)
+    mats = np.stack([ring.mul_matrix(row) for row in sums])
+    prods = sums @ mats  # prods[b, a] = D_a * D_b
+    k = np.arange(4)
+    rows = (k[:, None, None] + k) % 4  # [i, _, k] = i + k
+    cols = (k[None, :, None] + k) % 4  # [_, j, k] = j + k
+    out = prods[rows, cols].sum(axis=2, dtype=np.uint8)
+    out[:, :, 0] += (system.q - 1) // 4 % 4
+    return out % 4
+
+
 def inner_product_check(system: CyclotomicSystem, ring: GaloisRing, beta: GrElement,
                         i: int, j: int, powers=None) -> GrElement:
     """C_i(beta) . C_j(beta)^T + (q-1)/4, the scalar reduced mod 4."""
-    pows = powers if powers is not None else power_table(beta, system.pq)
-    sums = [class_sum(system, k, beta, pows) for k in range(4)]
-    acc = ring.zero
-    for k in range(4):
-        acc = acc + sums[(i + k) % 4] * sums[(j + k) % 4]
-    return acc + ring.scalar((system.q - 1) // 4)
+    pows = powers if powers is not None else _power_rows(beta, system.pq)
+    return ring.element(_inner_products(system, ring, pows)[i % 4, j % 4])
 
 
 def lc_by_count(defpoly: DefiningPolynomial) -> int:
@@ -221,7 +263,7 @@ def analyze(system: CyclotomicSystem, r_max: int = R_MAX) -> AnalysisReport:
     beta = root_of_unity(ring, system.pq)
     seq = generate(system)
     pows = power_table(beta, system.pq)
-    defpoly = dft(seq, ring, beta)
+    defpoly = dft(seq, ring, beta, pows)
     rho = rho_value(system, beta, pows)
     lc_formula = lc_by_theorem(system)
     lc_dft = lc_by_count(defpoly)
@@ -260,10 +302,8 @@ def verify_identities(system: CyclotomicSystem, ring: GaloisRing,
     class sums at the prime-order points, the solution-count closed forms,
     the inner-product pattern, and the rho membership criterion.
     """
-    import random
-
     p, q, n = system.p, system.q, system.pq
-    pows = _checked_powers(ring, beta, n)
+    pows = power_table(beta, n)
     checks = {}
 
     sizes = {lab: len(system.members(lab)) for lab in ("D0", "D1", "D2", "D3", "P", "Q", "R")}
@@ -284,22 +324,21 @@ def verify_identities(system: CyclotomicSystem, ring: GaloisRing,
         ok = ok and frozenset(u * v % n for v in d_sets[i]) == d_sets[(i + j) % 4]
     checks["class-shift"] = ok
 
-    zero, one = ring.zero, ring.one
-    sum_p = sum((pows[j * p % n] for j in range(q)), zero)
-    sum_q = sum((pows[j * q % n] for j in range(p)), zero)
-    unit_sum = sum((class_sum(system, i, beta, pows) for i in range(4)), zero)
-    checks["root-of-unity-sums"] = sum_p == zero and sum_q == zero and unit_sum == one
+    one = pows[0]
+    sum_p = pows[np.arange(q) * p].sum(axis=0) % 4
+    sum_q = pows[np.arange(p) * q].sum(axis=0) % 4
+    unit_sum = _class_rows(system, pows).sum(axis=0) % 4
+    checks["root-of-unity-sums"] = bool(not sum_p.any() and not sum_q.any()
+                                        and (unit_sum == one).all())
 
     ok = True
-    target = ring.scalar(3 * (q - 1) // 4)
+    target = one * (3 * (q - 1) // 4 % 4)
     for i in range(4):
-        members = system.members(f"D{i}")
         # D_i at beta^m is the sum of beta^(m*u) over u in D_i
-        for k in range(q):
-            ok = ok and sum((pows[k * p * u % n] for u in members), zero) == zero
-        for k in range(1, p):
-            ok = ok and sum((pows[k * q * u % n] for u in members), zero) == target
-    checks["class-sums"] = ok
+        members = system.members(f"D{i}")
+        ok = ok and not power_sums(pows, np.arange(q) * p, members).any()
+        ok = ok and (power_sums(pows, np.arange(1, p) * q, members) == target).all()
+    checks["class-sums"] = bool(ok)
 
     from .cyclotomy import count_solutions
 
@@ -311,16 +350,14 @@ def verify_identities(system: CyclotomicSystem, ring: GaloisRing,
         ok = ok and count_solutions(system, a, "pq") == (1 if hits else 0)
     checks["solution-counts"] = ok
 
-    ok = True
-    for i in range(4):
-        for j in range(4):
-            val = inner_product_check(system, ring, beta, i, j, pows)
-            if system.case == CASE1:
-                expected = one if i == j else zero
-            else:
-                expected = one if (i - j) % 4 == 2 else zero
-            ok = ok and val == expected
-    checks["inner-products"] = ok
+    k = np.arange(4)
+    if system.case == CASE1:
+        expected = k[:, None] == k
+    else:
+        expected = (k[:, None] - k) % 4 == 2
+    products = _inner_products(system, ring, pows)
+    checks["inner-products"] = bool(not products[:, :, 1:].any()
+                                    and (products[:, :, 0] == expected).all())
 
     in_z4 = is_constant(rho_value(system, beta, pows)) is not None
     checks["rho-membership"] = in_z4 == (system.two_class == 0)

@@ -173,6 +173,9 @@ def cmd_defpoly(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    if args.check:
+        print("note: trace --check is deprecated and has no effect; "
+              "the check always runs", file=sys.stderr)
     p, q = _require_pair(args)
     r_max = _setting(args, "r_max", R_MAX)
     system = cyclotomy.build_system(p, q)
@@ -328,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("trace", help="check the trace form digit-for-digit")
     add_common(sp)
     sp.add_argument("--check", action="store_true",
-                    help="run the exhaustive check (default behavior)")
+                    help="deprecated, no effect")
     add_common(sub.add_parser("verify", help="run the structural identity suite"))
     sp = sub.add_parser("sweep", help="analyze all admissible pairs under the caps")
     add_common(sp, pair=False)

@@ -9,6 +9,9 @@ generates the Teichmuller group G1 of order 2^r - 1.
 
 from functools import lru_cache
 
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
 from .errors import (
     DegreeTooLarge,
     NotDivisor,
@@ -185,6 +188,9 @@ class GaloisRing:
             raise Z4SeqError("modulus must be monic of degree r")
         self.order = (1 << r) - 1  # size of the Teichmuller group G1
         self._red = self._reduction_rows()
+        # rows x^0 .. x^(2r-2) reduced: the products of two basis monomials
+        self._xpow = np.vstack([np.eye(r, dtype=np.uint8),
+                                np.array(self._red, dtype=np.uint8).reshape(-1, r)])
         self.zero = GrElement(self, (0,) * r)
         self.one = self.scalar(1)
         if r == 1:
@@ -211,10 +217,18 @@ class GaloisRing:
         return GrElement(self, (c % 4,) + (0,) * (self.r - 1))
 
     def element(self, coeffs) -> GrElement:
-        coeffs = tuple(c % 4 for c in coeffs)
+        coeffs = tuple(int(c) % 4 for c in coeffs)
         if len(coeffs) > self.r:
             raise ValueError(f"at most {self.r} coefficients, got {len(coeffs)}")
         return GrElement(self, coeffs + (0,) * (self.r - len(coeffs)))
+
+    def mul_matrix(self, coeffs) -> np.ndarray:
+        """(r, r) uint8 matrix of multiplication by a: row j holds x^j * a.
+
+        A coefficient row v times it is the row of v * a, reduced mod 4.
+        """
+        windows = sliding_window_view(self._xpow, self.r, axis=0)  # [j, s, k] = x^(j+k)_s
+        return windows @ np.asarray(coeffs, dtype=np.uint8) % 4
 
     def __eq__(self, other):
         return (isinstance(other, GaloisRing)

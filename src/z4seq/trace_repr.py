@@ -6,18 +6,25 @@ powers.  The conjugate orbits are pure beta powers (exponents multiplied by
 powers of 2), so every trace term reduces to table lookups.  The index
 ranges must tile the classes exactly once; that and all divisibility
 requirements are verified up front and reported on failure.
+
+The form is evaluated on a whole vector of indices u at once from the one
+checked (pq, ell) uint8 power table that `trace_params` builds: each orbit
+set contributes the row sums of pows[u * w mod pq], and each rho coefficient
+multiplies its set sum through its ring multiplication matrix.
 """
 
 from dataclasses import dataclass, field
 
-from .analysis import power_table, rho_value
+import numpy as np
+
+from .analysis import power_sums, power_table, rho_value
 from .cyclotomy import CASE1, CyclotomicSystem
 from .errors import (
     InternalCaseError,
     NonConstantResult,
     TraceFormulaPreconditionFailed,
 )
-from .galois import GaloisRing, GrElement, is_constant
+from .galois import GaloisRing, GrElement
 from .numtheory import mult_order
 from .sequence import generate
 
@@ -34,6 +41,7 @@ class TraceParams:
     q_orbits: tuple = field(repr=False)  # exponent orbits through multiples of p
     p_orbits: tuple = field(repr=False)  # Case2 only, orbits through multiples of q
     d_orbits: tuple = field(repr=False)  # per class i, per (t, j), conjugate exponents
+    powers: np.ndarray = field(repr=False, compare=False)  # checked table of beta
 
 
 def _fail(reason: str):
@@ -107,10 +115,33 @@ def trace_params(system: CyclotomicSystem, ring: GaloisRing,
     q_orbits = unit_orbits(q, p, ell_q)
     p_orbits = unit_orbits(p, q, ell_p) if system.case != CASE1 else ()
 
-    rho = rho_value(system, beta)
+    pows = power_table(beta, n)
     return TraceParams(ell=ell, ell_p=ell_p, ell_q=ell_q, epsilon=epsilon,
-                       rho=rho, q_orbits=q_orbits, p_orbits=p_orbits,
-                       d_orbits=tuple(d_orbits))
+                       rho=rho_value(system, beta, pows), q_orbits=q_orbits,
+                       p_orbits=p_orbits, d_orbits=tuple(d_orbits), powers=pows)
+
+
+def _flat(orbits) -> list:
+    return [w for orbit in orbits for w in orbit]
+
+
+def _trace_values(system: CyclotomicSystem, ring: GaloisRing, params: TraceParams,
+                  pows: np.ndarray, us) -> np.ndarray:
+    """(len(us), r) uint8: the trace form at each index u, reduced mod 4."""
+    units = params.q_orbits + (params.p_orbits if system.case != CASE1 else ())
+    total = 2 * power_sums(pows, us, _flat(units))
+    total[:, 0] += 2
+    for i in range(4):
+        if system.case == CASE1:
+            coef = params.rho - ring.scalar(i)
+        else:
+            coef = params.rho + ring.scalar(2 - i)
+        total += power_sums(pows, us, _flat(params.d_orbits[i])) @ ring.mul_matrix(coef.coeffs)
+    return total % 4
+
+
+def _non_constant(ring: GaloisRing, u: int, value) -> NonConstantResult:
+    return NonConstantResult(f"trace form at u={u} is not in Z4: {ring.element(value)!r}")
 
 
 def eval_trace_repr(system: CyclotomicSystem, ring: GaloisRing, beta: GrElement,
@@ -119,47 +150,29 @@ def eval_trace_repr(system: CyclotomicSystem, ring: GaloisRing, beta: GrElement,
 
     Raises NonConstantResult if the evaluated expression leaves Z4.
     """
-    n = system.pq
-    pows = powers if powers is not None else power_table(beta, n)
-    total = ring.scalar(2)
-
-    for orbit in params.q_orbits:
-        acc = ring.zero
-        for w in orbit:
-            acc = acc + pows[u * w % n]
-        total = total + acc * 2
-    if system.case != CASE1:
-        for orbit in params.p_orbits:
-            acc = ring.zero
-            for w in orbit:
-                acc = acc + pows[u * w % n]
-            total = total + acc * 2
-
-    for i in range(4):
-        if system.case == CASE1:
-            coef = params.rho - ring.scalar(i)
-        else:
-            coef = params.rho + ring.scalar(2 - i)
-        acc = ring.zero
-        for orbit in params.d_orbits[i]:
-            for w in orbit:
-                acc = acc + pows[u * w % n]
-        total = total + coef * acc
-
-    val = is_constant(total)
-    if val is None:
-        raise NonConstantResult(f"trace form at u={u} is not in Z4: {total!r}")
-    return val
+    pows = powers if powers is not None else params.powers
+    value = _trace_values(system, ring, params, pows, [u])[0]
+    if value[1:].any():
+        raise _non_constant(ring, u, value)
+    return int(value[0])
 
 
 def check_trace_repr(system: CyclotomicSystem, ring: GaloisRing, beta: GrElement,
                      params: TraceParams | None = None):
-    """(ok, first_mismatch): exhaustive digit-for-digit comparison."""
+    """(ok, first_mismatch): exhaustive digit-for-digit comparison.
+
+    The first failing index decides: NonConstantResult if the form leaves Z4
+    there, else that index is returned as the first mismatch.
+    """
     if params is None:
         params = trace_params(system, ring, beta)
-    seq = generate(system)
-    pows = power_table(beta, system.pq)
-    for u in range(system.pq):
-        if eval_trace_repr(system, ring, beta, params, u, pows) != seq.digits[u]:
-            return False, u
-    return True, None
+    n = system.pq
+    values = _trace_values(system, ring, params, params.powers, np.arange(n))
+    outside = values[:, 1:].any(axis=1)
+    failing = outside | (values[:, 0] != np.array(generate(system).digits))
+    if not failing.any():
+        return True, None
+    u = int(failing.argmax())
+    if outside[u]:
+        raise _non_constant(ring, u, values[u])
+    return False, u

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -31,6 +32,15 @@ def ring_beta(system):
     return ring, root_of_unity(ring, system.pq)
 
 
+def evaluate(poly, u, pows):
+    """G(beta^u) = sum_i rho_i beta^(iu), element by element."""
+    acc = poly.ring.zero
+    for i, c in enumerate(poly.coeffs):
+        if c:
+            acc = acc + c * pows[i * u % poly.period]
+    return acc
+
+
 def test_class_sum_at_one_and_subgroup_points():
     for pair in [(5, 13), (5, 17)]:
         s = build_system(*pair)
@@ -41,17 +51,19 @@ def test_class_sum_at_one_and_subgroup_points():
             # gamma = 1 gives |D_i| = e = 0 (mod 4)
             assert class_sum(s, i, ring.one) == ring.scalar(s.e)
             for k in range(s.q):
-                assert class_sum(s, i, pows[k * s.p % s.pq]) == ring.zero
+                assert class_sum(s, i, ring.element(pows[k * s.p % s.pq])) == ring.zero
             for k in range(1, s.p):
-                assert class_sum(s, i, pows[k * s.q % s.pq]) == target
+                assert class_sum(s, i, ring.element(pows[k * s.q % s.pq])) == target
 
 
 def test_root_of_unity_sums():
     s = build_system(5, 13)
     ring, beta = ring_beta(s)
     pows = power_table(beta, s.pq)
-    assert sum((pows[j * s.p % s.pq] for j in range(s.q)), ring.zero) == ring.zero
-    assert sum((pows[j * s.q % s.pq] for j in range(s.p)), ring.zero) == ring.zero
+    assert sum((ring.element(pows[j * s.p % s.pq]) for j in range(s.q)),
+               ring.zero) == ring.zero
+    assert sum((ring.element(pows[j * s.q % s.pq]) for j in range(s.p)),
+               ring.zero) == ring.zero
     units = sum((class_sum(s, i, beta, pows) for i in range(4)), ring.zero)
     assert units == ring.one
 
@@ -105,9 +117,9 @@ def test_reconstruction_exhaustive():
         ring, beta = ring_beta(s)
         seq = generate(s)
         poly = dft(seq, ring, beta)
-        pows = power_table(beta, s.pq)
+        pows = [ring.element(row) for row in power_table(beta, s.pq)]
         for u in range(s.pq):
-            assert poly.evaluate(u, pows) == ring.scalar(seq.digits[u])
+            assert evaluate(poly, u, pows) == ring.scalar(seq.digits[u])
 
 
 def test_formula_equals_dft():
@@ -144,7 +156,8 @@ def test_formula_structure():
 
 
 def test_inner_product_patterns():
-    for pair in [(5, 17), (5, 13), (17, 5)]:
+    # (5, 1321): the constant (q-1)/4 = 330 does not fit a uint8 row entry
+    for pair in [(5, 17), (5, 13), (17, 5), (5, 1321)]:
         s = build_system(*pair)
         ring, beta = ring_beta(s)
         pows = power_table(beta, s.pq)
@@ -235,3 +248,43 @@ def test_verify_identities_all_pass():
         ring, beta = ring_beta(s)
         checks = verify_identities(s, ring, beta)
         assert checks and all(checks.values()), (pair, checks)
+
+
+def swap_classes(system, a, b):
+    """The system with class labels a and b exchanged."""
+    swap = {a: b, b: a}
+    return dataclasses.replace(
+        system, class_of=tuple(swap.get(lab, lab) for lab in system.class_of))
+
+
+def swap_residues(system, u, v):
+    """The system with the labels of residues u and v exchanged."""
+    labels = list(system.class_of)
+    labels[u], labels[v] = labels[v], labels[u]
+    return dataclasses.replace(system, class_of=tuple(labels))
+
+
+def test_verify_identities_can_fail():
+    s = build_system(5, 13)
+    ring, beta = ring_beta(s)
+
+    def failing(system):
+        checks = verify_identities(system, ring, beta)
+        return sorted(name for name, ok in checks.items() if not ok)
+
+    # i -> -i is an automorphism of Z4: swapping D1 and D3 gives the classes
+    # of the generator g^-1, a valid system that must pass every identity
+    assert failing(swap_classes(s, "D1", "D3")) == []
+    assert failing(swap_classes(s, "D1", "D2")) == ["class-shift", "inner-products"]
+    assert failing(swap_classes(s, "D0", "D1")) == [
+        "class-shift", "inner-products", "partition", "rho-membership",
+        "solution-counts"]
+    # one residue of D1 traded with one of D2 that differs from it mod q
+    u = s.members("D1")[0]
+    v = next(w for w in s.members("D2") if (w - u) % s.q)
+    assert failing(swap_residues(s, u, v)) == [
+        "class-shift", "class-sums", "inner-products"]
+    # a unit traded with a multiple of p: the units no longer sum to 1
+    assert failing(swap_residues(s, s.members("D0")[0], s.members("P")[0])) == [
+        "class-shift", "class-sums", "inner-products", "partition",
+        "root-of-unity-sums", "solution-counts"]

@@ -91,6 +91,14 @@ def test_trace_check(capsys):
     assert code == 0 and out.strip() == "PASS"
 
 
+def test_trace_check_flag_is_deprecated(capsys):
+    plain = run(capsys, "trace", "--p", "5", "--q", "13")
+    flagged = run(capsys, "trace", "--p", "5", "--q", "13", "--check")
+    assert plain[:2] == flagged[:2] == (0, "PASS\n")
+    assert plain[2] == ""
+    assert len(flagged[2].splitlines()) == 1 and "deprecated" in flagged[2]
+
+
 def test_verify(capsys):
     code, out, _ = run(capsys, "verify", "--p", "5", "--q", "13")
     assert code == 0
