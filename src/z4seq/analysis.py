@@ -10,7 +10,11 @@ Ring data is one (T, r) uint8 array of the coefficient rows of beta^0 ..
 beta^(T-1), checked to have order exactly T (`power_table`).  The DFT, the
 class sums, rho, the inner products and the identity suite are index-and-sum
 reductions over it; a product with a ring value a is a matrix product with
-its multiplication matrix M(a).  Single values come back as `GrElement`.
+its multiplication matrix M(a).  Values indexed by u whose entry at 2u is
+the Frobenius image of the entry at u (the DFT coefficients, set sums of
+beta^(uw)) are computed once per 2-cyclotomic coset and carried round the
+coset by the Frobenius matrix (`frobenius_fill`).  Single values come back
+as `GrElement`.
 """
 
 import math
@@ -90,6 +94,40 @@ def power_sums(pows: np.ndarray, mults, members) -> np.ndarray:
     return out % 4
 
 
+def _coset_reps(n: int, us) -> list:
+    """One index per 2-cyclotomic coset mod n met by us: the first one met."""
+    seen = bytearray(n)
+    reps = []
+    for u in us:
+        if not seen[u]:
+            reps.append(u)
+            while not seen[u]:
+                seen[u] = 1
+                u = 2 * u % n
+    return reps
+
+
+def frobenius_fill(ring: GaloisRing, n: int, us, values_at) -> np.ndarray:
+    """values_at(us) mod 4, computed at one index per 2-cyclotomic coset mod n.
+
+    values_at maps an index vector to uint8 arrays whose last axis is a
+    coefficient row, and must satisfy value(2u) = sigma(value(u)); each
+    coset is filled from its representative by stepping u -> 2u, applying
+    sigma as a product with ring.frob.
+    """
+    us = (np.asarray(us, dtype=np.int64) % n).tolist()
+    start = np.array(_coset_reps(n, us), dtype=np.int64)
+    vals = values_at(start) % 4
+    out = np.zeros((n,) + vals.shape[1:], dtype=np.uint8)
+    idx = start
+    while idx.size:
+        out[idx] = vals
+        idx = 2 * idx % n
+        live = idx != start
+        idx, start, vals = idx[live], start[live], vals[live] @ ring.frob % 4
+    return out[us]
+
+
 def _class_rows(system: CyclotomicSystem, pows: np.ndarray) -> np.ndarray:
     """(4, r): D_0 .. D_3 evaluated at the table's base, as coefficient rows."""
     return np.stack([pows[list(system.members(f"D{i}"))].sum(axis=0, dtype=np.uint8)
@@ -124,10 +162,10 @@ def dft(seq: QuaternarySequence, ring: GaloisRing, beta: GrElement,
     pows = powers if powers is not None else power_table(beta, T)
     s = np.array(seq.digits, dtype=np.uint8)
     u = np.arange(T)
-    coeffs = []
-    for i in range(T):
-        vec = s @ pows[(-i * u) % T] % 4
-        coeffs.append(GrElement(ring, tuple(vec.tolist())))
+    # rho_2i = sigma(rho_i): sigma fixes the digits and sends beta to beta^2
+    rows = frobenius_fill(ring, T, u, lambda reps: np.stack([s @ pows[(-i * u) % T]
+                                                              for i in reps]))
+    coeffs = [GrElement(ring, tuple(row)) for row in rows.tolist()]
     return DefiningPolynomial(ring=ring, beta=beta, coeffs=tuple(coeffs))
 
 

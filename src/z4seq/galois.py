@@ -5,6 +5,15 @@ basic irreducible polynomial.  The modulus is the Graeffe lift
 h(x^2) = (-1)^r f(x) f(-x) (mod 4) of the lexicographically smallest
 primitive binary polynomial f of degree r, so the residue class of x
 generates the Teichmuller group G1 of order 2^r - 1.
+
+The search for f runs on int bitmasks: odd-weight candidates only, squaring
+by spreading bits, one chain of squarings of x for Rabin's test (with a gcd
+sieve at its first steps), and the order test x^((2^r - 1)/d) != 1 by
+squaring and shifting.  The ring's own checks (x of order exactly 2^r - 1,
+the modulus vanishing at x^2, roots of unity of exact order) take powers on
+coefficient rows, a product being one convolution times the reduction rows
+x^0 .. x^(2r-2).  Since sigma(x) = x^2, the Frobenius map is the matrix of
+the rows x^(2k) (`GaloisRing.frob`).
 """
 
 from functools import lru_cache
@@ -26,30 +35,6 @@ R_MAX = 64
 
 # --- binary polynomials as bitmasks (bit i = coefficient of x^i) ---
 
-def _bin_mulmod(a: int, b: int, f: int) -> int:
-    deg = f.bit_length() - 1
-    top = 1 << deg
-    res = 0
-    while a:
-        if a & 1:
-            res ^= b
-        a >>= 1
-        b <<= 1
-        if b & top:
-            b ^= f
-    return res
-
-
-def _bin_powmod(base: int, e: int, f: int) -> int:
-    res = 1
-    while e:
-        if e & 1:
-            res = _bin_mulmod(res, base, f)
-        base = _bin_mulmod(base, base, f)
-        e >>= 1
-    return res
-
-
 def _bin_gcd(a: int, b: int) -> int:
     while b:
         while a.bit_length() >= b.bit_length() and a:
@@ -58,16 +43,55 @@ def _bin_gcd(a: int, b: int) -> int:
     return a
 
 
+def _bin_reduce(a: int, f: int, r: int) -> int:
+    """a mod f, f of degree r: the part above x^r is folded back times f - x^r."""
+    low = f ^ (1 << r)
+    taps = [j for j in range(r) if low >> j & 1]
+    mask = (1 << r) - 1
+    while a >> r:
+        high = a >> r
+        a &= mask
+        for j in taps:
+            a ^= high << j
+    return a
+
+
+def _bin_square(a: int, f: int, r: int) -> int:
+    """a^2 mod f: squaring over GF(2) spreads bit i to bit 2i."""
+    return _bin_reduce(int(bin(a)[2:], 4), f, r)
+
+
+def _bin_xpow(e: int, f: int, r: int) -> int:
+    """x^e mod f, left to right: square per bit, shift (times x) per set bit."""
+    a = 1
+    for bit in bin(e)[2:]:
+        a = _bin_square(a, f, r)
+        if bit == "1":
+            a <<= 1
+            if a >> r:
+                a ^= f
+    return a
+
+
+# Sieve depth: an irreducible f of degree r > k is coprime to x^(2^k) - x.
+_SIEVE_DEPTH = 6
+
+
 def _bin_is_irreducible(f: int, r: int) -> bool:
-    """Rabin's irreducibility test over GF(2)."""
-    x = 2
-    if _bin_powmod(x, 1 << r, f) != x:
-        return False
-    for d in factorize(r):
-        h = _bin_powmod(x, 1 << (r // d), f) ^ x
-        if _bin_gcd(f, h) != 1:
+    """Rabin's irreducibility test over GF(2) on one chain of squarings of x.
+
+    Step k of the chain is x^(2^k) mod f.  Rabin needs x^(2^r) = x and
+    gcd(f, x^(2^(r/d)) - x) = 1 for each prime d | r; the gcd is also taken
+    at every step k <= _SIEVE_DEPTH below r, which rejects most reducible f
+    early and never an irreducible one.
+    """
+    stops = {r // d for d in factorize(r)}
+    a = 2  # x
+    for k in range(1, r + 1):
+        a = _bin_square(a, f, r)
+        if k < r and (k in stops or k <= _SIEVE_DEPTH) and _bin_gcd(f, a ^ 2) != 1:
             return False
-    return True
+    return a == 2
 
 
 def _smallest_primitive_binary(r: int) -> int:
@@ -78,9 +102,11 @@ def _smallest_primitive_binary(r: int) -> int:
     prime_divisors = list(factorize(order))
     for mask in range(1, 1 << r, 2):  # constant term must be 1
         f = (1 << r) | mask
+        if bin(f).count("1") % 2 == 0:
+            continue  # f(1) = 0, so x + 1 divides f
         if not _bin_is_irreducible(f, r):
             continue
-        if all(_bin_powmod(2, order // d, f) != 1 for d in prime_divisors):
+        if all(_bin_xpow(order // d, f, r) != 1 for d in prime_divisors):
             return f
     raise Z4SeqError(f"internal: no primitive binary polynomial of degree {r}")
 
@@ -191,6 +217,9 @@ class GaloisRing:
         # rows x^0 .. x^(2r-2) reduced: the products of two basis monomials
         self._xpow = np.vstack([np.eye(r, dtype=np.uint8),
                                 np.array(self._red, dtype=np.uint8).reshape(-1, r)])
+        # Frobenius matrix, row k = x^(2k): sigma(a) is a @ frob mod 4, as
+        # sigma(x) = x^2 for the Teichmuller generator x (checked by make_ring)
+        self.frob = self._xpow[::2]
         self.zero = GrElement(self, (0,) * r)
         self.one = self.scalar(1)
         if r == 1:
@@ -241,16 +270,43 @@ class GaloisRing:
         return f"GaloisRing(r={self.r})"
 
 
+def _row_mul(ring: GaloisRing, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coefficient row of a * b: its 2r - 1 product terms times the rows x^k."""
+    return np.convolve(a, b) @ ring._xpow % 4
+
+
+def _row_pow(ring: GaloisRing, a: np.ndarray, e: int) -> np.ndarray:
+    """Coefficient row of a^e by square-and-multiply."""
+    result = np.zeros(ring.r, dtype=np.uint8)
+    result[0] = 1
+    while e:
+        if e & 1:
+            result = _row_mul(ring, result, a)
+        a = _row_mul(ring, a, a)
+        e >>= 1
+    return result
+
+
+def _is_one(row: np.ndarray) -> bool:
+    return row[0] == 1 and not row[1:].any()
+
+
 @lru_cache(maxsize=None)
 def _build_ring(r: int) -> GaloisRing:
     f = _smallest_primitive_binary(r)
     ring = GaloisRing(r, _graeffe_lift(f, r))
-    x = ring.x
-    if x ** ring.order != ring.one:
+    x = np.array(ring.x.coeffs, dtype=np.uint8)
+    if not _is_one(_row_pow(ring, x, ring.order)):
         raise Z4SeqError(f"internal: x^({ring.order}) != 1 in GR(4,4^{r})")
     for d in factorize(ring.order):
-        if x ** (ring.order // d) == ring.one:
+        if _is_one(_row_pow(ring, x, ring.order // d)):
             raise Z4SeqError(f"internal: x has order below {ring.order} in GR(4,4^{r})")
+    # the modulus vanishes at x^2, so sigma(x) = x^2 defines ring.frob
+    x2 = _row_mul(ring, x, x)
+    h_x2 = (np.array(ring.modulus[:r], dtype=np.uint8) @ ring.frob
+            + _row_mul(ring, ring.frob[-1], x2)) % 4
+    if h_x2.any():
+        raise Z4SeqError(f"internal: modulus does not vanish at x^2 in GR(4,4^{r})")
     return ring
 
 
@@ -315,13 +371,13 @@ def root_of_unity(ring: GaloisRing, period: int) -> GrElement:
         raise PeriodNotDividing(f"period must be odd and positive, got {period}")
     if ring.order % period != 0:
         raise PeriodNotDividing(f"{period} does not divide 2^{ring.r} - 1")
-    beta = ring.x ** (ring.order // period)
-    if beta ** period != ring.one:
+    beta = _row_pow(ring, np.array(ring.x.coeffs, dtype=np.uint8), ring.order // period)
+    if not _is_one(_row_pow(ring, beta, period)):
         raise Z4SeqError("internal: beta^period != 1")
     for d in factorize(period):
-        if beta ** (period // d) == ring.one:
+        if _is_one(_row_pow(ring, beta, period // d)):
             raise Z4SeqError("internal: beta is not primitive")
-    return beta
+    return ring.element(beta)
 
 
 def is_constant(a: GrElement):

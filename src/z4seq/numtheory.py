@@ -1,7 +1,9 @@
 """Exact integer arithmetic: primality, factoring, orders, primitive roots, CRT.
 
-All routines operate on plain Python ints and assume magnitudes below 2**63,
-which comfortably covers the supported pq range and the 2**r - 1 group orders.
+All routines operate on plain Python ints of any size.  `is_prime` is
+deterministic below 3.3e24 (about 2**81): that covers every cofactor met in
+factoring the group orders 2**r - 1 for r <= 81, and so the default ring cap
+of 64.  Above it, it is a strong probable-prime test to twelve fixed bases.
 """
 
 import math
@@ -16,7 +18,7 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test for 64-bit inputs."""
+    """Miller-Rabin to the first twelve prime bases; deterministic for n < 3.3e24."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:

@@ -9,15 +9,16 @@ requirements are verified up front and reported on failure.
 
 The form is evaluated on a whole vector of indices u at once from the one
 checked (pq, ell) uint8 power table that `trace_params` builds: each orbit
-set contributes the row sums of pows[u * w mod pq], and each rho coefficient
-multiplies its set sum through its ring multiplication matrix.
+set contributes the row sums of pows[u * w mod pq], taken at one u per
+2-cyclotomic coset and carried to 2u by the Frobenius map, and each rho
+coefficient multiplies its set sum through its ring multiplication matrix.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import power_sums, power_table, rho_value
+from .analysis import frobenius_fill, power_sums, power_table, rho_value
 from .cyclotomy import CASE1, CyclotomicSystem
 from .errors import (
     InternalCaseError,
@@ -129,14 +130,19 @@ def _trace_values(system: CyclotomicSystem, ring: GaloisRing, params: TraceParam
                   pows: np.ndarray, us) -> np.ndarray:
     """(len(us), r) uint8: the trace form at each index u, reduced mod 4."""
     units = params.q_orbits + (params.p_orbits if system.case != CASE1 else ())
-    total = 2 * power_sums(pows, us, _flat(units))
+    sets = [_flat(units)] + [_flat(orbits) for orbits in params.d_orbits]
+    # every set sum at 2u is the Frobenius image of the one at u; the rho
+    # coefficients, which the Frobenius map does not fix, are applied after
+    sums = frobenius_fill(ring, len(pows), us, lambda reps: np.stack(
+        [power_sums(pows, reps, members) for members in sets], axis=1))
+    total = 2 * sums[:, 0]
     total[:, 0] += 2
     for i in range(4):
         if system.case == CASE1:
             coef = params.rho - ring.scalar(i)
         else:
             coef = params.rho + ring.scalar(2 - i)
-        total += power_sums(pows, us, _flat(params.d_orbits[i])) @ ring.mul_matrix(coef.coeffs)
+        total += sums[:, i + 1] @ ring.mul_matrix(coef.coeffs)
     return total % 4
 
 

@@ -99,6 +99,18 @@ def test_trace_check_flag_is_deprecated(capsys):
     assert len(flagged[2].splitlines()) == 1 and "deprecated" in flagged[2]
 
 
+def test_lc_above_default_cap(capsys):
+    # ord_2(13 * 29) = 84: a ring past the default degree cap of 64
+    code, out, _ = run(capsys, "lc", "--p", "13", "--q", "29", "--r-max", "84")
+    assert code == 0 and out == "377 377 377 AGREE\n"
+
+
+def test_trace_above_default_cap(capsys):
+    # ord_2(5 * 101) = 100
+    code, out, _ = run(capsys, "trace", "--p", "5", "--q", "101", "--r-max", "100")
+    assert code == 0 and out == "PASS\n"
+
+
 def test_verify(capsys):
     code, out, _ = run(capsys, "verify", "--p", "5", "--q", "13")
     assert code == 0

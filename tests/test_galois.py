@@ -36,7 +36,7 @@ def test_ring_r2_modulus():
     assert tuple(c % 2 for c in ring.modulus) == (1, 1, 1)  # x^2 + x + 1 mod 2
 
 
-@pytest.mark.parametrize("r", [1, 2, 3, 4, 8, 12])
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 8, 12, 36, 56, 64])
 def test_x_has_full_order(r):
     ring = make_ring(r)
     assert ring.x ** ring.order == ring.one

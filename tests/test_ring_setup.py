@@ -1,0 +1,127 @@
+"""Ring construction on arrays against bit-loop and GrElement references."""
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from z4seq import galois
+from z4seq.analysis import dft, power_table
+from z4seq.cyclotomy import build_system
+from z4seq.errors import Z4SeqError
+from z4seq.galois import frobenius, make_ring, root_of_unity
+from z4seq.numtheory import factorize, mult_order
+from z4seq.sequence import generate
+
+BENCH_PAIRS = [(5, 13), (13, 17), (5, 29), (37, 5), (5, 113)]
+
+
+def reference_mulmod(a, b, f):
+    """a * b mod f over GF(2), one bit of a at a time."""
+    top = 1 << (f.bit_length() - 1)
+    res = 0
+    while a:
+        if a & 1:
+            res ^= b
+        a >>= 1
+        b <<= 1
+        if b & top:
+            b ^= f
+    return res
+
+
+def reference_powmod(base, e, f):
+    res = 1
+    while e:
+        if e & 1:
+            res = reference_mulmod(res, base, f)
+        base = reference_mulmod(base, base, f)
+        e >>= 1
+    return res
+
+
+def reference_gcd(a, b):
+    while b:
+        while a and a.bit_length() >= b.bit_length():
+            a ^= b << (a.bit_length() - b.bit_length())
+        a, b = b, a
+    return a
+
+
+def reference_primitive(r):
+    """Smallest f = x^r + ... + 1 passing Rabin's test and the order test."""
+    if r == 1:
+        return 0b11
+    order = (1 << r) - 1
+    for mask in range(1, 1 << r, 2):
+        f = (1 << r) | mask
+        if reference_powmod(2, 1 << r, f) != 2:
+            continue
+        if any(reference_gcd(f, reference_powmod(2, 1 << (r // d), f) ^ 2) != 1
+               for d in factorize(r)):
+            continue
+        if all(reference_powmod(2, order // d, f) != 1 for d in factorize(order)):
+            return f
+    raise AssertionError(r)
+
+
+def test_primitive_search_matches_reference():
+    for r in range(1, 65):
+        assert galois._smallest_primitive_binary(r) == reference_primitive(r), r
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.sampled_from([1, 2, 5, 12, 28]), st.data())
+def test_row_pow_matches_element_pow(r, data):
+    ring = make_ring(r)
+    coeffs = data.draw(st.lists(st.integers(0, 3), min_size=r, max_size=r))
+    e = data.draw(st.integers(0, (1 << r) - 1))
+    a = ring.element(coeffs)
+    row = galois._row_pow(ring, np.array(coeffs, dtype=np.uint8), e)
+    assert ring.element(row) == a ** e
+
+
+@pytest.fixture
+def fresh_ring_cache():
+    galois._build_ring.cache_clear()
+    yield
+    galois._build_ring.cache_clear()
+
+
+@pytest.mark.parametrize("r", [4, 12, 28, 56])
+def test_unlifted_modulus_is_rejected(r, monkeypatch, fresh_ring_cache):
+    # the binary polynomial itself, not its Graeffe lift, as the Z4 modulus
+    monkeypatch.setattr(galois, "_graeffe_lift",
+                        lambda f, r: tuple(f >> i & 1 for i in range(r + 1)))
+    with pytest.raises(Z4SeqError, match=r"internal: x\^\(\d+\) != 1"):
+        make_ring(r)
+
+
+@pytest.mark.parametrize("r", [1, 2, 5, 12, 28])
+def test_frobenius_matrix(r):
+    ring = make_ring(r)
+    rng = random.Random(r)
+
+    def frob(a):
+        return ring.element(np.array(a.coeffs, dtype=np.uint8) @ ring.frob % 4)
+
+    for _ in range(20):
+        a = ring.element([rng.randrange(4) for _ in range(r)])
+        b = ring.element([rng.randrange(4) for _ in range(r)])
+        assert frob(a * b) == frob(a) * frob(b)
+        assert frob(a) == frobenius(a, 1)
+
+
+@pytest.mark.parametrize("pair", BENCH_PAIRS)
+def test_dft_matches_direct_sums(pair):
+    s = build_system(*pair)
+    T = s.pq
+    ring = make_ring(mult_order(2, T))
+    beta = root_of_unity(ring, T)
+    pows = power_table(beta, T)
+    digits = np.array(generate(s).digits, dtype=np.uint8)
+    u = np.arange(T)
+    coeffs = dft(generate(s), ring, beta).coeffs
+    for i in range(T):
+        assert coeffs[i] == ring.element(digits @ pows[(-i * u) % T] % 4), i
