@@ -295,7 +295,11 @@ class AnalysisReport:
 
 
 def analyze(system: CyclotomicSystem, r_max: int = R_MAX) -> AnalysisReport:
-    """Full pipeline: formula vs DFT count vs Reeds-Sloane on two periods."""
+    """Full pipeline: formula vs DFT count vs Reeds-Sloane on two periods.
+
+    The routes agree when the three lengths are equal and the synthesized
+    register passes its own annihilation check.
+    """
     ell = mult_order(2, system.pq)
     ring = make_ring(ell, r_max)
     beta = root_of_unity(ring, system.pq)
@@ -306,7 +310,7 @@ def analyze(system: CyclotomicSystem, r_max: int = R_MAX) -> AnalysisReport:
     lc_formula = lc_by_theorem(system)
     lc_dft = lc_by_count(defpoly)
     synth = reeds_sloane(seq.digits * 2)
-    agree = lc_formula == lc_dft == synth.length
+    agree = lc_formula == lc_dft == synth.length and synth.annihilates
     return AnalysisReport(
         p=system.p, q=system.q, case=system.case, two_class=system.two_class,
         rho=rho, rho_in_z4=is_constant(rho) is not None, lc_formula=lc_formula,

@@ -6,7 +6,6 @@ machine-parseable line `ERROR <Code>: <message>` on stderr.
 """
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys
@@ -266,6 +265,8 @@ def cmd_sweep(args) -> int:
                 if fmt == "csv":
                     flush(_sweep_row_text(row, timings) + "\n")
         else:
+            import concurrent.futures  # only a pooled sweep pays for the import
+
             with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [pool.submit(_sweep_worker, pair, r_max) for pair in pairs]
                 # consume in submission order: deterministic rows, progressive flush
@@ -310,31 +311,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, pair=True):
+    def add_common(sp, formats, default="text", pair=True):
+        """Shared flags; `formats` lists the output formats the subcommand writes."""
         if pair:
             sp.add_argument("--p", type=int, help="first prime")
             sp.add_argument("--q", type=int, help="second prime")
-        sp.add_argument("--format", choices=("text", "json", "csv"),
-                        help="output format (default text)")
+        sp.add_argument("--format", choices=formats,
+                        help=f"output format (default {default})")
         sp.add_argument("--out", help="write output to this file")
         sp.add_argument("--config", help="flat key=value config file")
         sp.add_argument("--r-max", dest="r_max", type=int,
                         help=f"ring-degree cap (default {R_MAX})")
 
-    add_common(sub.add_parser("system", help="print the cyclotomic system summary"))
-    add_common(sub.add_parser("gen", help="emit one period of digits"))
+    all_formats = ("text", "json", "csv")
+    add_common(sub.add_parser("system", help="print the cyclotomic system summary"),
+               ("text", "json"))
+    add_common(sub.add_parser("gen", help="emit one period of digits"),
+               ("text", "csv"))
     sp = sub.add_parser("lc", help="linear complexity by chosen method(s)")
-    add_common(sp)
+    add_common(sp, all_formats)
     sp.add_argument("--method", choices=("formula", "dft", "reeds-sloane", "all"),
                     help="method (default all)")
-    add_common(sub.add_parser("defpoly", help="dump defining polynomial coefficients"))
+    add_common(sub.add_parser("defpoly", help="dump defining polynomial coefficients"),
+               all_formats)
     sp = sub.add_parser("trace", help="check the trace form digit-for-digit")
-    add_common(sp)
+    add_common(sp, ("text",))
     sp.add_argument("--check", action="store_true",
                     help="deprecated, no effect")
-    add_common(sub.add_parser("verify", help="run the structural identity suite"))
+    add_common(sub.add_parser("verify", help="run the structural identity suite"),
+               ("text",))
     sp = sub.add_parser("sweep", help="analyze all admissible pairs under the caps")
-    add_common(sp, pair=False)
+    add_common(sp, all_formats, default="csv", pair=False)
     sp.add_argument("--p-max", dest="p_max", type=int, help="cap on p (default 40)")
     sp.add_argument("--q-max", dest="q_max", type=int, help="cap on q (default 40)")
     sp.add_argument("--workers", type=int, help="worker processes (default auto)")

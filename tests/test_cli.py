@@ -3,6 +3,7 @@ import json
 import pytest
 
 from z4seq import analysis
+from z4seq.lfsr import LfsrResult
 from z4seq.cli import main
 
 
@@ -222,3 +223,35 @@ def test_config_unknown_key(tmp_path, capsys):
     code, out, err = run(capsys, "system", "--config", str(cfg))
     assert code == 2 and not out
     assert err.startswith("ERROR ValueError:") and "'colour'" in err
+
+
+def test_register_failing_its_check_disagrees(monkeypatch, capsys):
+    real = analysis.reeds_sloane
+
+    def reeds_sloane(digits):
+        res = real(digits)
+        return LfsrResult(res.length, res.connection, annihilates=False)
+
+    monkeypatch.setattr(analysis, "reeds_sloane", reeds_sloane)
+    code, out, _ = run(capsys, "lc", "--p", "5", "--q", "13", "--method", "all")
+    assert code == 1 and out == "65 65 65 DISAGREE\n"
+    code, out, _ = run(capsys, "sweep", "--p-max", "13", "--q-max", "13",
+                       "--workers", "1")
+    rows = [line.split(",") for line in out.strip().splitlines()[1:-1]]
+    assert code == 1 and len(rows) == 2
+    assert all(r[4] == r[5] == r[6] and r[7] == "false" for r in rows)
+
+
+@pytest.mark.parametrize("command, fmt", [
+    ("system", "csv"), ("gen", "json"), ("trace", "json"), ("trace", "csv"),
+    ("verify", "json"), ("verify", "csv"),
+])
+def test_unwritten_format_is_rejected(tmp_path, capsys, command, fmt):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--p", "5", "--q", "13", "--format", fmt])
+    assert exc.value.code == 2 and "invalid choice" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"p = 5\nq = 13\nformat = {fmt}\n")
+    code, out, err = run(capsys, command, "--config", str(cfg))
+    assert code == 2 and not out
+    assert err.startswith("ERROR ValueError:") and f"'{fmt}'" in err

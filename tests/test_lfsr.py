@@ -1,5 +1,6 @@
 import itertools
 import random
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,8 +8,60 @@ from hypothesis import given, settings, strategies as st
 from z4seq.analysis import lc_by_theorem
 from z4seq.cyclotomy import build_system
 from z4seq.errors import OracleTooLarge
-from z4seq.lfsr import _conv, reeds_sloane, snf_min_length, solvable_z4
+from z4seq.lfsr import (LfsrResult, _digits, _dot, _planes, _scale, _sub,
+                        reeds_sloane, snf_min_length, solvable_z4)
 from z4seq.sequence import generate
+
+
+def _conv(poly, seq, k):
+    """Coefficient of x^k in poly(x) * seq(x), mod 4."""
+    acc = 0
+    for j, c in enumerate(poly):
+        if j > k:
+            break
+        if c:
+            acc += c * seq[k - j]
+    return acc % 4
+
+
+def _sub_shifted(a, t, b, shift):
+    """a(x) - t * x^shift * b(x) over Z4, as a new coefficient list."""
+    c = a + [0] * max(0, shift + len(b) - len(a))
+    for j, bj in enumerate(b):
+        c[shift + j] = (c[shift + j] - t * bj) % 4
+    return c
+
+
+def reference_reeds_sloane(digits) -> LfsrResult:
+    """The same Reeds-Sloane recurrence on coefficient lists, entry by entry."""
+    seq = [int(d) % 4 for d in digits]
+    N = len(seq)
+    rev = seq[::-1]
+    regs = [(0, [1]), (0, [2])]  # (L_eta, connection) for eta = 0, 1
+    stored = {}  # d % 2 -> (L - k, poly, d, k) of an earlier discrepancy d
+    for k in range(N):
+        window = rev[N - 1 - k:]  # s_k, s_(k-1), ..., s_0
+        discs = [sum(map(mul, a, window)) % 4 for _, a in regs]
+        new = []
+        for (L, a), d in zip(regs, discs):
+            if d == 0:
+                new.append((L, a))
+                continue
+            best = (k + 1, a)  # raising L to k + 1 needs no correction
+            for gap, b, db, kb in stored.values():
+                # b cancels d when its valuation is no larger; units are self-inverse
+                if (db % 2 or d % 2 == 0) and max(L, k + gap) < best[0]:
+                    t = d * db % 4 if db % 2 else 1
+                    best = (max(L, k + gap), _sub_shifted(a, t, b, k - kb))
+            new.append(best)
+        for (L, a), d in zip(regs, discs):
+            if d and (d % 2 not in stored or L - k < stored[d % 2][0]):
+                stored[d % 2] = (L - k, a, d, k)
+        regs = new
+    L, a = regs[0]
+    poly = [c * a[0] % 4 for c in a] + [0] * (L + 1 - len(a))  # make c_0 = 1
+    ok = all(_conv(poly, seq, i) == 0 for i in range(L, N))
+    return LfsrResult(length=L, connection=tuple(poly), annihilates=ok)
 
 
 def brute_min_length(seq):
@@ -144,6 +197,62 @@ def test_reeds_sloane_vs_bruteforce_hypothesis(seq):
 @given(z4_inputs(1, 40))
 def test_reeds_sloane_vs_snf_hypothesis(digits):
     assert reeds_sloane(digits * 2).length == snf_min_length(digits, len(digits))
+
+
+def same_as_reference(digits):
+    return reeds_sloane(digits) == reference_reeds_sloane(digits)
+
+
+def test_matches_reference_exhaustive():
+    for N in range(7):
+        for seq in itertools.product(range(4), repeat=N):
+            assert same_as_reference(seq), seq
+
+
+@st.composite
+def repeated_periods(draw, max_len):
+    period = draw(st.lists(DIGIT, min_size=1, max_size=max_len // 2))
+    n = draw(st.integers(len(period), max_len))
+    return (period * (n // len(period) + 1))[:n]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(z4_inputs(0, 200), repeated_periods(200)))
+def test_matches_reference_hypothesis(digits):
+    assert same_as_reference(digits)
+
+
+@pytest.mark.parametrize("pair", [(5, 13), (13, 17), (5, 29), (37, 5), (5, 113)])
+def test_matches_reference_on_paper_sequences(pair):
+    assert same_as_reference(generate(build_system(*pair)).digits * 2)
+
+
+DIGITS = st.lists(DIGIT, max_size=80)
+
+
+def padded(a, b):
+    n = max(len(a), len(b))
+    return a + [0] * (n - len(a)), b + [0] * (n - len(b))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(DIGITS, DIGITS)
+def test_bit_plane_dot(a, s):
+    assert _dot(*_planes(a), *_planes(s)) == sum(map(mul, a, s)) % 4
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(DIGITS, DIGITS)
+def test_bit_plane_sub(a, b):
+    a, b = padded(a, b)
+    assert _digits(*_sub(*_planes(a), *_planes(b)), len(a)) == [
+        (x - y) % 4 for x, y in zip(a, b)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 3), DIGITS)
+def test_bit_plane_scale(t, b):
+    assert _digits(*_scale(t, *_planes(b)), len(b)) == [t * x % 4 for x in b]
 
 
 def test_snf_oracle_on_paper_sequences():
