@@ -10,10 +10,8 @@ from .analysis import (
     DefiningPolynomial,
     admissible_pairs,
     analyze,
-    class_sum,
     defining_poly_formula,
     dft,
-    inner_product_check,
     lc_by_count,
     lc_by_theorem,
     power_table,
@@ -28,17 +26,7 @@ from .cyclotomy import (
     classify,
     count_solutions,
 )
-from .galois import (
-    GaloisRing,
-    GrElement,
-    R_MAX,
-    frobenius,
-    is_constant,
-    make_ring,
-    root_of_unity,
-    teichmuller_decompose,
-    trace,
-)
+from .galois import GaloisRing, GrElement, R_MAX, is_constant, make_ring, root_of_unity
 from .lfsr import LfsrResult, reeds_sloane, snf_min_length, solvable_z4
 from .numtheory import (
     common_primitive_root,
@@ -48,14 +36,7 @@ from .numtheory import (
     is_prime,
     mult_order,
 )
-from .sequence import (
-    QuaternarySequence,
-    digit_histogram,
-    from_text,
-    generate,
-    to_csv,
-    to_text,
-)
+from .sequence import QuaternarySequence, generate, to_csv, to_text
 from .trace_repr import TraceParams, check_trace_repr, eval_trace_repr, trace_params
 
 __version__ = "0.1.0"
@@ -64,12 +45,11 @@ __all__ = [
     "AnalysisReport", "CASE1", "CASE2", "CyclotomicSystem", "DefiningPolynomial",
     "GaloisRing", "GrElement", "LfsrResult", "QuaternarySequence", "R_MAX",
     "TraceParams", "admissible_pairs", "analyze", "build_system",
-    "check_trace_repr", "class_sum", "classify", "common_primitive_root",
+    "check_trace_repr", "classify", "common_primitive_root",
     "count_solutions", "crt_pair", "defining_poly_formula", "dft",
-    "digit_histogram", "euler_phi", "eval_trace_repr", "factorize", "frobenius",
-    "from_text", "generate", "inner_product_check", "is_constant", "is_prime",
-    "lc_by_count", "lc_by_theorem", "make_ring", "mult_order",
+    "euler_phi", "eval_trace_repr", "factorize", "generate", "is_constant",
+    "is_prime", "lc_by_count", "lc_by_theorem", "make_ring", "mult_order",
     "power_table", "reeds_sloane", "rho_value", "root_of_unity",
-    "snf_min_length", "solvable_z4", "teichmuller_decompose", "to_csv", "to_text",
-    "trace", "trace_params", "verify_identities",
+    "snf_min_length", "solvable_z4", "to_csv", "to_text", "trace_params",
+    "verify_identities",
 ]

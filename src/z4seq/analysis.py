@@ -18,12 +18,11 @@ as `GrElement`.
 """
 
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclotomy import CASE1, CyclotomicSystem, build_system
+from .cyclotomy import CASE1, CyclotomicSystem, count_solutions
 from .errors import (
     InternalCaseError,
     PeriodMismatch,
@@ -51,24 +50,20 @@ from .sequence import QuaternarySequence, generate
 _GATHER_BYTES = 1 << 16
 
 
-def _power_rows(gamma: GrElement, count: int) -> np.ndarray:
-    """Rows gamma^0 .. gamma^(count-1), doubling: P[m:2m] = P[:m] @ M(gamma^m)."""
-    ring = gamma.ring
-    rows = np.zeros((count, ring.r), dtype=np.uint8)
+def power_table(beta: GrElement, n: int) -> np.ndarray:
+    """(n, r) uint8 rows of beta^0 .. beta^(n-1) after verifying ord(beta) = n.
+
+    Rows beta^0 .. beta^n by doubling: P[m:2m] = P[:m] @ M(beta^m).
+    """
+    rows = np.zeros((n + 1, beta.ring.r), dtype=np.uint8)
     rows[0, 0] = 1
-    step = ring.mul_matrix(gamma.coeffs)
+    step = beta.ring.mul_matrix(beta.coeffs)
     m = 1
-    while m < count:
-        k = min(m, count - m)
+    while m <= n:
+        k = min(m, n + 1 - m)
         rows[m:m + k] = rows[:k] @ step % 4
         step = step @ step % 4
         m *= 2
-    return rows
-
-
-def power_table(beta: GrElement, n: int) -> np.ndarray:
-    """(n, r) uint8 rows of beta^0 .. beta^(n-1) after verifying ord(beta) = n."""
-    rows = _power_rows(beta, n + 1)
     one = rows[0]
     if (rows[n] != one).any():
         raise PeriodMismatch(f"beta^{n} != 1")
@@ -169,17 +164,10 @@ def dft(seq: QuaternarySequence, ring: GaloisRing, beta: GrElement,
     return DefiningPolynomial(ring=ring, beta=beta, coeffs=tuple(coeffs))
 
 
-def class_sum(system: CyclotomicSystem, i: int, gamma: GrElement, powers=None) -> GrElement:
-    """D_i evaluated at gamma: sum of gamma^u over u in D_i."""
-    pows = powers if powers is not None else _power_rows(gamma, system.pq)
-    return gamma.ring.element(_class_rows(system, pows)[i % 4])
-
-
-def rho_value(system: CyclotomicSystem, beta: GrElement, powers=None) -> GrElement:
-    """rho = sum_{i=1..3} i * D_i(beta)."""
-    pows = powers if powers is not None else _power_rows(beta, system.pq)
+def rho_value(system: CyclotomicSystem, beta: GrElement, powers: np.ndarray) -> GrElement:
+    """rho = sum_{i=1..3} i * D_i(beta); `powers` is `power_table(beta, pq)`."""
     weights = np.arange(4, dtype=np.uint8)
-    return beta.ring.element(weights @ _class_rows(system, pows) % 4)
+    return beta.ring.element(weights @ _class_rows(system, powers) % 4)
 
 
 def defining_poly_formula(system: CyclotomicSystem, ring: GaloisRing,
@@ -226,13 +214,6 @@ def _inner_products(system: CyclotomicSystem, ring: GaloisRing,
     out = prods[rows, cols].sum(axis=2, dtype=np.uint8)
     out[:, :, 0] += (system.q - 1) // 4 % 4
     return out % 4
-
-
-def inner_product_check(system: CyclotomicSystem, ring: GaloisRing, beta: GrElement,
-                        i: int, j: int, powers=None) -> GrElement:
-    """C_i(beta) . C_j(beta)^T + (q-1)/4, the scalar reduced mod 4."""
-    pows = powers if powers is not None else _power_rows(beta, system.pq)
-    return ring.element(_inner_products(system, ring, pows)[i % 4, j % 4])
 
 
 def lc_by_count(defpoly: DefiningPolynomial) -> int:
@@ -337,7 +318,7 @@ def admissible_pairs(p_max: int, q_max: int, r_max: int = R_MAX,
 
 
 def verify_identities(system: CyclotomicSystem, ring: GaloisRing,
-                      beta: GrElement, rng_seed: int = 1) -> dict:
+                      beta: GrElement) -> dict:
     """Named structural identities of the system, each True/False.
 
     Covers the partition, the multiplicative class shift, root-of-unity sums,
@@ -356,15 +337,12 @@ def verify_identities(system: CyclotomicSystem, ring: GaloisRing,
         and system.class_of[pow(system.h, 4, n)] == "D0"
     )
 
-    rng = random.Random(rng_seed)
-    ok = True
+    # D_j[0] * D_i == D_(i+j) for all 16 (i, j)
     d_sets = [frozenset(system.members(f"D{i}")) for i in range(4)]
-    for _ in range(8):
-        j = rng.randrange(4)
-        i = rng.randrange(4)
-        u = rng.choice(system.members(f"D{j}"))
-        ok = ok and frozenset(u * v % n for v in d_sets[i]) == d_sets[(i + j) % 4]
-    checks["class-shift"] = ok
+    checks["class-shift"] = all(
+        frozenset(system.members(f"D{j}")[0] * v % n for v in d_sets[i])
+        == d_sets[(i + j) % 4]
+        for i in range(4) for j in range(4))
 
     one = pows[0]
     sum_p = pows[np.arange(q) * p].sum(axis=0) % 4
@@ -381,8 +359,6 @@ def verify_identities(system: CyclotomicSystem, ring: GaloisRing,
         ok = ok and not power_sums(pows, np.arange(q) * p, members).any()
         ok = ok and (power_sums(pows, np.arange(1, p) * q, members) == target).all()
     checks["class-sums"] = bool(ok)
-
-    from .cyclotomy import count_solutions
 
     ok = True
     for a in range(4):

@@ -172,9 +172,6 @@ def cmd_defpoly(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    if args.check:
-        print("note: trace --check is deprecated and has no effect; "
-              "the check always runs", file=sys.stderr)
     p, q = _require_pair(args)
     r_max = _setting(args, "r_max", R_MAX)
     system = cyclotomy.build_system(p, q)
@@ -334,10 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="method (default all)")
     add_common(sub.add_parser("defpoly", help="dump defining polynomial coefficients"),
                all_formats)
-    sp = sub.add_parser("trace", help="check the trace form digit-for-digit")
-    add_common(sp, ("text",))
-    sp.add_argument("--check", action="store_true",
-                    help="deprecated, no effect")
+    add_common(sub.add_parser("trace", help="check the trace form digit-for-digit"),
+               ("text",))
     add_common(sub.add_parser("verify", help="run the structural identity suite"),
                ("text",))
     sp = sub.add_parser("sweep", help="analyze all admissible pairs under the caps")

@@ -33,10 +33,6 @@ class RingMismatch(Z4SeqError):
     """Arithmetic attempted between elements of different rings."""
 
 
-class NotDivisor(Z4SeqError):
-    """Frobenius/trace subparameter s must divide the extension degree."""
-
-
 class PeriodNotDividing(Z4SeqError):
     """Root-of-unity order must divide 2^r - 1."""
 

@@ -1,4 +1,4 @@
-"""Arithmetic in the Galois ring GR(4, 4^r).
+"""The Galois ring GR(4, 4^r): construction, coefficient rows, roots of unity.
 
 Elements are length-r coefficient vectors over Z4 reduced modulo a monic
 basic irreducible polynomial.  The modulus is the Graeffe lift
@@ -9,11 +9,14 @@ generates the Teichmuller group G1 of order 2^r - 1.
 The search for f runs on int bitmasks: odd-weight candidates only, squaring
 by spreading bits, one chain of squarings of x for Rabin's test (with a gcd
 sieve at its first steps), and the order test x^((2^r - 1)/d) != 1 by
-squaring and shifting.  The ring's own checks (x of order exactly 2^r - 1,
-the modulus vanishing at x^2, roots of unity of exact order) take powers on
-coefficient rows, a product being one convolution times the reduction rows
-x^0 .. x^(2r-2).  Since sigma(x) = x^2, the Frobenius map is the matrix of
-the rows x^(2k) (`GaloisRing.frob`).
+squaring and shifting.  Ring arithmetic is on coefficient rows only: a
+product is one convolution times the reduction rows x^0 .. x^(2r-2), and
+multiplication by a fixed a is its matrix (`GaloisRing.mul_matrix`).  The
+ring's own checks (x of order exactly 2^r - 1, the modulus vanishing at x^2,
+roots of unity of exact order) take powers this way.  Since sigma(x) = x^2,
+the Frobenius map is the matrix of the rows x^(2k) (`GaloisRing.frob`).
+`GrElement` is the value type of single ring elements: coefficients,
+addition and equality.
 """
 
 from functools import lru_cache
@@ -21,13 +24,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (
-    DegreeTooLarge,
-    NotDivisor,
-    PeriodNotDividing,
-    RingMismatch,
-    Z4SeqError,
-)
+from .errors import DegreeTooLarge, PeriodNotDividing, RingMismatch, Z4SeqError
 from .numtheory import factorize
 
 R_MAX = 64
@@ -127,7 +124,7 @@ def _graeffe_lift(f_mask: int, r: int) -> tuple:
 
 
 class GrElement:
-    """An element of GR(4, 4^r) in canonical coefficient form."""
+    """An element of GR(4, 4^r) in canonical coefficient form; products are on rows."""
 
     __slots__ = ("ring", "coeffs")
 
@@ -152,44 +149,6 @@ class GrElement:
     def __neg__(self):
         return GrElement(self.ring, tuple(-a % 4 for a in self.coeffs))
 
-    def __mul__(self, other):
-        if isinstance(other, int):
-            k = other % 4
-            return GrElement(self.ring, tuple(a * k % 4 for a in self.coeffs))
-        self._check(other)
-        r = self.ring.r
-        if r == 1:
-            return GrElement(self.ring, (self.coeffs[0] * other.coeffs[0] % 4,))
-        prod = [0] * (2 * r - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    prod[i + j] += a * b
-        out = prod[:r]
-        red = self.ring._red
-        for k in range(r, 2 * r - 1):
-            c = prod[k] % 4
-            if c:
-                row = red[k - r]
-                for j, rj in enumerate(row):
-                    if rj:
-                        out[j] += c * rj
-        return GrElement(self.ring, tuple(v % 4 for v in out))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative exponents unsupported")
-        result = self.ring.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def __eq__(self, other):
         return (isinstance(other, GrElement)
                 and self.ring == other.ring and self.coeffs == other.coeffs)
@@ -213,10 +172,8 @@ class GaloisRing:
         if len(self.modulus) != r + 1 or self.modulus[r] != 1:
             raise Z4SeqError("modulus must be monic of degree r")
         self.order = (1 << r) - 1  # size of the Teichmuller group G1
-        self._red = self._reduction_rows()
         # rows x^0 .. x^(2r-2) reduced: the products of two basis monomials
-        self._xpow = np.vstack([np.eye(r, dtype=np.uint8),
-                                np.array(self._red, dtype=np.uint8).reshape(-1, r)])
+        self._xpow = self._monomial_rows()
         # Frobenius matrix, row k = x^(2k): sigma(a) is a @ frob mod 4, as
         # sigma(x) = x^2 for the Teichmuller generator x (checked by make_ring)
         self.frob = self._xpow[::2]
@@ -227,19 +184,16 @@ class GaloisRing:
         else:
             self.x = GrElement(self, (0, 1) + (0,) * (r - 2))
 
-    def _reduction_rows(self):
-        # row k holds the coefficients of x^(r+k) reduced modulo the modulus
-        if self.r == 1:
-            return []
-        rows = []
-        cur = [(-c) % 4 for c in self.modulus[: self.r]]
-        rows.append(tuple(cur))
-        for _ in range(self.r - 2):
-            top = cur[-1]
-            cur = [0] + cur[:-1]
-            if top:
-                cur = [(a + top * b) % 4 for a, b in zip(cur, rows[0])]
-            rows.append(tuple(cur))
+    def _monomial_rows(self) -> np.ndarray:
+        # row k holds x^k reduced: x^k = x * x^(k-1), and x^r is minus the
+        # low part of the monic modulus
+        r = self.r
+        low = np.array([-c % 4 for c in self.modulus[:r]], dtype=np.uint8)
+        rows = np.zeros((2 * r - 1, r), dtype=np.uint8)
+        rows[:r] = np.eye(r, dtype=np.uint8)
+        for k in range(r, 2 * r - 1):
+            rows[k, 1:] = rows[k - 1, :-1]
+            rows[k] = (rows[k] + rows[k - 1, -1] * low) % 4
         return rows
 
     def scalar(self, c: int) -> GrElement:
@@ -317,52 +271,6 @@ def make_ring(r: int, r_max: int = R_MAX) -> GaloisRing:
     if r > r_max:
         raise DegreeTooLarge(f"extension degree {r} exceeds cap {r_max}")
     return _build_ring(r)
-
-
-def teichmuller_decompose(a: GrElement):
-    """(a1, a2) in T x T with a = a1 + 2*a2; T = {0} union G1.
-
-    a1 = a^(2^r) since squaring annihilates the 2-part; a2 is the Teichmuller
-    projection of the unique halved preimage with coefficients in {0, 1}.
-    """
-    r = a.ring.r
-    a1 = a
-    for _ in range(r):
-        a1 = a1 * a1
-    d = a - a1
-    if any(c % 2 for c in d.coeffs):
-        raise Z4SeqError("internal: a - a^(2^r) has an odd coefficient")
-    a2 = GrElement(a.ring, tuple(c // 2 for c in d.coeffs))
-    for _ in range(r):
-        a2 = a2 * a2
-    return a1, a2
-
-
-def frobenius(a: GrElement, s: int) -> GrElement:
-    """Frobenius power map a1 + 2*a2 -> a1^(2^s) + 2*a2^(2^s); needs s | r."""
-    r = a.ring.r
-    if s < 1 or r % s != 0:
-        raise NotDivisor(f"{s} does not divide extension degree {r}")
-    a1, a2 = teichmuller_decompose(a)
-    for _ in range(s):
-        a1 = a1 * a1
-        a2 = a2 * a2
-    return a1 + a2 * 2
-
-
-def trace(a: GrElement, s: int) -> GrElement:
-    """Sum of all Frobenius conjugates of a over GR(4, 4^s); needs s | r."""
-    r = a.ring.r
-    if s < 1 or r % s != 0:
-        raise NotDivisor(f"{s} does not divide extension degree {r}")
-    a1, a2 = teichmuller_decompose(a)
-    acc = a.ring.zero
-    for _ in range(r // s):
-        acc = acc + a1 + a2 * 2
-        for _ in range(s):
-            a1 = a1 * a1
-            a2 = a2 * a2
-    return acc
 
 
 def root_of_unity(ring: GaloisRing, period: int) -> GrElement:

@@ -1,4 +1,4 @@
-"""Quaternary sequence construction and (de)serialization."""
+"""Quaternary sequence construction and serialization."""
 
 from dataclasses import dataclass
 
@@ -33,24 +33,9 @@ def generate(system: CyclotomicSystem) -> QuaternarySequence:
     )
 
 
-def digit_histogram(seq: QuaternarySequence) -> dict:
-    counts = {v: 0 for v in range(4)}
-    for d in seq.digits:
-        counts[d] += 1
-    return counts
-
-
 def to_text(seq: QuaternarySequence) -> str:
     """Single line of digit characters with a trailing newline."""
     return "".join(str(d) for d in seq.digits) + "\n"
-
-
-def from_text(text: str) -> QuaternarySequence:
-    line = text.strip()
-    if not line or any(ch not in "0123" for ch in line):
-        raise ValueError("expected a nonempty line over the alphabet 0123")
-    digits = tuple(int(ch) for ch in line)
-    return QuaternarySequence(period=len(digits), digits=digits)
 
 
 def to_csv(seq: QuaternarySequence) -> str:

@@ -151,13 +151,12 @@ def _non_constant(ring: GaloisRing, u: int, value) -> NonConstantResult:
 
 
 def eval_trace_repr(system: CyclotomicSystem, ring: GaloisRing, beta: GrElement,
-                    params: TraceParams, u: int, powers=None) -> int:
+                    params: TraceParams, u: int) -> int:
     """The Z4 digit produced by the trace form at index u.
 
     Raises NonConstantResult if the evaluated expression leaves Z4.
     """
-    pows = powers if powers is not None else params.powers
-    value = _trace_values(system, ring, params, pows, [u])[0]
+    value = _trace_values(system, ring, params, params.powers, [u])[0]
     if value[1:].any():
         raise _non_constant(ring, u, value)
     return int(value[0])

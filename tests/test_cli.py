@@ -88,16 +88,16 @@ def test_defpoly(capsys):
 
 
 def test_trace_check(capsys):
-    code, out, _ = run(capsys, "trace", "--p", "5", "--q", "13", "--check")
+    code, out, _ = run(capsys, "trace", "--p", "5", "--q", "13")
     assert code == 0 and out.strip() == "PASS"
 
 
-def test_trace_check_flag_is_deprecated(capsys):
-    plain = run(capsys, "trace", "--p", "5", "--q", "13")
-    flagged = run(capsys, "trace", "--p", "5", "--q", "13", "--check")
-    assert plain[:2] == flagged[:2] == (0, "PASS\n")
-    assert plain[2] == ""
-    assert len(flagged[2].splitlines()) == 1 and "deprecated" in flagged[2]
+def test_trace_check_flag_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["trace", "--p", "5", "--q", "13", "--check"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and not captured.out
+    assert "unrecognized arguments: --check" in captured.err
 
 
 def test_lc_above_default_cap(capsys):

@@ -1,4 +1,4 @@
-"""Ring construction on arrays against bit-loop and GrElement references."""
+"""Ring construction and row arithmetic against bit-loop and scalar references."""
 
 import random
 
@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gr_reference import frobenius, mul, power
 from z4seq import galois
 from z4seq.analysis import dft, power_table
 from z4seq.cyclotomy import build_system
 from z4seq.errors import Z4SeqError
-from z4seq.galois import frobenius, make_ring, root_of_unity
+from z4seq.galois import make_ring, root_of_unity
 from z4seq.numtheory import factorize, mult_order
 from z4seq.sequence import generate
 
@@ -79,7 +80,20 @@ def test_row_pow_matches_element_pow(r, data):
     e = data.draw(st.integers(0, (1 << r) - 1))
     a = ring.element(coeffs)
     row = galois._row_pow(ring, np.array(coeffs, dtype=np.uint8), e)
-    assert ring.element(row) == a ** e
+    assert ring.element(row) == power(a, e)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.sampled_from([1, 2, 5, 12, 28, 64]), st.data())
+def test_row_products_match_reference_mul(r, data):
+    ring = make_ring(r)
+    a, b = (data.draw(st.lists(st.integers(0, 3), min_size=r, max_size=r))
+            for _ in range(2))
+    product = mul(ring.element(a), ring.element(b))
+    row_a, row_b = np.array(a, dtype=np.uint8), np.array(b, dtype=np.uint8)
+    assert ring.element(row_a @ ring.mul_matrix(b) % 4) == product
+    assert ring.element(galois._row_mul(ring, row_a, row_b)) == product
+    assert (ring.mul_matrix(ring.one.coeffs) == np.eye(r, dtype=np.uint8)).all()
 
 
 @pytest.fixture
@@ -109,7 +123,7 @@ def test_frobenius_matrix(r):
     for _ in range(20):
         a = ring.element([rng.randrange(4) for _ in range(r)])
         b = ring.element([rng.randrange(4) for _ in range(r)])
-        assert frob(a * b) == frob(a) * frob(b)
+        assert frob(mul(a, b)) == mul(frob(a), frob(b))
         assert frob(a) == frobenius(a, 1)
 
 

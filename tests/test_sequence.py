@@ -1,14 +1,9 @@
+from collections import Counter
+
 import pytest
 
 from z4seq.cyclotomy import build_system, classify
-from z4seq.sequence import (
-    QuaternarySequence,
-    digit_histogram,
-    from_text,
-    generate,
-    to_csv,
-    to_text,
-)
+from z4seq.sequence import QuaternarySequence, generate, to_csv, to_text
 
 BRANCH_VALUE = {"R": 2, "Q": 2, "P": 0, "D0": 0, "D1": 1, "D2": 2, "D3": 3}
 
@@ -38,7 +33,7 @@ def test_generate_is_pure():
 
 def test_histogram_5_13():
     seq = generate(build_system(5, 13))
-    counts = digit_histogram(seq)
+    counts = Counter(seq.digits)
     assert counts[2] == 17             # |Q| + |R| + |D2| = 4 + 1 + 12
     assert counts[1] == 12             # |D1|
     assert counts[3] == 12             # |D3|
@@ -49,7 +44,7 @@ def test_histogram_5_13():
 def test_histogram_identity():
     for pair in [(5, 17), (13, 17)]:
         s = build_system(*pair)
-        counts = digit_histogram(generate(s))
+        counts = Counter(generate(s).digits)
         assert counts[2] == (s.p - 1) + 1 + s.e
         assert sum(counts.values()) == s.pq
 
@@ -59,19 +54,13 @@ def test_text_roundtrip():
     text = to_text(seq)
     assert text.endswith("\n") and len(text) == 66
     assert set(text.strip()) <= set("0123")
-    assert from_text(text) == seq
+    digits = tuple(int(ch) for ch in text.strip())
+    assert QuaternarySequence(period=len(digits), digits=digits) == seq
 
 
 def test_csv_export():
     seq = QuaternarySequence(period=3, digits=(2, 0, 1))
     assert to_csv(seq) == "index,digit\n0,2\n1,0\n2,1\n"
-
-
-def test_from_text_rejects():
-    with pytest.raises(ValueError):
-        from_text("0124\n")
-    with pytest.raises(ValueError):
-        from_text("\n")
 
 
 def test_validation():
