@@ -22,22 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclotomy import CASE1, CyclotomicSystem, count_solutions
-from .errors import (
-    InternalCaseError,
-    PeriodMismatch,
-    PeriodNotCongruent1Mod4,
-)
-from .galois import (
-    GaloisRing,
-    GrElement,
-    R_MAX,
-    is_constant,
-    make_ring,
-    root_of_unity,
-)
+from .cyclotomy import CASE1, CyclotomicSystem, count_solutions, lc_by_theorem
+from .errors import PeriodMismatch, PeriodNotCongruent1Mod4
+from .galois import GaloisRing, GrElement, is_constant, make_ring, root_of_unity
 from .lfsr import reeds_sloane
-from .numtheory import factorize, is_prime, mult_order
+from .numtheory import R_MAX, factorize, is_prime, mult_order
 from .sequence import QuaternarySequence, generate
 
 
@@ -219,21 +208,6 @@ def _inner_products(system: CyclotomicSystem, ring: GaloisRing,
 def lc_by_count(defpoly: DefiningPolynomial) -> int:
     """Linear complexity as the number of nonzero DFT coefficients."""
     return defpoly.nonzero_count()
-
-
-def lc_by_theorem(system: CyclotomicSystem) -> int:
-    """Closed-form linear complexity selected by the class of 2."""
-    p, q = system.p, system.q
-    i = system.two_class
-    if system.case == CASE1:
-        if i == 0:
-            return q + 3 * (p - 1) * (q - 1) // 4
-        if i == 2:
-            return p * q - p + 1
-        raise InternalCaseError(f"Case1 system with 2 in D{i}")
-    if i not in (1, 3):
-        raise InternalCaseError(f"Case2 system with 2 in D{i}")
-    return p * q
 
 
 @dataclass(frozen=True)

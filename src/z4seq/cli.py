@@ -3,6 +3,11 @@
 Exit codes: 0 all requested checks passed, 1 a check failed (disagreement,
 trace mismatch, failed identity), 2 domain or usage error.  Errors print one
 machine-parseable line `ERROR <Code>: <message>` on stderr.
+
+The class data and the sequence are integer arithmetic; the ring modules
+(`galois`, `analysis`, `trace_repr`) and with them numpy are imported only
+by the commands that use them, so `system`, `gen`, `lc --method formula`
+and `lc --method reeds-sloane` start without numpy.
 """
 
 import argparse
@@ -11,10 +16,9 @@ import os
 import sys
 import time
 
-from . import analysis, cyclotomy, sequence, trace_repr
+from . import cyclotomy, sequence
 from .errors import TraceFormulaPreconditionFailed, Z4SeqError
-from .galois import R_MAX, make_ring, root_of_unity
-from .numtheory import mult_order
+from .numtheory import R_MAX, mult_order
 
 SWEEP_R_MAX_DEFAULT = 32
 
@@ -78,6 +82,8 @@ def _require_pair(args):
 
 
 def _ring_and_beta(system, r_max):
+    from .galois import make_ring, root_of_unity
+
     ell = mult_order(2, system.pq)
     ring = make_ring(ell, r_max)
     return ring, root_of_unity(ring, system.pq)
@@ -117,6 +123,8 @@ def cmd_lc(args) -> int:
     out = args.out
 
     if method == "all":
+        from . import analysis
+
         report = analysis.analyze(system, r_max)
         if fmt == "json":
             text = json.dumps(report.to_dict(), indent=2) + "\n"
@@ -130,8 +138,10 @@ def cmd_lc(args) -> int:
         return 0 if report.agree else 1
 
     if method == "formula":
-        value = analysis.lc_by_theorem(system)
+        value = cyclotomy.lc_by_theorem(system)
     elif method == "dft":
+        from . import analysis
+
         ring, beta = _ring_and_beta(system, r_max)
         value = analysis.lc_by_count(analysis.dft(sequence.generate(system), ring, beta))
     elif method == "reeds-sloane":
@@ -148,6 +158,8 @@ def cmd_lc(args) -> int:
 
 
 def cmd_defpoly(args) -> int:
+    from . import analysis
+
     p, q = _require_pair(args)
     r_max = _setting(args, "r_max", R_MAX)
     system = cyclotomy.build_system(p, q)
@@ -172,6 +184,8 @@ def cmd_defpoly(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    from . import trace_repr
+
     p, q = _require_pair(args)
     r_max = _setting(args, "r_max", R_MAX)
     system = cyclotomy.build_system(p, q)
@@ -191,6 +205,8 @@ def cmd_trace(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import analysis
+
     p, q = _require_pair(args)
     r_max = _setting(args, "r_max", R_MAX)
     system = cyclotomy.build_system(p, q)
@@ -204,6 +220,8 @@ def cmd_verify(args) -> int:
 
 
 def _sweep_worker(pair, r_max):
+    from . import analysis
+
     p, q = pair
     started = time.perf_counter()
     try:
@@ -238,6 +256,8 @@ def cmd_sweep(args) -> int:
     out_path = args.out
     timings = args.timings
     workers = _setting(args, "workers", 0)
+
+    from . import analysis
 
     pairs = analysis.admissible_pairs(p_max, q_max, r_max)
     if workers <= 0:

@@ -8,6 +8,8 @@ splits into four classes
 where g is the smallest common primitive root of p and q and h is the CRT
 element with h = g (mod p), h = 1 (mod q).  Together with P (nonzero
 multiples of p), Q (nonzero multiples of q) and R = {0} they partition Z_pq.
+The closed-form linear complexity of the sequence is a function of the
+residue case and the class of 2 alone (`lc_by_theorem`).
 """
 
 import math
@@ -148,3 +150,18 @@ def count_solutions(system: CyclotomicSystem, a: int, modulus: str) -> int:
         raise ValueError(f"modulus must be 'p', 'q' or 'pq', got {modulus!r}") from None
     ga = pow(system.g, a, system.pq)
     return sum(1 for w in system.members("D0") if (ga + w) % m == 0)
+
+
+def lc_by_theorem(system: CyclotomicSystem) -> int:
+    """Closed-form linear complexity selected by the class of 2."""
+    p, q = system.p, system.q
+    i = system.two_class
+    if system.case == CASE1:
+        if i == 0:
+            return q + 3 * (p - 1) * (q - 1) // 4
+        if i == 2:
+            return p * q - p + 1
+        raise InternalCaseError(f"Case1 system with 2 in D{i}")
+    if i not in (1, 3):
+        raise InternalCaseError(f"Case2 system with 2 in D{i}")
+    return p * q

@@ -25,9 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegreeTooLarge, PeriodNotDividing, RingMismatch, Z4SeqError
-from .numtheory import factorize
-
-R_MAX = 64
+from .numtheory import R_MAX, factorize
 
 
 # --- binary polynomials as bitmasks (bit i = coefficient of x^i) ---

@@ -24,12 +24,11 @@ a 2-vCPU machine.
 
 snf_min_length is the independent oracle: for each length ascending it
 decides solvability of the recurrence on the *periodic* sequence by Smith
-diagonalization over Z4.  The two routes share no linear algebra.
+diagonalization over Z4.  The two routes share no linear algebra.  Only
+the oracle uses numpy, so it imports it itself.
 """
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import OracleTooLarge
 
@@ -124,6 +123,8 @@ def solvable_z4(A, b) -> bool:
     reparametrize the unknowns.  After diagonalization the pivots are units
     or 2, and compatibility is a per-row valuation check.
     """
+    import numpy as np
+
     M = np.asarray(A, dtype=np.int64).copy() % 4
     v = np.asarray(b, dtype=np.int64).copy() % 4
     if M.size == 0:
@@ -173,6 +174,8 @@ def solvable_z4(A, b) -> bool:
 
 def _periodic_system(s, L, period):
     """Toeplitz system for an order-L recurrence on the periodic sequence."""
+    import numpy as np
+
     A = np.empty((period, L), dtype=np.int64)
     b = np.empty(period, dtype=np.int64)
     for t in range(period):

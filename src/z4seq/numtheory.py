@@ -11,6 +11,10 @@ import random
 
 from .errors import NoCommonRoot, NotCoprime
 
+# Default cap on the Galois-ring degree ord_2(pq).  It lives in this
+# numpy-free module so the CLI can state it before any ring code is loaded.
+R_MAX = 64
+
 # Witness set proving compositeness deterministically for all n < 3.3e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 

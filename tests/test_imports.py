@@ -1,0 +1,86 @@
+"""The import graph: numpy loads only in commands that use ring arrays.
+
+Each case runs in a fresh interpreter, since this test process has long
+since imported numpy.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import z4seq
+
+SRC = str(Path(z4seq.__file__).resolve().parents[1])
+STAGES = Path(__file__).resolve().parents[1] / "bench" / "stages.py"
+
+# Runs the CLI's main on argv and reports, as the last stderr line, the exit
+# code and whether numpy was imported.
+PROBE = """
+import sys
+from z4seq.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print("PROBE", code, "numpy" in sys.modules, file=sys.stderr)
+"""
+
+
+def run_fresh(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=120, check=False)
+
+
+def test_package_and_cli_import_without_numpy():
+    done = run_fresh("-c", "import sys, z4seq, z4seq.cli; "
+                           "print('numpy' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+
+
+def test_stage_module_loads_on_first_access():
+    done = run_fresh("-c", "import sys, z4seq; m = z4seq.analysis; "
+                           "print(m is sys.modules['z4seq.analysis'], "
+                           "'numpy' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "True True\n"
+
+
+@pytest.mark.parametrize("command", ["lc", "trace"])
+def test_stage_script_runs_from_a_cold_package(command):
+    # the traced benchmark run imports only z4seq.cli, then reads the stage
+    # modules off the package
+    done = run_fresh(str(STAGES), command, "5", "13")
+    assert done.returncode == 0, done.stderr
+    cli = run_fresh("-m", "z4seq.cli", command, "--p", "5", "--q", "13")
+    assert json.loads(done.stdout)["stdout"] == cli.stdout
+
+
+PAIR = ("--p", "5", "--q", "13")
+
+
+@pytest.mark.parametrize("argv, code, stdout, numpy", [
+    (("system", *PAIR), 0, "case=Case2", False),
+    (("gen", *PAIR), 0, "2010201330", False),
+    (("lc", "--method", "formula", *PAIR), 0, "65\n", False),
+    (("lc", "--method", "reeds-sloane", *PAIR), 0, "65\n", False),
+    (("--help",), 0, "usage: z4seq", False),
+    (("system", "--p", "4", "--q", "13"), 2, "", False),
+    (("lc", "--method", "all", *PAIR), 0, "65 65 65 AGREE\n", True),
+    (("verify", *PAIR), 0, "result PASS\n", True),
+    (("trace", *PAIR), 0, "PASS\n", True),
+])
+def test_numpy_loads_only_for_ring_commands(argv, code, stdout, numpy):
+    done = run_fresh("-c", PROBE, *argv)
+    *errors, probe = done.stderr.splitlines()
+    assert probe == f"PROBE {code} {numpy}", done.stderr
+    assert stdout in done.stdout
+    if code == 2:
+        assert errors == ["ERROR NotPrime: 4 is not an odd prime >= 3"]

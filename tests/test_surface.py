@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,34 @@ def test_exports_resolve_once():
     assert len(z4seq.__all__) == len(set(z4seq.__all__))
     for name in z4seq.__all__:
         assert hasattr(z4seq, name), name
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from z4seq import *", namespace)
+    assert len(z4seq.__all__) == 41
+    for name in z4seq.__all__:
+        assert namespace[name] is getattr(z4seq, name), name
+
+
+def test_dir_lists_exports_and_stage_modules():
+    listed = dir(z4seq)
+    assert set(z4seq.__all__) <= set(listed)
+    assert {"analysis", "cyclotomy", "galois", "lfsr", "trace_repr"} <= set(listed)
+
+
+def test_unknown_name_is_attribute_error():
+    with pytest.raises(AttributeError, match="'z4seq' has no attribute 'no_such_name'"):
+        getattr(z4seq, "no_such_name")
+
+
+def test_stage_modules_resolve_to_the_imported_modules():
+    for module in ("analysis", "cyclotomy", "galois", "lfsr", "numtheory",
+                   "sequence", "trace_repr", "errors", "cli"):
+        assert getattr(z4seq, module) is sys.modules[f"z4seq.{module}"], module
+    assert z4seq.lc_by_theorem is z4seq.cyclotomy.lc_by_theorem
+    assert z4seq.analysis.lc_by_theorem is z4seq.cyclotomy.lc_by_theorem
+    assert z4seq.R_MAX == z4seq.galois.R_MAX == z4seq.numtheory.R_MAX == 64
 
 
 @pytest.fixture(scope="module")
