@@ -4,9 +4,9 @@ Construction of the residue-class systems modulo pq, sequence generation,
 Galois-ring GR(4, 4^r) arithmetic, defining polynomials via the ring DFT,
 closed-form and oracle linear complexity, and trace-form verification.
 
-Exported names and the stage submodules load on first access (PEP 562), so
-`import z4seq` loads no numpy: only `galois`, `analysis` and `trace_repr`
-(and the SNF oracle of `lfsr`, when called) do.
+Exported names and the stage submodules load on first access (PEP 562).
+Ring arithmetic is on packed Python ints, so the package needs no numpy:
+only the SNF oracle of `lfsr` imports it, when called.
 """
 
 import importlib

@@ -6,21 +6,18 @@ for the cyclotomic quaternary sequences the coefficients also follow a
 closed form per residue case, and the linear complexity equals the number
 of nonzero coefficients.  An LFSR-synthesis oracle cross-checks everything.
 
-Ring data is one (T, r) uint8 array of the coefficient rows of beta^0 ..
-beta^(T-1), checked to have order exactly T (`power_table`).  The DFT, the
-class sums, rho, the inner products and the identity suite are index-and-sum
-reductions over it; a product with a ring value a is a matrix product with
-its multiplication matrix M(a).  Values indexed by u whose entry at 2u is
-the Frobenius image of the entry at u (the DFT coefficients, set sums of
-beta^(uw)) are computed once per 2-cyclotomic coset and carried round the
-coset by the Frobenius matrix (`frobenius_fill`).  Single values come back
-as `GrElement`.
+Ring data is one list of packed ints (`galois.GaloisRing.pack`), the powers
+beta^0 .. beta^(T-1), checked to have order exactly T (`power_table`).  The
+DFT, the class sums, rho, the inner products and the identity suite are
+masked int sums over it, and a product with a ring value is one packed
+multiply.  Values indexed by u whose entry at 2u is the Frobenius image of
+the entry at u (the DFT coefficients, set sums of beta^(uw)) are computed
+once per 2-cyclotomic coset and carried round the coset by the Frobenius
+map (`frobenius_fill`).  Single values come back as `GrElement`.
 """
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .cyclotomy import CASE1, CyclotomicSystem, count_solutions, lc_by_theorem
 from .errors import PeriodMismatch, PeriodNotCongruent1Mod4
@@ -30,52 +27,25 @@ from .numtheory import R_MAX, factorize, is_prime, mult_order
 from .sequence import QuaternarySequence, generate
 
 
-# Sums and matrix products of coefficient rows are taken in uint8: the wrap
-# mod 256 is harmless because 4 divides 256, so each result is reduced mod 4
-# once at the end.
-
-# Bound on the temporaries of one power_sums block: per gathered element, r
-# bytes of row plus 8 bytes of int64 index.
-_GATHER_BYTES = 1 << 16
-
-
-def power_table(beta: GrElement, n: int) -> np.ndarray:
-    """(n, r) uint8 rows of beta^0 .. beta^(n-1) after verifying ord(beta) = n.
-
-    Rows beta^0 .. beta^n by doubling: P[m:2m] = P[:m] @ M(beta^m).
-    """
-    rows = np.zeros((n + 1, beta.ring.r), dtype=np.uint8)
-    rows[0, 0] = 1
-    step = beta.ring.mul_matrix(beta.coeffs)
-    m = 1
-    while m <= n:
-        k = min(m, n + 1 - m)
-        rows[m:m + k] = rows[:k] @ step % 4
-        step = step @ step % 4
-        m *= 2
-    one = rows[0]
-    if (rows[n] != one).any():
+def power_table(beta: GrElement, n: int) -> list:
+    """Packed beta^0 .. beta^(n-1) after verifying ord(beta) = n."""
+    ring = beta.ring
+    step = ring.pack(beta.coeffs)
+    pows = [1]
+    for _ in range(n):
+        pows.append(ring.mul(pows[-1], step))
+    if pows.pop() != 1:
         raise PeriodMismatch(f"beta^{n} != 1")
     for d in factorize(n):
-        if (rows[n // d] == one).all():
+        if pows[n // d] == 1:
             raise PeriodMismatch(f"ord(beta) divides {n // d} < {n}")
-    return rows[:n]
+    return pows
 
 
-def power_sums(pows: np.ndarray, mults, members) -> np.ndarray:
-    """Row k: the sum of pows[mults[k] * w mod n] over w in members, mod 4.
-
-    The gather runs over blocks of mults so its temporaries stay small.
-    """
-    n, r = pows.shape
-    mults = np.asarray(mults, dtype=np.int64)
-    members = np.asarray(members, dtype=np.int64)
-    out = np.empty((len(mults), r), dtype=np.uint8)
-    block = max(1, _GATHER_BYTES // max(1, members.size * (r + 8)))
-    for start in range(0, len(mults), block):
-        idx = np.outer(mults[start:start + block], members) % n
-        out[start:start + block] = pows[idx].sum(axis=1, dtype=np.uint8)
-    return out % 4
+def power_sums(ring: GaloisRing, pows: list, mults, members) -> list:
+    """Entry k: the packed sum of pows[mults[k] * w mod n] over w in members."""
+    n = len(pows)
+    return [ring.sum([pows[m * w % n] for w in members]) for m in mults]
 
 
 def _coset_reps(n: int, us) -> list:
@@ -91,31 +61,30 @@ def _coset_reps(n: int, us) -> list:
     return reps
 
 
-def frobenius_fill(ring: GaloisRing, n: int, us, values_at) -> np.ndarray:
-    """values_at(us) mod 4, computed at one index per 2-cyclotomic coset mod n.
+def frobenius_fill(ring: GaloisRing, n: int, us, values_at) -> list:
+    """values_at(us), computed at one index per 2-cyclotomic coset mod n.
 
-    values_at maps an index vector to uint8 arrays whose last axis is a
-    coefficient row, and must satisfy value(2u) = sigma(value(u)); each
-    coset is filled from its representative by stepping u -> 2u, applying
-    sigma as a product with ring.frob.
+    values_at maps a list of indices to one tuple of packed ring values per
+    index, and must satisfy value(2u) = sigma(value(u)); each coset is
+    filled from its representative by stepping u -> 2u, applying sigma.
     """
-    us = (np.asarray(us, dtype=np.int64) % n).tolist()
-    start = np.array(_coset_reps(n, us), dtype=np.int64)
-    vals = values_at(start) % 4
-    out = np.zeros((n,) + vals.shape[1:], dtype=np.uint8)
-    idx = start
-    while idx.size:
-        out[idx] = vals
-        idx = 2 * idx % n
-        live = idx != start
-        idx, start, vals = idx[live], start[live], vals[live] @ ring.frob % 4
-    return out[us]
+    us = [u % n for u in us]
+    reps = _coset_reps(n, us)
+    out = {}
+    for rep, vals in zip(reps, values_at(reps)):
+        u = rep
+        while True:
+            out[u] = vals
+            u = 2 * u % n
+            if u == rep:
+                break
+            vals = tuple(ring.sigma(v) for v in vals)
+    return [out[u] for u in us]
 
 
-def _class_rows(system: CyclotomicSystem, pows: np.ndarray) -> np.ndarray:
-    """(4, r): D_0 .. D_3 evaluated at the table's base, as coefficient rows."""
-    return np.stack([pows[list(system.members(f"D{i}"))].sum(axis=0, dtype=np.uint8)
-                     for i in range(4)]) % 4
+def _class_rows(system: CyclotomicSystem, ring: GaloisRing, pows: list) -> list:
+    """D_0 .. D_3 evaluated at the table's base, packed."""
+    return [ring.sum([pows[u] for u in system.members(f"D{i}")]) for i in range(4)]
 
 
 @dataclass(frozen=True)
@@ -135,7 +104,7 @@ class DefiningPolynomial:
 
 
 def dft(seq: QuaternarySequence, ring: GaloisRing, beta: GrElement,
-        powers: np.ndarray | None = None) -> DefiningPolynomial:
+        powers: list | None = None) -> DefiningPolynomial:
     """Galois-ring DFT of one period; exact inversion needs T = 1 (mod 4).
 
     `powers` is the checked table `power_table(beta, T)` when the caller has it.
@@ -144,19 +113,23 @@ def dft(seq: QuaternarySequence, ring: GaloisRing, beta: GrElement,
     if T % 4 != 1:
         raise PeriodNotCongruent1Mod4(f"period {T} = {T % 4} (mod 4)")
     pows = powers if powers is not None else power_table(beta, T)
-    s = np.array(seq.digits, dtype=np.uint8)
-    u = np.arange(T)
+    groups = [[u for u, s in enumerate(seq.digits) if s == d] for d in (1, 2, 3)]
+
+    def coefficients(reps):
+        neg = [-i for i in reps]
+        s1, s2, s3 = (power_sums(ring, pows, neg, group) for group in groups)
+        return [((a + 2 * b + 3 * c) & ring.mask,) for a, b, c in zip(s1, s2, s3)]
+
     # rho_2i = sigma(rho_i): sigma fixes the digits and sends beta to beta^2
-    rows = frobenius_fill(ring, T, u, lambda reps: np.stack([s @ pows[(-i * u) % T]
-                                                              for i in reps]))
-    coeffs = [GrElement(ring, tuple(row)) for row in rows.tolist()]
+    coeffs = [ring.unpack(v) for (v,) in frobenius_fill(ring, T, range(T), coefficients)]
     return DefiningPolynomial(ring=ring, beta=beta, coeffs=tuple(coeffs))
 
 
-def rho_value(system: CyclotomicSystem, beta: GrElement, powers: np.ndarray) -> GrElement:
+def rho_value(system: CyclotomicSystem, beta: GrElement, powers: list) -> GrElement:
     """rho = sum_{i=1..3} i * D_i(beta); `powers` is `power_table(beta, pq)`."""
-    weights = np.arange(4, dtype=np.uint8)
-    return beta.ring.element(weights @ _class_rows(system, powers) % 4)
+    ring = beta.ring
+    _, d1, d2, d3 = _class_rows(system, ring, powers)
+    return ring.unpack((d1 + 2 * d2 + 3 * d3) & ring.mask)
 
 
 def defining_poly_formula(system: CyclotomicSystem, ring: GaloisRing,
@@ -191,18 +164,13 @@ def defining_poly_formula(system: CyclotomicSystem, ring: GaloisRing,
     return DefiningPolynomial(ring=ring, beta=beta, coeffs=tuple(coeffs))
 
 
-def _inner_products(system: CyclotomicSystem, ring: GaloisRing,
-                    pows: np.ndarray) -> np.ndarray:
-    """(4, 4, r): entry (i, j) is C_i . C_j^T + (q-1)/4 as a coefficient row."""
-    sums = _class_rows(system, pows)
-    mats = np.stack([ring.mul_matrix(row) for row in sums])
-    prods = sums @ mats  # prods[b, a] = D_a * D_b
-    k = np.arange(4)
-    rows = (k[:, None, None] + k) % 4  # [i, _, k] = i + k
-    cols = (k[None, :, None] + k) % 4  # [_, j, k] = j + k
-    out = prods[rows, cols].sum(axis=2, dtype=np.uint8)
-    out[:, :, 0] += (system.q - 1) // 4 % 4
-    return out % 4
+def _inner_products(system: CyclotomicSystem, ring: GaloisRing, pows: list) -> list:
+    """4 x 4 packed: entry (i, j) is C_i . C_j^T + (q-1)/4."""
+    sums = _class_rows(system, ring, pows)
+    prods = [[ring.mul(a, b) for b in sums] for a in sums]
+    const = (system.q - 1) // 4 % 4
+    return [[(sum(prods[(i + k) % 4][(j + k) % 4] for k in range(4)) + const) & ring.mask
+             for j in range(4)] for i in range(4)]
 
 
 def lc_by_count(defpoly: DefiningPolynomial) -> int:
@@ -318,21 +286,23 @@ def verify_identities(system: CyclotomicSystem, ring: GaloisRing,
         == d_sets[(i + j) % 4]
         for i in range(4) for j in range(4))
 
-    one = pows[0]
-    sum_p = pows[np.arange(q) * p].sum(axis=0) % 4
-    sum_q = pows[np.arange(p) * q].sum(axis=0) % 4
-    unit_sum = _class_rows(system, pows).sum(axis=0) % 4
-    checks["root-of-unity-sums"] = bool(not sum_p.any() and not sum_q.any()
-                                        and (unit_sum == one).all())
+    sum_p = ring.sum([pows[k * p] for k in range(q)])
+    sum_q = ring.sum([pows[k * q] for k in range(p)])
+    unit_sum = ring.sum(_class_rows(system, ring, pows))
+    checks["root-of-unity-sums"] = sum_p == 0 and sum_q == 0 and unit_sum == 1
 
-    ok = True
-    target = one * (3 * (q - 1) // 4 % 4)
-    for i in range(4):
-        # D_i at beta^m is the sum of beta^(m*u) over u in D_i
-        members = system.members(f"D{i}")
-        ok = ok and not power_sums(pows, np.arange(q) * p, members).any()
-        ok = ok and (power_sums(pows, np.arange(1, p) * q, members) == target).all()
-    checks["class-sums"] = bool(ok)
+    # D_i at beta^m is the sum of beta^(m*u) over u in D_i; at the prime-order
+    # points m = kp and m = kq it is carried round each coset by sigma
+    classes = [system.members(f"D{i}") for i in range(4)]
+
+    def class_sums(reps):
+        return list(zip(*(power_sums(ring, pows, reps, members) for members in classes)))
+
+    target = 3 * (q - 1) // 4 % 4
+    at_p = frobenius_fill(ring, n, [k * p for k in range(q)], class_sums)
+    at_q = frobenius_fill(ring, n, [k * q for k in range(1, p)], class_sums)
+    checks["class-sums"] = (all(v == 0 for vals in at_p for v in vals)
+                            and all(v == target for vals in at_q for v in vals))
 
     ok = True
     for a in range(4):
@@ -342,14 +312,11 @@ def verify_identities(system: CyclotomicSystem, ring: GaloisRing,
         ok = ok and count_solutions(system, a, "pq") == (1 if hits else 0)
     checks["solution-counts"] = ok
 
-    k = np.arange(4)
     if system.case == CASE1:
-        expected = k[:, None] == k
+        expected = [[int(i == j) for j in range(4)] for i in range(4)]
     else:
-        expected = (k[:, None] - k) % 4 == 2
-    products = _inner_products(system, ring, pows)
-    checks["inner-products"] = bool(not products[:, :, 1:].any()
-                                    and (products[:, :, 0] == expected).all())
+        expected = [[int((i - j) % 4 == 2) for j in range(4)] for i in range(4)]
+    checks["inner-products"] = _inner_products(system, ring, pows) == expected
 
     in_z4 = is_constant(rho_value(system, beta, pows)) is not None
     checks["rho-membership"] = in_z4 == (system.two_class == 0)

@@ -4,10 +4,10 @@ Exit codes: 0 all requested checks passed, 1 a check failed (disagreement,
 trace mismatch, failed identity), 2 domain or usage error.  Errors print one
 machine-parseable line `ERROR <Code>: <message>` on stderr.
 
-The class data and the sequence are integer arithmetic; the ring modules
-(`galois`, `analysis`, `trace_repr`) and with them numpy are imported only
-by the commands that use them, so `system`, `gen`, `lc --method formula`
-and `lc --method reeds-sloane` start without numpy.
+Every command runs on the standard library: the class data and the
+sequence are integer arithmetic, and the ring modules (`galois`,
+`analysis`, `trace_repr`), whose arithmetic is on packed ints, are imported
+only by the commands that use them.
 """
 
 import argparse

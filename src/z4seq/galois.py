@@ -1,4 +1,4 @@
-"""The Galois ring GR(4, 4^r): construction, coefficient rows, roots of unity.
+"""The Galois ring GR(4, 4^r): construction, packed arithmetic, roots of unity.
 
 Elements are length-r coefficient vectors over Z4 reduced modulo a monic
 basic irreducible polynomial.  The modulus is the Graeffe lift
@@ -9,20 +9,20 @@ generates the Teichmuller group G1 of order 2^r - 1.
 The search for f runs on int bitmasks: odd-weight candidates only, squaring
 by spreading bits, one chain of squarings of x for Rabin's test (with a gcd
 sieve at its first steps), and the order test x^((2^r - 1)/d) != 1 by
-squaring and shifting.  Ring arithmetic is on coefficient rows only: a
-product is one convolution times the reduction rows x^0 .. x^(2r-2), and
-multiplication by a fixed a is its matrix (`GaloisRing.mul_matrix`).  The
-ring's own checks (x of order exactly 2^r - 1, the modulus vanishing at x^2,
-roots of unity of exact order) take powers this way.  Since sigma(x) = x^2,
-the Frobenius map is the matrix of the rows x^(2k) (`GaloisRing.frob`).
-`GrElement` is the value type of single ring elements: coefficients,
-addition and equality.
+squaring and shifting.  Ring arithmetic is on packed Python ints, one 16-bit
+slot per Z4 coefficient (`GaloisRing.pack`/`unpack`): a product is one int
+multiply, a slot mask for mod 4 and a Barrett reduction by the modulus (two
+more multiplies against the precomputed floor(x^(2r-2)/h)).  Sums of packed
+elements are int sums masked before a slot can carry (`GaloisRing.sum`).
+Since sigma(x) = x^2, the Frobenius map spreads slot k to slot 2k and
+reduces (`GaloisRing.sigma`).  The ring's own checks (x of order exactly
+2^r - 1, the modulus vanishing at x^2, roots of unity of exact order) take
+powers this way.  `GrElement` is the value type of single ring elements:
+coefficients, addition and equality.
 """
 
 from functools import lru_cache
-
-import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from itertools import islice
 
 from .errors import DegreeTooLarge, PeriodNotDividing, RingMismatch, Z4SeqError
 from .numtheory import R_MAX, factorize
@@ -161,38 +161,49 @@ class GrElement:
         return f"GrElement{self.coeffs}"
 
 
+# A ring element packed into one int: slot k (bits 16k .. 16k+15) holds the
+# Z4 coefficient of x^k.  A slot of at most 0xFFFF takes 21,845 added values
+# of at most 3, or 7,281 product terms of at most 9, before it would carry.
+SLOT_BITS = 16
+SUM_CHUNK = 0xFFFF // 3 - 1  # addends per masked partial sum, room for the carry-in
+MAX_DEGREE = 0xFFFF // 9  # a product slot sums at most r terms of at most 9
+
+
+def _slot_mask(k: int) -> int:
+    """Mask of k slots holding 3: v & mask reduces each of them mod 4."""
+    return int.from_bytes(b"\x03\x00" * k, "little")
+
+
 class GaloisRing:
-    """GR(4, 4^r) with a fixed canonical modulus; immutable after init."""
+    """GR(4, 4^r) with a fixed canonical modulus; immutable after init.
+
+    Arithmetic is on packed ints (`pack`, `unpack`): a product is one int
+    multiply, a slot mask for mod 4 and a Barrett reduction by the modulus.
+    """
 
     def __init__(self, r: int, modulus: tuple):
         self.r = r
         self.modulus = tuple(c % 4 for c in modulus)
         if len(self.modulus) != r + 1 or self.modulus[r] != 1:
             raise Z4SeqError("modulus must be monic of degree r")
+        if r > MAX_DEGREE:
+            raise DegreeTooLarge(f"degree {r} exceeds {MAX_DEGREE}, the most 16-bit slots hold")
         self.order = (1 << r) - 1  # size of the Teichmuller group G1
-        # rows x^0 .. x^(2r-2) reduced: the products of two basis monomials
-        self._xpow = self._monomial_rows()
-        # Frobenius matrix, row k = x^(2k): sigma(a) is a @ frob mod 4, as
-        # sigma(x) = x^2 for the Teichmuller generator x (checked by make_ring)
-        self.frob = self._xpow[::2]
+        self.mask = _slot_mask(r)
+        self._mask2 = _slot_mask(2 * r - 1)
+        # Barrett: with mu = floor(x^(2r-2) / h), the quotient of c (degree
+        # at most 2r - 2) by h is floor(floor(c / x^r) * mu / x^(r-2)),
+        # exactly, as h is monic
+        self._mu = self.pack(_quotient((0,) * (2 * r - 2) + (1,), self.modulus))
+        self._neg_h = self.pack([-c for c in self.modulus])
+        self._high = SLOT_BITS * r
+        self._qshift = SLOT_BITS * max(r - 2, 0)  # mu = 0 when r = 1
         self.zero = GrElement(self, (0,) * r)
         self.one = self.scalar(1)
         if r == 1:
             self.x = self.scalar(-self.modulus[0])
         else:
             self.x = GrElement(self, (0, 1) + (0,) * (r - 2))
-
-    def _monomial_rows(self) -> np.ndarray:
-        # row k holds x^k reduced: x^k = x * x^(k-1), and x^r is minus the
-        # low part of the monic modulus
-        r = self.r
-        low = np.array([-c % 4 for c in self.modulus[:r]], dtype=np.uint8)
-        rows = np.zeros((2 * r - 1, r), dtype=np.uint8)
-        rows[:r] = np.eye(r, dtype=np.uint8)
-        for k in range(r, 2 * r - 1):
-            rows[k, 1:] = rows[k - 1, :-1]
-            rows[k] = (rows[k] + rows[k - 1, -1] * low) % 4
-        return rows
 
     def scalar(self, c: int) -> GrElement:
         return GrElement(self, (c % 4,) + (0,) * (self.r - 1))
@@ -203,13 +214,55 @@ class GaloisRing:
             raise ValueError(f"at most {self.r} coefficients, got {len(coeffs)}")
         return GrElement(self, coeffs + (0,) * (self.r - len(coeffs)))
 
-    def mul_matrix(self, coeffs) -> np.ndarray:
-        """(r, r) uint8 matrix of multiplication by a: row j holds x^j * a.
+    @staticmethod
+    def pack(coeffs) -> int:
+        """The packed int of the Z4 coefficients c_0, c_1, ... (reduced mod 4)."""
+        coeffs = bytes(int(c) % 4 for c in coeffs)
+        buf = bytearray(2 * len(coeffs))
+        buf[::2] = coeffs
+        return int.from_bytes(buf, "little")
 
-        A coefficient row v times it is the row of v * a, reduced mod 4.
+    def unpack(self, v: int) -> GrElement:
+        """The element held by a reduced packed int."""
+        return GrElement(self, tuple(v.to_bytes(2 * self.r, "little")[::2]))
+
+    def reduce(self, c: int) -> int:
+        """c mod the modulus, for c of degree at most 2r - 2 with slots mod 4."""
+        q = (((c >> self._high) * self._mu) & self._mask2) >> self._qshift
+        return (c + q * self._neg_h) & self.mask
+
+    def mul(self, a: int, b: int) -> int:
+        return self.reduce((a * b) & self._mask2)
+
+    def pow(self, a: int, e: int) -> int:
+        """a^e by square-and-multiply."""
+        result = 1
+        while e:
+            if e & 1:
+                result = self.mul(result, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return result
+
+    def sigma(self, a: int) -> int:
+        """Frobenius image sum a_k x^(2k): slot k moves to slot 2k, then reduce.
+
+        It is the Frobenius automorphism because the modulus vanishes at x^2
+        (checked by make_ring).
         """
-        windows = sliding_window_view(self._xpow, self.r, axis=0)  # [j, s, k] = x^(j+k)_s
-        return windows @ np.asarray(coeffs, dtype=np.uint8) % 4
+        spread = bytearray(4 * self.r)
+        spread[::4] = a.to_bytes(2 * self.r, "little")[::2]
+        return self.reduce(int.from_bytes(spread, "little"))
+
+    def sum(self, values) -> int:
+        """Sum of reduced packed elements, masked before any slot can carry."""
+        values = iter(values)
+        total = 0
+        while True:
+            part = list(islice(values, SUM_CHUNK))
+            total = (total + sum(part)) & self.mask
+            if len(part) < SUM_CHUNK:
+                return total
 
     def __eq__(self, other):
         return (isinstance(other, GaloisRing)
@@ -222,42 +275,33 @@ class GaloisRing:
         return f"GaloisRing(r={self.r})"
 
 
-def _row_mul(ring: GaloisRing, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Coefficient row of a * b: its 2r - 1 product terms times the rows x^k."""
-    return np.convolve(a, b) @ ring._xpow % 4
-
-
-def _row_pow(ring: GaloisRing, a: np.ndarray, e: int) -> np.ndarray:
-    """Coefficient row of a^e by square-and-multiply."""
-    result = np.zeros(ring.r, dtype=np.uint8)
-    result[0] = 1
-    while e:
-        if e & 1:
-            result = _row_mul(ring, result, a)
-        a = _row_mul(ring, a, a)
-        e >>= 1
-    return result
-
-
-def _is_one(row: np.ndarray) -> bool:
-    return row[0] == 1 and not row[1:].any()
+def _quotient(num, h) -> tuple:
+    """Quotient of num by the monic h over Z4, by long division."""
+    num, r = list(num), len(h) - 1
+    quot = [0] * max(len(num) - r, 0)
+    for k in range(len(num) - 1, r - 1, -1):
+        c = quot[k - r] = num[k] % 4
+        for j in range(r + 1):
+            num[k - r + j] -= c * h[j]
+    return tuple(quot)
 
 
 @lru_cache(maxsize=None)
 def _build_ring(r: int) -> GaloisRing:
     f = _smallest_primitive_binary(r)
     ring = GaloisRing(r, _graeffe_lift(f, r))
-    x = np.array(ring.x.coeffs, dtype=np.uint8)
-    if not _is_one(_row_pow(ring, x, ring.order)):
+    x = ring.pack(ring.x.coeffs)
+    if ring.pow(x, ring.order) != 1:
         raise Z4SeqError(f"internal: x^({ring.order}) != 1 in GR(4,4^{r})")
     for d in factorize(ring.order):
-        if _is_one(_row_pow(ring, x, ring.order // d)):
+        if ring.pow(x, ring.order // d) == 1:
             raise Z4SeqError(f"internal: x has order below {ring.order} in GR(4,4^{r})")
-    # the modulus vanishes at x^2, so sigma(x) = x^2 defines ring.frob
-    x2 = _row_mul(ring, x, x)
-    h_x2 = (np.array(ring.modulus[:r], dtype=np.uint8) @ ring.frob
-            + _row_mul(ring, ring.frob[-1], x2)) % 4
-    if h_x2.any():
+    # the modulus vanishes at x^2, so sigma(x) = x^2 defines ring.sigma
+    x2 = ring.mul(x, x)
+    h_x2 = 0
+    for c in reversed(ring.modulus):
+        h_x2 = (ring.mul(h_x2, x2) + c) & ring.mask
+    if h_x2:
         raise Z4SeqError(f"internal: modulus does not vanish at x^2 in GR(4,4^{r})")
     return ring
 
@@ -277,13 +321,13 @@ def root_of_unity(ring: GaloisRing, period: int) -> GrElement:
         raise PeriodNotDividing(f"period must be odd and positive, got {period}")
     if ring.order % period != 0:
         raise PeriodNotDividing(f"{period} does not divide 2^{ring.r} - 1")
-    beta = _row_pow(ring, np.array(ring.x.coeffs, dtype=np.uint8), ring.order // period)
-    if not _is_one(_row_pow(ring, beta, period)):
+    beta = ring.pow(ring.pack(ring.x.coeffs), ring.order // period)
+    if ring.pow(beta, period) != 1:
         raise Z4SeqError("internal: beta^period != 1")
     for d in factorize(period):
-        if _is_one(_row_pow(ring, beta, period // d)):
+        if ring.pow(beta, period // d) == 1:
             raise Z4SeqError("internal: beta is not primitive")
-    return ring.element(beta)
+    return ring.unpack(beta)
 
 
 def is_constant(a: GrElement):

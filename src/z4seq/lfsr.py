@@ -24,8 +24,10 @@ a 2-vCPU machine.
 
 snf_min_length is the independent oracle: for each length ascending it
 decides solvability of the recurrence on the *periodic* sequence by Smith
-diagonalization over Z4.  The two routes share no linear algebra.  Only
-the oracle uses numpy, so it imports it itself.
+diagonalization over Z4.  The two routes share no linear algebra.  The
+oracle is the only numpy code of the package, so it imports numpy itself
+when called; numpy is therefore not a runtime dependency but part of the
+`test` extra.
 """
 
 from dataclasses import dataclass

@@ -11,8 +11,8 @@ import random
 
 from .errors import NoCommonRoot, NotCoprime
 
-# Default cap on the Galois-ring degree ord_2(pq).  It lives in this
-# numpy-free module so the CLI can state it before any ring code is loaded.
+# Default cap on the Galois-ring degree ord_2(pq).  It lives here so the CLI
+# can state it before any ring code is loaded.
 R_MAX = 64
 
 # Witness set proving compositeness deterministically for all n < 3.3e24.

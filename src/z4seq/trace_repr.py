@@ -8,15 +8,16 @@ ranges must tile the classes exactly once; that and all divisibility
 requirements are verified up front and reported on failure.
 
 The form is evaluated on a whole vector of indices u at once from the one
-checked (pq, ell) uint8 power table that `trace_params` builds: each orbit
-set contributes the row sums of pows[u * w mod pq], taken at one u per
-2-cyclotomic coset and carried to 2u by the Frobenius map, and each rho
-coefficient multiplies its set sum through its ring multiplication matrix.
+checked power table that `trace_params` builds (packed ints, see
+`galois.GaloisRing.pack`).  Each digit is 2 + 2 U(u) + rho A(u) + B(u), where
+U, A and B are set sums of beta^(uw) with Z4 weights: U over the unit
+orbits, A over all four class orbit sets, B with the scalar part of each
+class coefficient.  They are taken at one u per 2-cyclotomic coset and
+carried to 2u by the Frobenius map; rho, which the map does not fix,
+multiplies A afterwards, one packed product per u.
 """
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .analysis import frobenius_fill, power_sums, power_table, rho_value
 from .cyclotomy import CASE1, CyclotomicSystem
@@ -42,7 +43,7 @@ class TraceParams:
     q_orbits: tuple = field(repr=False)  # exponent orbits through multiples of p
     p_orbits: tuple = field(repr=False)  # Case2 only, orbits through multiples of q
     d_orbits: tuple = field(repr=False)  # per class i, per (t, j), conjugate exponents
-    powers: np.ndarray = field(repr=False, compare=False)  # checked table of beta
+    powers: list = field(repr=False, compare=False)  # checked packed table of beta
 
 
 def _fail(reason: str):
@@ -127,27 +128,28 @@ def _flat(orbits) -> list:
 
 
 def _trace_values(system: CyclotomicSystem, ring: GaloisRing, params: TraceParams,
-                  pows: np.ndarray, us) -> np.ndarray:
-    """(len(us), r) uint8: the trace form at each index u, reduced mod 4."""
+                  pows: list, us) -> list:
+    """The trace form at each index u, packed and reduced."""
     units = params.q_orbits + (params.p_orbits if system.case != CASE1 else ())
-    sets = [_flat(units)] + [_flat(orbits) for orbits in params.d_orbits]
-    # every set sum at 2u is the Frobenius image of the one at u; the rho
-    # coefficients, which the Frobenius map does not fix, are applied after
-    sums = frobenius_fill(ring, len(pows), us, lambda reps: np.stack(
-        [power_sums(pows, reps, members) for members in sets], axis=1))
-    total = 2 * sums[:, 0]
-    total[:, 0] += 2
-    for i in range(4):
-        if system.case == CASE1:
-            coef = params.rho - ring.scalar(i)
-        else:
-            coef = params.rho + ring.scalar(2 - i)
-        total += sums[:, i + 1] @ ring.mul_matrix(coef.coeffs)
-    return total % 4
+    unit_set = _flat(units)
+    class_sets = [_flat(orbits) for orbits in params.d_orbits]
+    # class i carries the coefficient rho + shift_i, shift_i a Z4 scalar
+    shifts = [-i % 4 if system.case == CASE1 else (2 - i) % 4 for i in range(4)]
+
+    def set_sums(reps):
+        """(U, A, B) at each index of reps."""
+        units_at = power_sums(ring, pows, reps, unit_set)
+        classes_at = zip(*(power_sums(ring, pows, reps, members) for members in class_sets))
+        return [(unit, ring.sum(d), sum(s * v for s, v in zip(shifts, d)) & ring.mask)
+                for unit, d in zip(units_at, classes_at)]
+
+    rho = ring.pack(params.rho.coeffs)
+    return [(2 + 2 * unit + ring.mul(rho, a) + b) & ring.mask
+            for unit, a, b in frobenius_fill(ring, len(pows), us, set_sums)]
 
 
-def _non_constant(ring: GaloisRing, u: int, value) -> NonConstantResult:
-    return NonConstantResult(f"trace form at u={u} is not in Z4: {ring.element(value)!r}")
+def _non_constant(ring: GaloisRing, u: int, value: int) -> NonConstantResult:
+    return NonConstantResult(f"trace form at u={u} is not in Z4: {ring.unpack(value)!r}")
 
 
 def eval_trace_repr(system: CyclotomicSystem, ring: GaloisRing, beta: GrElement,
@@ -157,9 +159,9 @@ def eval_trace_repr(system: CyclotomicSystem, ring: GaloisRing, beta: GrElement,
     Raises NonConstantResult if the evaluated expression leaves Z4.
     """
     value = _trace_values(system, ring, params, params.powers, [u])[0]
-    if value[1:].any():
+    if value > 3:  # a coefficient above the constant one is nonzero
         raise _non_constant(ring, u, value)
-    return int(value[0])
+    return value
 
 
 def check_trace_repr(system: CyclotomicSystem, ring: GaloisRing, beta: GrElement,
@@ -171,13 +173,10 @@ def check_trace_repr(system: CyclotomicSystem, ring: GaloisRing, beta: GrElement
     """
     if params is None:
         params = trace_params(system, ring, beta)
-    n = system.pq
-    values = _trace_values(system, ring, params, params.powers, np.arange(n))
-    outside = values[:, 1:].any(axis=1)
-    failing = outside | (values[:, 0] != np.array(generate(system).digits))
-    if not failing.any():
-        return True, None
-    u = int(failing.argmax())
-    if outside[u]:
-        raise _non_constant(ring, u, values[u])
-    return False, u
+    values = _trace_values(system, ring, params, params.powers, range(system.pq))
+    for u, (value, digit) in enumerate(zip(values, generate(system).digits)):
+        if value != digit:
+            if value > 3:
+                raise _non_constant(ring, u, value)
+            return False, u
+    return True, None

@@ -1,13 +1,13 @@
-"""Scalar GR(4, 4^r) arithmetic: the reference the library's rows are checked against.
+"""Scalar GR(4, 4^r) arithmetic: the reference the library's packed ints are checked against.
 
-The library multiplies coefficient rows (`GaloisRing.mul_matrix`,
-`galois._row_mul`) and applies the Frobenius map as the matrix
-`GaloisRing.frob`.  This module does the same arithmetic one coefficient at a
-time on `GrElement` values: a product is a schoolbook convolution reduced by
-long division by `ring.modulus` itself, so it shares no code with the
-library's reduction rows.  On it rest the preliminaries of the Galois ring
-(Wan 2003): the Teichmuller decomposition a = a1 + 2*a2, the Frobenius power
-maps and the trace over GR(4, 4^s).
+The library multiplies packed ints and reduces them by Barrett reduction
+(`GaloisRing.mul`, `GaloisRing.reduce`), and applies the Frobenius map by
+spreading slots (`GaloisRing.sigma`).  This module does the same arithmetic
+one coefficient at a time on `GrElement` values: a product is a schoolbook
+convolution reduced by long division by `ring.modulus` itself, so it shares
+no code with the library's reduction.  On it rest the preliminaries of the
+Galois ring (Wan 2003): the Teichmuller decomposition a = a1 + 2*a2, the
+Frobenius power maps and the trace over GR(4, 4^s).
 """
 
 from z4seq.galois import GrElement
@@ -28,14 +28,21 @@ def mul(a: GrElement, b) -> GrElement:
     for i, x in enumerate(a.coeffs):
         for j, y in enumerate(b.coeffs):
             prod[i + j] += x * y
+    return remainder(ring, prod)
+
+
+def remainder(ring, poly) -> GrElement:
+    """The element of the Z4 polynomial c_0, c_1, ... (any degree) mod ring.modulus."""
+    r = ring.r
+    poly = list(poly) + [0] * max(r - len(poly), 0)
     # long division by the monic modulus h, top coefficient first:
     # c x^k = c x^(k-r) (x^r - h) + (lower terms of c x^(k-r) h)
     h = ring.modulus
-    for k in range(2 * r - 2, r - 1, -1):
-        c = prod[k] % 4
+    for k in range(len(poly) - 1, r - 1, -1):
+        c = poly[k] % 4
         for j in range(r + 1):
-            prod[k - r + j] -= c * h[j]
-    return GrElement(ring, tuple(v % 4 for v in prod[:r]))
+            poly[k - r + j] -= c * h[j]
+    return GrElement(ring, tuple(v % 4 for v in poly[:r]))
 
 
 def power(a: GrElement, e: int) -> GrElement:

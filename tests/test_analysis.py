@@ -44,7 +44,7 @@ def evaluate(poly, u, pows):
 
 def class_sum(system, i, ring, pows, m=1):
     """D_i evaluated at gamma = base^m of the table: sum of gamma^u over u in D_i."""
-    return ring.element(power_sums(pows, [m], system.members(f"D{i}"))[0])
+    return ring.unpack(power_sums(ring, pows, [m], system.members(f"D{i}"))[0])
 
 
 def test_class_sum_at_one_and_subgroup_points():
@@ -66,9 +66,9 @@ def test_root_of_unity_sums():
     s = build_system(5, 13)
     ring, beta = ring_beta(s)
     pows = power_table(beta, s.pq)
-    assert sum((ring.element(pows[j * s.p % s.pq]) for j in range(s.q)),
+    assert sum((ring.unpack(pows[j * s.p % s.pq]) for j in range(s.q)),
                ring.zero) == ring.zero
-    assert sum((ring.element(pows[j * s.q % s.pq]) for j in range(s.p)),
+    assert sum((ring.unpack(pows[j * s.q % s.pq]) for j in range(s.p)),
                ring.zero) == ring.zero
     units = sum((class_sum(s, i, ring, pows) for i in range(4)), ring.zero)
     assert units == ring.one
@@ -123,7 +123,7 @@ def test_reconstruction_exhaustive():
         ring, beta = ring_beta(s)
         seq = generate(s)
         poly = dft(seq, ring, beta)
-        pows = [ring.element(row) for row in power_table(beta, s.pq)]
+        pows = [ring.unpack(row) for row in power_table(beta, s.pq)]
         for u in range(s.pq):
             assert evaluate(poly, u, pows) == ring.scalar(seq.digits[u])
 
@@ -162,14 +162,14 @@ def test_formula_structure():
 
 
 def test_inner_product_patterns():
-    # (5, 1321): the constant (q-1)/4 = 330 does not fit a uint8 row entry
+    # (5, 1321): the constant (q-1)/4 = 330 is reduced mod 4 before it is added
     for pair in [(5, 17), (5, 13), (17, 5), (5, 1321)]:
         s = build_system(*pair)
         ring, beta = ring_beta(s)
         products = _inner_products(s, ring, power_table(beta, s.pq))
         for i in range(4):
             for j in range(4):
-                val = ring.element(products[i, j])
+                val = ring.unpack(products[i][j])
                 if s.case == CASE1:
                     expected = ring.one if i == j else ring.zero
                 else:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -255,3 +256,32 @@ def test_unwritten_format_is_rejected(tmp_path, capsys, command, fmt):
     code, out, err = run(capsys, command, "--config", str(cfg))
     assert code == 2 and not out
     assert err.startswith("ERROR ValueError:") and f"'{fmt}'" in err
+
+
+def test_slot_overflow_pair(capsys):
+    # pq = 10565: 9 * pq passes 0xFFFF, so a digit-weighted sum of the whole
+    # period in one packed int would carry between slots
+    code, out, _ = run(capsys, "lc", "--p", "5", "--q", "2113")
+    assert code == 0 and out == "8449 8449 8449 AGREE\n"
+    code, out, _ = run(capsys, "verify", "--p", "5", "--q", "2113")
+    assert code == 0 and out.endswith("result PASS\n")
+
+
+# SHA-256 of the json output of the numpy uint8 implementation: the bytes
+# carry every DFT coefficient (defpoly) and rho (lc)
+GOLDEN = {
+    ("defpoly", "5", "13"): "8ea34a3bd240f523271b239ff280383acf54c41dcf703a3dfce2ac9560c4db98",
+    ("lc", "5", "13"): "5ad097ab84ce6632adbefedab8e9f43e725eb6fddf0fccf123e9b568f6fca57e",
+    ("defpoly", "5", "113"): "57a6c53bd08acef04d3f4fc1d79a7849c94dd3988be833a3240f31c825a3942a",
+    ("lc", "5", "113"): "a2d15fc125ee923221d0faa9021280542384bd2ba99fc128aa3920fb7061e2bb",
+    ("defpoly", "17", "29"): "a387e3d6935a738917c217ebef859be3c59d2187b65f03ae52416ec2d783ff29",
+    ("lc", "17", "29"): "e2bc8d11e2e871cc623dbf9f54a5dfd5b55a7f15099d1eae5fca601e89202a22",
+}
+
+
+@pytest.mark.parametrize("command, p, q", sorted(GOLDEN))
+def test_json_bytes_are_golden(capsys, command, p, q):
+    code, out, _ = run(capsys, command, "--p", p, "--q", q, "--r-max", "64",
+                       "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command, p, q]

@@ -1,8 +1,7 @@
-"""Ring construction and row arithmetic against bit-loop and scalar references."""
+"""Ring construction and packed arithmetic against bit-loop and scalar references."""
 
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -79,8 +78,8 @@ def test_row_pow_matches_element_pow(r, data):
     coeffs = data.draw(st.lists(st.integers(0, 3), min_size=r, max_size=r))
     e = data.draw(st.integers(0, (1 << r) - 1))
     a = ring.element(coeffs)
-    row = galois._row_pow(ring, np.array(coeffs, dtype=np.uint8), e)
-    assert ring.element(row) == power(a, e)
+    row = ring.pow(ring.pack(coeffs), e)
+    assert ring.unpack(row) == power(a, e)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -90,10 +89,10 @@ def test_row_products_match_reference_mul(r, data):
     a, b = (data.draw(st.lists(st.integers(0, 3), min_size=r, max_size=r))
             for _ in range(2))
     product = mul(ring.element(a), ring.element(b))
-    row_a, row_b = np.array(a, dtype=np.uint8), np.array(b, dtype=np.uint8)
-    assert ring.element(row_a @ ring.mul_matrix(b) % 4) == product
-    assert ring.element(galois._row_mul(ring, row_a, row_b)) == product
-    assert (ring.mul_matrix(ring.one.coeffs) == np.eye(r, dtype=np.uint8)).all()
+    row_a, row_b = ring.pack(a), ring.pack(b)
+    assert ring.unpack(ring.mul(row_b, row_a)) == product
+    assert ring.unpack(ring.mul(row_a, row_b)) == product
+    assert ring.mul(row_a, ring.pack(ring.one.coeffs)) == row_a
 
 
 @pytest.fixture
@@ -118,7 +117,7 @@ def test_frobenius_matrix(r):
     rng = random.Random(r)
 
     def frob(a):
-        return ring.element(np.array(a.coeffs, dtype=np.uint8) @ ring.frob % 4)
+        return ring.unpack(ring.sigma(ring.pack(a.coeffs)))
 
     for _ in range(20):
         a = ring.element([rng.randrange(4) for _ in range(r)])
@@ -133,9 +132,11 @@ def test_dft_matches_direct_sums(pair):
     T = s.pq
     ring = make_ring(mult_order(2, T))
     beta = root_of_unity(ring, T)
-    pows = power_table(beta, T)
-    digits = np.array(generate(s).digits, dtype=np.uint8)
-    u = np.arange(T)
+    # each power spread to 32-bit slots: T digit-weighted terms never carry
+    wide = [sum(c << 32 * k for k, c in enumerate(ring.unpack(v).coeffs))
+            for v in power_table(beta, T)]
+    digits = generate(s).digits
     coeffs = dft(generate(s), ring, beta).coeffs
     for i in range(T):
-        assert coeffs[i] == ring.element(digits @ pows[(-i * u) % T] % 4), i
+        acc = sum(d * wide[(-i * u) % T] for u, d in enumerate(digits))
+        assert coeffs[i] == ring.element([acc >> 32 * k for k in range(ring.r)]), i

@@ -61,8 +61,8 @@ def test_orbit_shortcut_matches_general_trace():
     eps = params.epsilon
     for orbit in params.d_orbits[0][:3]:
         w = orbit[0]
-        orbit_sum = sum((ring.element(pows[x]) for x in orbit), ring.zero)
-        assert orbit_sum == trace(ring.element(pows[w]), eps)
+        orbit_sum = sum((ring.unpack(pows[x]) for x in orbit), ring.zero)
+        assert orbit_sum == trace(ring.unpack(pows[w]), eps)
 
 
 def test_frobenius_squares_beta_powers():
@@ -70,7 +70,7 @@ def test_frobenius_squares_beta_powers():
     ring, beta = ring_beta(s)
     pows = power_table(beta, s.pq)
     for w in (1, 7, 30, 64):
-        assert frobenius(ring.element(pows[w]), 1) == ring.element(pows[2 * w % s.pq])
+        assert frobenius(ring.unpack(pows[w]), 1) == ring.unpack(pows[2 * w % s.pq])
 
 
 def test_q_orbit_sums_are_frobenius_invariant():
@@ -79,7 +79,7 @@ def test_q_orbit_sums_are_frobenius_invariant():
     params = trace_params(s, ring, beta)
     pows = power_table(beta, s.pq)
     for orbit in params.q_orbits:
-        val = sum((ring.element(pows[w]) for w in orbit), ring.zero)
+        val = sum((ring.unpack(pows[w]) for w in orbit), ring.zero)
         assert frobenius(val, 1) == val
 
 
