@@ -11,6 +11,8 @@ only by the commands that use them.
 """
 
 import argparse
+import contextlib
+import functools
 import json
 import os
 import sys
@@ -263,35 +265,32 @@ def cmd_sweep(args) -> int:
     if workers <= 0:
         workers = min(8, os.cpu_count() or 1)
     workers = min(workers, max(1, len(pairs)))
+    work = functools.partial(_sweep_worker, r_max=r_max)
 
     rows = []
-    sink = open(out_path, "w", encoding="utf-8") if out_path else sys.stdout
+    with contextlib.ExitStack() as stack:
+        sink = (stack.enter_context(open(out_path, "w", encoding="utf-8"))
+                if out_path else sys.stdout)
 
-    def flush(text):
-        sink.write(text)
-        sink.flush()
+        def flush(text):
+            sink.write(text)
+            sink.flush()
 
-    try:
         header = list(_SWEEP_COLUMNS) + (["seconds"] if timings else []) + ["error"]
         if fmt == "csv":
             flush(",".join(header) + "\n")
-        if workers == 1 or len(pairs) <= 1:
-            results = (_sweep_worker(pair, r_max) for pair in pairs)
-            for row in results:
-                rows.append(row)
-                if fmt == "csv":
-                    flush(_sweep_row_text(row, timings) + "\n")
+        if workers == 1:
+            results = map(work, pairs)
         else:
             import concurrent.futures  # only a pooled sweep pays for the import
 
-            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(_sweep_worker, pair, r_max) for pair in pairs]
-                # consume in submission order: deterministic rows, progressive flush
-                for fut in futures:
-                    row = fut.result()
-                    rows.append(row)
-                    if fmt == "csv":
-                        flush(_sweep_row_text(row, timings) + "\n")
+            pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+            results = stack.enter_context(pool).map(work, pairs)
+        # rows come in submission order: deterministic output, progressive flush
+        for row in results:
+            rows.append(row)
+            if fmt == "csv":
+                flush(_sweep_row_text(row, timings) + "\n")
 
         agree = sum(1 for r in rows if r.get("agree") is True)
         disagree = sum(1 for r in rows if r.get("agree") is False)
@@ -311,9 +310,6 @@ def cmd_sweep(args) -> int:
                 flush(_sweep_row_text(row, timings).replace(",", "\t") + "\n")
             flush(f"pairs={len(rows)} agree={agree} disagree={disagree} "
                   f"errors={errors}\n")
-    finally:
-        if out_path:
-            sink.close()
     return 0 if disagree == 0 and errors == 0 else 1
 
 
@@ -328,8 +324,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, formats, default="text", pair=True):
-        """Shared flags; `formats` lists the output formats the subcommand writes."""
+    def add_common(sp, formats, default="text", pair=True, r_max=None):
+        """Shared flags; `formats` lists the output formats the subcommand writes.
+
+        `r_max` is the ring-degree cap's default, for subcommands that build a ring.
+        """
         if pair:
             sp.add_argument("--p", type=int, help="first prime")
             sp.add_argument("--q", type=int, help="second prime")
@@ -337,8 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"output format (default {default})")
         sp.add_argument("--out", help="write output to this file")
         sp.add_argument("--config", help="flat key=value config file")
-        sp.add_argument("--r-max", dest="r_max", type=int,
-                        help=f"ring-degree cap (default {R_MAX})")
+        if r_max is not None:
+            sp.add_argument("--r-max", dest="r_max", type=int,
+                            help=f"ring-degree cap (default {r_max})")
 
     all_formats = ("text", "json", "csv")
     add_common(sub.add_parser("system", help="print the cyclotomic system summary"),
@@ -346,17 +346,17 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sub.add_parser("gen", help="emit one period of digits"),
                ("text", "csv"))
     sp = sub.add_parser("lc", help="linear complexity by chosen method(s)")
-    add_common(sp, all_formats)
+    add_common(sp, all_formats, r_max=R_MAX)
     sp.add_argument("--method", choices=("formula", "dft", "reeds-sloane", "all"),
                     help="method (default all)")
     add_common(sub.add_parser("defpoly", help="dump defining polynomial coefficients"),
-               all_formats)
+               all_formats, r_max=R_MAX)
     add_common(sub.add_parser("trace", help="check the trace form digit-for-digit"),
-               ("text",))
+               ("text",), r_max=R_MAX)
     add_common(sub.add_parser("verify", help="run the structural identity suite"),
-               ("text",))
+               ("text",), r_max=R_MAX)
     sp = sub.add_parser("sweep", help="analyze all admissible pairs under the caps")
-    add_common(sp, all_formats, default="csv", pair=False)
+    add_common(sp, all_formats, default="csv", pair=False, r_max=SWEEP_R_MAX_DEFAULT)
     sp.add_argument("--p-max", dest="p_max", type=int, help="cap on p (default 40)")
     sp.add_argument("--q-max", dest="q_max", type=int, help="cap on q (default 40)")
     sp.add_argument("--workers", type=int, help="worker processes (default auto)")

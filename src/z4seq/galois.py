@@ -15,9 +15,9 @@ multiply, a slot mask for mod 4 and a Barrett reduction by the modulus (two
 more multiplies against the precomputed floor(x^(2r-2)/h)).  Sums of packed
 elements are int sums masked before a slot can carry (`GaloisRing.sum`).
 Since sigma(x) = x^2, the Frobenius map spreads slot k to slot 2k and
-reduces (`GaloisRing.sigma`).  The ring's own checks (x of order exactly
-2^r - 1, the modulus vanishing at x^2, roots of unity of exact order) take
-powers this way.  `GrElement` is the value type of single ring elements:
+reduces (`GaloisRing.sigma`).  The order of x is proved once, on f; the
+ring checks that its modulus lifts f and vanishes at x^2, which suffices
+(`_build_ring`).  `GrElement` is the value type of single ring elements:
 coefficients, addition and equality.
 """
 
@@ -107,7 +107,7 @@ def _smallest_primitive_binary(r: int) -> int:
 
 
 def _graeffe_lift(f_mask: int, r: int) -> tuple:
-    """Monic degree-r modulus over Z4 with h(x^2) = (-1)^r f(x) f(-x)."""
+    """Monic degree-r h over Z4 with h(x^2) = (-1)^r f(x) f(-x), an even polynomial."""
     f = [(f_mask >> i) & 1 for i in range(r + 1)]
     fneg = [c if i % 2 == 0 else (-c) % 4 for i, c in enumerate(f)]
     prod = [0] * (2 * r + 1)
@@ -115,8 +115,6 @@ def _graeffe_lift(f_mask: int, r: int) -> tuple:
         if a:
             for j, b in enumerate(fneg):
                 prod[i + j] = (prod[i + j] + a * b) % 4
-    if any(prod[k] for k in range(1, 2 * r + 1, 2)):
-        raise Z4SeqError("internal: Graeffe product not even")
     sign = 1 if r % 2 == 0 else -1
     return tuple(sign * prod[2 * k] % 4 for k in range(r + 1))
 
@@ -288,15 +286,21 @@ def _quotient(num, h) -> tuple:
 
 @lru_cache(maxsize=None)
 def _build_ring(r: int) -> GaloisRing:
+    """GR(4, 4^r) on the Graeffe lift h of the primitive f; x has order 2^r - 1.
+
+    That order follows from the checks h = f (mod 2) and h(x^2) = 0 (Hensel):
+    f is primitive, so x mod 2 has order 2^r - 1 in GF(2^r).  As h(x^2) = 0,
+    x -> x^2 is a ring map fixing Z4, so y = x^(2^r) is a root of h with
+    y = x (mod 2).  Writing y = x + 2c, 0 = h(y) = 2c h'(x), and f' is a unit
+    at x mod 2 (f is separable), so 2c = 0.  So x^(2^r) = x, x is a unit,
+    and its order, a multiple of that of x mod 2, is exactly 2^r - 1.
+    """
     f = _smallest_primitive_binary(r)
     ring = GaloisRing(r, _graeffe_lift(f, r))
-    x = ring.pack(ring.x.coeffs)
-    if ring.pow(x, ring.order) != 1:
-        raise Z4SeqError(f"internal: x^({ring.order}) != 1 in GR(4,4^{r})")
-    for d in factorize(ring.order):
-        if ring.pow(x, ring.order // d) == 1:
-            raise Z4SeqError(f"internal: x has order below {ring.order} in GR(4,4^{r})")
+    if sum((c & 1) << i for i, c in enumerate(ring.modulus)) != f:
+        raise Z4SeqError(f"internal: modulus is not a lift of {f:#b} in GR(4,4^{r})")
     # the modulus vanishes at x^2, so sigma(x) = x^2 defines ring.sigma
+    x = ring.pack(ring.x.coeffs)
     x2 = ring.mul(x, x)
     h_x2 = 0
     for c in reversed(ring.modulus):
@@ -307,7 +311,7 @@ def _build_ring(r: int) -> GaloisRing:
 
 
 def make_ring(r: int, r_max: int = R_MAX) -> GaloisRing:
-    """Canonical GR(4, 4^r); x is verified to have order 2^r - 1."""
+    """Canonical GR(4, 4^r); x has order 2^r - 1 (argued in `_build_ring`)."""
     if r < 1:
         raise ValueError(f"degree must be positive, got {r}")
     if r > r_max:
@@ -316,18 +320,12 @@ def make_ring(r: int, r_max: int = R_MAX) -> GaloisRing:
 
 
 def root_of_unity(ring: GaloisRing, period: int) -> GrElement:
-    """Canonical primitive period-th root of unity x^((2^r - 1)/period)."""
+    """x^((2^r - 1)/period), of order exactly period as x has order 2^r - 1."""
     if period < 1 or period % 2 == 0:
         raise PeriodNotDividing(f"period must be odd and positive, got {period}")
     if ring.order % period != 0:
         raise PeriodNotDividing(f"{period} does not divide 2^{ring.r} - 1")
-    beta = ring.pow(ring.pack(ring.x.coeffs), ring.order // period)
-    if ring.pow(beta, period) != 1:
-        raise Z4SeqError("internal: beta^period != 1")
-    for d in factorize(period):
-        if ring.pow(beta, period // d) == 1:
-            raise Z4SeqError("internal: beta is not primitive")
-    return ring.unpack(beta)
+    return ring.unpack(ring.pow(ring.pack(ring.x.coeffs), ring.order // period))
 
 
 def is_constant(a: GrElement):

@@ -5,7 +5,8 @@ import pytest
 
 from z4seq import analysis
 from z4seq.lfsr import LfsrResult
-from z4seq.cli import main
+from z4seq.cli import SWEEP_R_MAX_DEFAULT, main
+from z4seq.numtheory import R_MAX
 
 
 def run(capsys, *argv):
@@ -135,6 +136,14 @@ def test_sweep_small(capsys):
     assert lines[-1].startswith("# pairs=6 agree=6 disagree=0 errors=0")
 
 
+def test_pooled_sweep_matches_serial(tmp_path, capsys):
+    argv = ("sweep", "--p-max", "17", "--q-max", "17", "--r-max", "24")
+    _, serial, _ = run(capsys, *argv, "--workers", "1")
+    target = tmp_path / "sweep.csv"
+    code, out, _ = run(capsys, *argv, "--workers", "2", "--out", str(target))
+    assert code == 0 and not out and target.read_text() == serial
+
+
 def test_sweep_empty(capsys):
     code, out, _ = run(capsys, "sweep", "--p-max", "5", "--q-max", "5",
                        "--workers", "1")
@@ -224,6 +233,30 @@ def test_config_unknown_key(tmp_path, capsys):
     code, out, err = run(capsys, "system", "--config", str(cfg))
     assert code == 2 and not out
     assert err.startswith("ERROR ValueError:") and "'colour'" in err
+
+
+@pytest.mark.parametrize("command", ["system", "gen"])
+def test_r_max_only_where_a_ring_is_built(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--p", "5", "--q", "13", "--r-max", "8"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --r-max 8" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("p = 5\nq = 13\nr_max = 8\n")
+    code, out, err = run(capsys, command, "--config", str(cfg))
+    assert code == 2 and not out
+    assert err.startswith("ERROR ValueError: unknown config key 'r_max'")
+
+
+@pytest.mark.parametrize("command, default", [
+    ("lc", R_MAX), ("defpoly", R_MAX), ("trace", R_MAX), ("verify", R_MAX),
+    ("sweep", SWEEP_R_MAX_DEFAULT),
+])
+def test_r_max_help_states_the_default(capsys, command, default):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert f"ring-degree cap (default {default})" in " ".join(capsys.readouterr().out.split())
 
 
 def test_register_failing_its_check_disagrees(monkeypatch, capsys):

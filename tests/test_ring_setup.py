@@ -102,13 +102,45 @@ def fresh_ring_cache():
     galois._build_ring.cache_clear()
 
 
-@pytest.mark.parametrize("r", [4, 12, 28, 56])
+@pytest.mark.parametrize("r", [1] + list(range(3, 65)))  # at r = 2, f is its own lift
 def test_unlifted_modulus_is_rejected(r, monkeypatch, fresh_ring_cache):
     # the binary polynomial itself, not its Graeffe lift, as the Z4 modulus
     monkeypatch.setattr(galois, "_graeffe_lift",
                         lambda f, r: tuple(f >> i & 1 for i in range(r + 1)))
-    with pytest.raises(Z4SeqError, match=r"internal: x\^\(\d+\) != 1"):
+    with pytest.raises(Z4SeqError, match=r"internal: modulus does not vanish at x\^2"):
         make_ring(r)
+
+
+def test_lift_of_a_non_primitive_polynomial_is_rejected(monkeypatch, fresh_ring_cache):
+    # x^4 + x^3 + x^2 + x + 1 is irreducible but x has order 5: its lift
+    # vanishes at x^2, so only the mod-2 comparison with the searched f catches it
+    lift = galois._graeffe_lift
+    wrong = galois.GaloisRing(4, lift(0b11111, 4))
+    x = wrong.pack(wrong.x.coeffs)
+    assert wrong.modulus == (1, 1, 1, 1, 1) and wrong.pow(x, 5) == 1
+    assert wrong.sum(wrong.pow(x, 2 * k) for k in range(5)) == 0  # h(x^2)
+    monkeypatch.setattr(galois, "_graeffe_lift", lambda f, r: lift(0b11111, r))
+    with pytest.raises(Z4SeqError, match=r"internal: modulus is not a lift"):
+        make_ring(4)
+
+
+@pytest.mark.parametrize("r", [84, 100, 156])
+def test_x_order_past_the_cap(r, monkeypatch, fresh_ring_cache):
+    # 2^r - 1 is factored once, by the primitive search; the order of x over
+    # Z4, argued in _build_ring, is checked here directly past the default cap
+    order = (1 << r) - 1
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(galois, "factorize", counting)
+    ring = make_ring(r, r_max=r)
+    assert calls.count(order) == 1
+    x = ring.pack(ring.x.coeffs)
+    assert ring.pow(x, order) == 1
+    assert all(ring.pow(x, order // d) != 1 for d in factorize(order))
 
 
 @pytest.mark.parametrize("r", [1, 2, 5, 12, 28])
