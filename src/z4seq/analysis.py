@@ -17,12 +17,11 @@ map (`frobenius_fill`).  Single values come back as `GrElement`.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cyclotomy import CASE1, CyclotomicSystem, count_solutions, lc_by_theorem
 from .errors import PeriodMismatch, PeriodNotCongruent1Mod4
 from .galois import GaloisRing, GrElement, is_constant, make_ring, root_of_unity
-from .lfsr import reeds_sloane
 from .numtheory import R_MAX, factorize, is_prime, mult_order
 from .sequence import QuaternarySequence, generate
 
@@ -87,13 +86,10 @@ def _class_rows(system: CyclotomicSystem, ring: GaloisRing, pows: list) -> list:
     return [ring.sum([pows[u] for u in system.members(f"D{i}")]) for i in range(4)]
 
 
-@dataclass(frozen=True)
-class DefiningPolynomial:
+class DefiningPolynomial(namedtuple("DefiningPolynomial", "ring beta coeffs")):
     """DFT coefficient vector rho_0..rho_{T-1} with its root of unity."""
 
-    ring: GaloisRing
-    beta: GrElement
-    coeffs: tuple
+    __slots__ = ()
 
     @property
     def period(self) -> int:
@@ -178,21 +174,15 @@ def lc_by_count(defpoly: DefiningPolynomial) -> int:
     return defpoly.nonzero_count()
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
-    """Cross-checked linear-complexity results for one (p, q)."""
+class AnalysisReport(namedtuple("AnalysisReport", (
+        "p q case two_class rho rho_in_z4 lc_formula lc_dft lc_reeds_sloane "
+        "agree ring_degree"))):
+    """Cross-checked linear-complexity results for one (p, q).
 
-    p: int
-    q: int
-    case: str
-    two_class: int
-    rho: GrElement
-    rho_in_z4: bool
-    lc_formula: int
-    lc_dft: int
-    lc_reeds_sloane: int
-    agree: bool
-    ring_degree: int
+    A tuple: JSON output goes through `to_dict`, never the record itself.
+    """
+
+    __slots__ = ()
 
     CSV_HEADER = "p,q,case,two_class,lc_formula,lc_dft,lc_rs,agree"
 
@@ -223,6 +213,8 @@ def analyze(system: CyclotomicSystem, r_max: int = R_MAX) -> AnalysisReport:
     The routes agree when the three lengths are equal and the synthesized
     register passes its own annihilation check.
     """
+    from .lfsr import reeds_sloane  # here, so verify, trace and defpoly never load lfsr
+
     ell = mult_order(2, system.pq)
     ring = make_ring(ell, r_max)
     beta = root_of_unity(ring, system.pq)

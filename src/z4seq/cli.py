@@ -4,16 +4,16 @@ Exit codes: 0 all requested checks passed, 1 a check failed (disagreement,
 trace mismatch, failed identity), 2 domain or usage error.  Errors print one
 machine-parseable line `ERROR <Code>: <message>` on stderr.
 
-Every command runs on the standard library: the class data and the
-sequence are integer arithmetic, and the ring modules (`galois`,
-`analysis`, `trace_repr`), whose arithmetic is on packed ints, are imported
-only by the commands that use them.
+Every command runs on the standard library and imports only what it runs:
+the class data and the sequence are integer arithmetic, the ring modules
+(`galois`, `analysis`, `trace_repr`), whose arithmetic is on packed ints,
+and `lfsr` are imported by the commands that use them, and `json` only on
+the branches that write JSON.
 """
 
 import argparse
 import contextlib
 import functools
-import json
 import os
 import sys
 import time
@@ -77,6 +77,12 @@ def _emit(text: str, out_path):
         sys.stdout.write(text)
 
 
+def _json_text(obj, indent=2) -> str:
+    import json  # text and CSV output never load it
+
+    return json.dumps(obj, indent=indent) + "\n"
+
+
 def _require_pair(args):
     if args.p is None or args.q is None:
         raise ValueError("both --p and --q are required")
@@ -97,7 +103,7 @@ def cmd_system(args) -> int:
     summary = system.summary()
     fmt = _setting(args, "format", "text")
     if fmt == "json":
-        text = json.dumps(summary, indent=2) + "\n"
+        text = _json_text(summary)
     else:
         parts = [f"{k}={v}" for k, v in summary.items() if k != "class_sizes"]
         parts += [f"size_{lab}={n}" for lab, n in summary["class_sizes"].items()]
@@ -129,7 +135,7 @@ def cmd_lc(args) -> int:
 
         report = analysis.analyze(system, r_max)
         if fmt == "json":
-            text = json.dumps(report.to_dict(), indent=2) + "\n"
+            text = _json_text(report.to_dict())
         elif fmt == "csv":
             text = analysis.AnalysisReport.CSV_HEADER + "\n" + report.csv_row() + "\n"
         else:
@@ -152,7 +158,7 @@ def cmd_lc(args) -> int:
     else:
         raise ValueError(f"unknown method {method!r}")
     if fmt == "json":
-        text = json.dumps({"p": p, "q": q, "method": method, "value": value}) + "\n"
+        text = _json_text({"p": p, "q": q, "method": method, "value": value}, indent=None)
     else:
         text = f"{value}\n"
     _emit(text, out)
@@ -171,12 +177,12 @@ def cmd_defpoly(args) -> int:
     rows = [(u, cyclotomy.classify(system, u), "".join(str(c) for c in coeff.coeffs))
             for u, coeff in enumerate(defpoly.coeffs)]
     if fmt == "json":
-        text = json.dumps(
+        text = _json_text(
             {"p": p, "q": q, "ring_degree": ring.r,
              "coefficients": [
                  {"exponent": u, "label": lab, "coefficient": cf}
                  for u, lab, cf in rows
-             ]}, indent=2) + "\n"
+             ]})
     else:
         lines = ["exponent,label,coefficient"]
         lines += [f"{u},{lab},{cf}" for u, lab, cf in rows]
@@ -304,7 +310,7 @@ def cmd_sweep(args) -> int:
             if not timings:
                 for r in rows:
                     r.pop("seconds", None)
-            flush(json.dumps({"rows": rows, "summary": summary}, indent=2) + "\n")
+            flush(_json_text({"rows": rows, "summary": summary}))
         else:
             for row in rows:
                 flush(_sweep_row_text(row, timings).replace(",", "\t") + "\n")

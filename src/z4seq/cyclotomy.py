@@ -13,7 +13,7 @@ residue case and the class of 2 alone (`lc_by_theorem`).
 """
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 
 from .errors import EqualPrimes, GcdNotFour, InternalCaseError, NotPrime, Z4SeqError
@@ -26,17 +26,12 @@ D_LABELS = ("D0", "D1", "D2", "D3")
 LABELS = D_LABELS + ("P", "Q", "R")
 
 
-@dataclass(frozen=True)
-class CyclotomicSystem:
-    """Immutable residue-class partition of Z_pq plus its generators."""
+class CyclotomicSystem(namedtuple("CyclotomicSystem", "p q e g h case class_of")):
+    """Immutable residue-class partition of Z_pq plus its generators.
 
-    p: int
-    q: int
-    e: int
-    g: int
-    h: int
-    case: str
-    class_of: tuple = field(repr=False)
+    class_of[u] is the label of residue u.  The fields are read-only; the
+    instance dict holds only the cached `classes` and `two_class`.
+    """
 
     @property
     def pq(self) -> int:

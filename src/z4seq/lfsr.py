@@ -30,18 +30,18 @@ when called; numpy is therefore not a runtime dependency but part of the
 `test` extra.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import OracleTooLarge
 
 
-@dataclass(frozen=True)
-class LfsrResult:
-    """Shortest register found: digits obey sum(c_j s_{k-j}) = 0 for k >= length."""
+class LfsrResult(namedtuple("LfsrResult", "length connection annihilates")):
+    """Shortest register found: digits obey sum(c_j s_{k-j}) = 0 for k >= length.
 
-    length: int
-    connection: tuple  # c_0..c_L over Z4, c_0 a unit
-    annihilates: bool
+    connection is c_0..c_L over Z4, c_0 a unit.
+    """
+
+    __slots__ = ()
 
 
 def _planes(digits):

@@ -7,7 +7,6 @@ of 64.  Above it, it is a strong probable-prime test to twelve fixed bases.
 """
 
 import math
-import random
 
 from .errors import NoCommonRoot, NotCoprime
 
@@ -48,6 +47,8 @@ def is_prime(n: int) -> bool:
 
 def _pollard_brent(n: int) -> int:
     """A nontrivial factor of an odd composite n (Brent's cycle variant)."""
+    import random  # most group orders factor by trial division alone
+
     rng = random.Random(0xC0FFEE ^ n)
     while True:
         y = rng.randrange(1, n)

@@ -1,6 +1,6 @@
 """Quaternary sequence construction and serialization."""
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cyclotomy import CyclotomicSystem
 
@@ -11,18 +11,17 @@ _DIGIT_FOR = {
 }
 
 
-@dataclass(frozen=True)
-class QuaternarySequence:
+class QuaternarySequence(namedtuple("QuaternarySequence", "period digits")):
     """One period of Z4 digits."""
 
-    period: int
-    digits: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.digits) != self.period:
-            raise ValueError(f"{len(self.digits)} digits for period {self.period}")
-        if any(d not in (0, 1, 2, 3) for d in self.digits):
+    def __new__(cls, period, digits):
+        if len(digits) != period:
+            raise ValueError(f"{len(digits)} digits for period {period}")
+        if any(d not in (0, 1, 2, 3) for d in digits):
             raise ValueError("digits must lie in Z4")
+        return super().__new__(cls, period, digits)
 
 
 def generate(system: CyclotomicSystem) -> QuaternarySequence:

@@ -17,7 +17,7 @@ carried to 2u by the Frobenius map; rho, which the map does not fix,
 multiplies A afterwards, one packed product per u.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .analysis import frobenius_fill, power_sums, power_table, rho_value
 from .cyclotomy import CASE1, CyclotomicSystem
@@ -31,19 +31,18 @@ from .numtheory import mult_order
 from .sequence import generate
 
 
-@dataclass(frozen=True)
-class TraceParams:
-    """Trace-form parameters plus the precomputed conjugate-orbit exponents."""
+class TraceParams(namedtuple("TraceParams", (
+        "ell ell_p ell_q epsilon rho q_orbits p_orbits d_orbits powers"))):
+    """Trace-form parameters plus the precomputed conjugate-orbit exponents.
 
-    ell: int
-    ell_p: int
-    ell_q: int
-    epsilon: int | None  # 1 or 2 in Case1; None in Case2 (inner trace descends to degree 4)
-    rho: GrElement
-    q_orbits: tuple = field(repr=False)  # exponent orbits through multiples of p
-    p_orbits: tuple = field(repr=False)  # Case2 only, orbits through multiples of q
-    d_orbits: tuple = field(repr=False)  # per class i, per (t, j), conjugate exponents
-    powers: list = field(repr=False, compare=False)  # checked packed table of beta
+    epsilon is 1 or 2 in Case1 and None in Case2 (the inner trace descends
+    to degree 4).  q_orbits are the exponent orbits through the multiples of
+    p, p_orbits (Case2 only) those through the multiples of q, d_orbits per
+    class i and per (t, j) the conjugate exponents, and powers the checked
+    packed table of beta.
+    """
+
+    __slots__ = ()
 
 
 def _fail(reason: str):

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -261,15 +260,14 @@ def test_verify_identities_all_pass():
 def swap_classes(system, a, b):
     """The system with class labels a and b exchanged."""
     swap = {a: b, b: a}
-    return dataclasses.replace(
-        system, class_of=tuple(swap.get(lab, lab) for lab in system.class_of))
+    return system._replace(class_of=tuple(swap.get(lab, lab) for lab in system.class_of))
 
 
 def swap_residues(system, u, v):
     """The system with the labels of residues u and v exchanged."""
     labels = list(system.class_of)
     labels[u], labels[v] = labels[v], labels[u]
-    return dataclasses.replace(system, class_of=tuple(labels))
+    return system._replace(class_of=tuple(labels))
 
 
 def test_verify_identities_can_fail():

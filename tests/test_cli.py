@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from z4seq import analysis
+from z4seq import analysis, lfsr
 from z4seq.lfsr import LfsrResult
 from z4seq.cli import SWEEP_R_MAX_DEFAULT, main
 from z4seq.numtheory import R_MAX
@@ -260,13 +260,14 @@ def test_r_max_help_states_the_default(capsys, command, default):
 
 
 def test_register_failing_its_check_disagrees(monkeypatch, capsys):
-    real = analysis.reeds_sloane
+    real = lfsr.reeds_sloane
 
     def reeds_sloane(digits):
         res = real(digits)
         return LfsrResult(res.length, res.connection, annihilates=False)
 
-    monkeypatch.setattr(analysis, "reeds_sloane", reeds_sloane)
+    # analyze imports reeds_sloane from lfsr when it runs
+    monkeypatch.setattr(lfsr, "reeds_sloane", reeds_sloane)
     code, out, _ = run(capsys, "lc", "--p", "5", "--q", "13", "--method", "all")
     assert code == 1 and out == "65 65 65 DISAGREE\n"
     code, out, _ = run(capsys, "sweep", "--p-max", "13", "--q-max", "13",

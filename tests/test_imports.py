@@ -1,9 +1,14 @@
-"""The import graph: numpy loads only for the SNF oracle.
+"""The import graph: each CLI call loads only the modules its command runs.
 
-Each case runs in a fresh interpreter, since this test process has long
-since imported numpy.
+numpy loads only for the SNF oracle.  No call loads `dataclasses` (which
+pulls in `inspect`), `typing` or `random`; `json` loads only where JSON is
+written, `lfsr` only where a register is synthesized and `trace_repr` only
+for `trace`.  Each case runs in a fresh interpreter, since this test process
+has long since imported all of them; the CLI probes run it with `-S`, so
+that no site hook can import a module first and hide the CLI's own import.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -18,7 +23,7 @@ SRC = str(Path(z4seq.__file__).resolve().parents[1])
 STAGES = Path(__file__).resolve().parents[1] / "bench" / "stages.py"
 
 # Runs the CLI's main on argv and reports, as the last stderr line, the exit
-# code and whether numpy was imported.
+# code and every module imported by then.
 PROBE = """
 import sys
 from z4seq.cli import main
@@ -26,8 +31,10 @@ try:
     code = main(sys.argv[1:])
 except SystemExit as exc:
     code = exc.code
-print("PROBE", code, "numpy" in sys.modules, file=sys.stderr)
+print("PROBE", code, *sorted(sys.modules), file=sys.stderr)
 """
+# Loaded by no CLI call: dataclasses brings inspect, ast and dis with it
+NEVER = {"numpy", "dataclasses", "inspect", "typing", "random"}
 
 
 def run_fresh(*args):
@@ -36,6 +43,15 @@ def run_fresh(*args):
         [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, env=env, timeout=120, check=False)
+
+
+def probe(*argv):
+    """(exit code, imported modules, stdout, other stderr lines) of one call."""
+    done = run_fresh("-S", "-c", PROBE, *argv)
+    *errors, last = done.stderr.splitlines()
+    tag, code, *modules = last.split()
+    assert tag == "PROBE", done.stderr
+    return int(code), set(modules), done.stdout, errors
 
 
 def test_package_and_cli_import_without_numpy():
@@ -81,12 +97,36 @@ PAIR = ("--p", "5", "--q", "13")
      "5,13,Case2,1,65,65,65,true,12,\n", False),
 ])
 def test_numpy_loads_only_for_ring_commands(argv, code, stdout, numpy):
-    done = run_fresh("-c", PROBE, *argv)
-    *errors, probe = done.stderr.splitlines()
-    assert probe == f"PROBE {code} {numpy}", done.stderr
-    assert stdout in done.stdout
+    got, modules, out, errors = probe(*argv)
+    assert got == code, errors
+    assert ("numpy" in modules) == numpy
+    assert not modules & NEVER, modules & NEVER
+    assert "json" not in modules  # text and CSV output
+    if argv[0] in ("verify", "trace", "defpoly"):
+        assert "z4seq.lfsr" not in modules
+    if argv[0] == "lc":
+        assert "z4seq.trace_repr" not in modules
+    assert stdout in out
     if code == 2:
         assert errors == ["ERROR NotPrime: 4 is not an odd prime >= 3"]
+
+
+# sha256 of the JSON bytes, as written before json became a lazy import
+@pytest.mark.parametrize("argv, digest", [
+    (("system", *PAIR, "--format", "json"),
+     "b8f8a146546abaf833d595f396766779521acf1e13b91eb8184c664896b485cc"),
+    (("lc", "--method", "all", *PAIR, "--format", "json"),
+     "5ad097ab84ce6632adbefedab8e9f43e725eb6fddf0fccf123e9b568f6fca57e"),
+    (("sweep", "--p-max", "13", "--q-max", "13", "--workers", "1",
+      "--format", "json"),
+     "eb06308608838af3c923f3fcb119e1a71f3d45b6cd219d862e9391ab3cd427b2"),
+])
+def test_json_loads_only_for_json_output(argv, digest):
+    code, modules, out, errors = probe(*argv)
+    assert code == 0 and not errors, errors
+    assert "json" in modules
+    assert not modules & NEVER, modules & NEVER
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_only_the_snf_oracle_loads_numpy():

@@ -1,6 +1,5 @@
 """The packed power table and the vectorised trace form against scalar reference code."""
 
-import dataclasses
 import math
 from functools import lru_cache
 
@@ -131,8 +130,8 @@ def test_trace_form_matches_element_reference(data):
         orbits = list(d_orbits[i])
         del orbits[k % len(orbits)]
         d_orbits[i] = tuple(orbits)
-    broken = dataclasses.replace(params, rho=params.rho + ring.element(coeffs),
-                                 d_orbits=tuple(d_orbits))
+    broken = params._replace(rho=params.rho + ring.element(coeffs),
+                             d_orbits=tuple(d_orbits))
     for u in data.draw(st.lists(st.integers(0, s.pq - 1), min_size=1, max_size=4)):
         assert outcome(eval_trace_repr, s, ring, beta, broken, u) == \
             outcome(reference_digit, s, ring, broken, pows, u)

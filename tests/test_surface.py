@@ -9,6 +9,11 @@ import pytest
 
 import z4seq
 from z4seq.cli import main
+from z4seq.cyclotomy import CyclotomicSystem, build_system
+from z4seq.galois import make_ring, root_of_unity
+from z4seq.lfsr import reeds_sloane
+from z4seq.sequence import QuaternarySequence
+from z4seq.trace_repr import trace_params
 
 STAGES = Path(__file__).resolve().parents[1] / "bench" / "stages.py"
 
@@ -45,6 +50,34 @@ def test_stage_modules_resolve_to_the_imported_modules():
     assert z4seq.lc_by_theorem is z4seq.cyclotomy.lc_by_theorem
     assert z4seq.analysis.lc_by_theorem is z4seq.cyclotomy.lc_by_theorem
     assert z4seq.R_MAX == z4seq.galois.R_MAX == z4seq.numtheory.R_MAX == 64
+
+
+def test_record_contract(monkeypatch):
+    s = build_system(5, 13)
+    ring = make_ring(12)
+    records = [(s, "class_of"), (trace_params(s, ring, root_of_unity(ring, s.pq)), "rho"),
+               (reeds_sloane([1, 0, 0, 0, 0] * 2), "length")]
+    for record, name in records:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+
+    # classes and two_class are computed on first use, once per system
+    calls = []
+    for name in ("classes", "two_class"):
+        prop = getattr(CyclotomicSystem, name)
+        monkeypatch.setattr(prop, "func",
+                            lambda self, f=prop.func, n=name: calls.append(n) or f(self))
+    fresh = build_system(5, 13)
+    assert fresh.classes is fresh.classes and fresh.two_class == fresh.two_class == 1
+    assert calls == ["classes", "two_class"]
+    swapped = tuple({"D1": "D3", "D3": "D1"}.get(lab, lab) for lab in fresh.class_of)
+    assert fresh._replace(class_of=swapped).two_class == 3
+
+    assert QuaternarySequence(2, (0, 3)) == QuaternarySequence(period=2, digits=(0, 3))
+    with pytest.raises(ValueError, match="1 digits for period 2"):
+        QuaternarySequence(2, (1,))
+    with pytest.raises(ValueError, match="Z4"):
+        QuaternarySequence(period=1, digits=(4,))
 
 
 @pytest.fixture(scope="module")

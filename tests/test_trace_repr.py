@@ -103,14 +103,12 @@ def test_trace_reproduces_all_digits(pair):
 
 
 def test_non_constant_result_guard():
-    import dataclasses
-
     from z4seq.errors import NonConstantResult
 
     s = build_system(5, 13)
     ring, beta = ring_beta(s)
     params = trace_params(s, ring, beta)
-    broken = dataclasses.replace(params, rho=ring.x)
+    broken = params._replace(rho=ring.x)
     with pytest.raises(NonConstantResult):
         for u in range(s.pq):
             eval_trace_repr(s, ring, beta, broken, u)
