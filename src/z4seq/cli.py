@@ -7,8 +7,9 @@ machine-parseable line `ERROR <Code>: <message>` on stderr.
 Every command runs on the standard library and imports only what it runs:
 the class data and the sequence are integer arithmetic, the ring modules
 (`galois`, `analysis`, `trace_repr`), whose arithmetic is on packed ints,
-and `lfsr` are imported by the commands that use them, and `json` only on
-the branches that write JSON.
+and `lfsr` are imported by the commands that use them, the forked worker
+pool `_pool` only by a pooled sweep, and `json` only on the branches that
+write JSON.
 """
 
 import argparse
@@ -242,6 +243,18 @@ def _sweep_worker(pair, r_max):
     return row
 
 
+def _lost_row(pair, reason):
+    p, q = pair
+    return {"p": p, "q": q, "error": f"WorkerLost: {reason}"}
+
+
+def _usable_cpus():
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 _SWEEP_COLUMNS = ("p", "q", "case", "two_class", "lc_formula", "lc_dft",
                   "lc_reeds_sloane", "agree", "ring_degree")
 
@@ -269,7 +282,9 @@ def cmd_sweep(args) -> int:
 
     pairs = analysis.admissible_pairs(p_max, q_max, r_max)
     if workers <= 0:
-        workers = min(8, os.cpu_count() or 1)
+        workers = min(8, _usable_cpus())
+    if not hasattr(os, "fork"):
+        workers = 1  # the pool forks; without fork the sweep runs serially
     workers = min(workers, max(1, len(pairs)))
     work = functools.partial(_sweep_worker, r_max=r_max)
 
@@ -288,10 +303,11 @@ def cmd_sweep(args) -> int:
         if workers == 1:
             results = map(work, pairs)
         else:
-            import concurrent.futures  # only a pooled sweep pays for the import
+            # lfsr loads here once, not in every child
+            from . import _pool, lfsr  # noqa: F401
 
-            pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
-            results = stack.enter_context(pool).map(work, pairs)
+            results = stack.enter_context(contextlib.closing(
+                _pool.imap(work, pairs, workers, _lost_row)))
         # rows come in submission order: deterministic output, progressive flush
         for row in results:
             rows.append(row)

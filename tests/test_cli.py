@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from z4seq import analysis, lfsr
+import z4seq
+from z4seq import _pool, analysis, lfsr
 from z4seq.lfsr import LfsrResult
 from z4seq.cli import SWEEP_R_MAX_DEFAULT, main
 from z4seq.numtheory import R_MAX
@@ -141,7 +146,161 @@ def test_pooled_sweep_matches_serial(tmp_path, capsys):
     _, serial, _ = run(capsys, *argv, "--workers", "1")
     target = tmp_path / "sweep.csv"
     code, out, _ = run(capsys, *argv, "--workers", "2", "--out", str(target))
+    assert_no_child_left()
     assert code == 0 and not out and target.read_text() == serial
+
+
+SRC = str(Path(z4seq.__file__).resolve().parents[1])
+# A fresh interpreter writing to a pipe buffers its stdout (PYTHONUNBUFFERED
+# is cleared), so the first line is still in the buffer when a pooled sweep
+# forks.
+SCRIPT = """
+import sys
+from z4seq.cli import main
+sys.stdout.write("# before the sweep\\n")
+sys.exit(main(sys.argv[1:]))
+"""
+SMALL_SWEEP = ("sweep", "--p-max", "17", "--q-max", "17", "--r-max", "24")
+
+
+def run_process(*argv):
+    """(exit code, stdout, stderr) of main in a fresh interpreter."""
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-c", SCRIPT, *argv], env=env,
+                          capture_output=True, text=True, timeout=120, check=False)
+    return done.returncode, done.stdout, done.stderr
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+def test_pooled_sweep_to_stdout_matches_serial(fmt):
+    serial = run_process(*SMALL_SWEEP, "--format", fmt, "--workers", "1")
+    code, out, err = serial
+    assert code == 0 and not err and out.startswith("# before the sweep\n")
+    assert run_process(*SMALL_SWEEP, "--format", fmt, "--workers", "2") == serial
+
+
+def untimed(fmt, out):
+    """The output without its seconds values, and each line's column count."""
+    body = out.split("\n", 1)[1]
+    if fmt == "json":
+        doc = json.loads(body)
+        assert all(isinstance(row.pop("seconds"), float) for row in doc["rows"])
+        return doc
+    sep = "," if fmt == "csv" else "\t"
+    lines = [line.split(sep) for line in body.splitlines()]
+    seconds = 9  # after the nine data columns
+    return [(len(cols), cols[:seconds] + cols[seconds + 1:])
+            if len(cols) > seconds else cols for cols in lines]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+def test_pooled_sweep_timings_match_serial(fmt):
+    argv = (*SMALL_SWEEP, "--format", fmt, "--timings")
+    code, serial, err = run_process(*argv, "--workers", "1")
+    assert code == 0 and not err
+    code, pooled, err = run_process(*argv, "--workers", "2")
+    assert code == 0 and not err
+    assert untimed(fmt, pooled) == untimed(fmt, serial)
+
+
+def test_pooled_sweep_error_is_a_row(monkeypatch, capsys):
+    argv = ("sweep", "--p-max", "13", "--q-max", "13", "--workers", "2")
+    real = analysis.analyze
+
+    def analyze(system, r_max):
+        if (system.p, system.q) == (13, 5):
+            raise RuntimeError("injected failure")
+        return real(system, r_max)
+
+    monkeypatch.setattr(analysis, "analyze", analyze)
+    code, out, err = run(capsys, *argv)
+    assert_no_child_left()
+    assert code == 1 and not err
+    lines = out.strip().splitlines()
+    assert lines[1].startswith("5,13,Case2,")
+    assert lines[2] == "13,5,,,,,,,,RuntimeError: injected failure"
+    assert lines[-1] == "# pairs=2 agree=1 disagree=0 errors=1"
+
+
+def test_worker_death_is_a_row(monkeypatch, capsys):
+    argv = (*SMALL_SWEEP, "--workers", "2")
+    _, clean, _ = run(capsys, *argv)
+    real = analysis.analyze
+
+    def analyze(system, r_max):
+        if (system.p, system.q) == (13, 5):
+            os._exit(3)
+        return real(system, r_max)
+
+    monkeypatch.setattr(analysis, "analyze", analyze)
+    code, out, err = run(capsys, *argv)
+    assert_no_child_left()
+    assert code == 1 and not err
+    lost = "13,5,,,,,,,,WorkerLost: worker exited with status 3"
+    want = [lost if line.startswith("13,5,") else line
+            for line in clean.splitlines()[:-1]]
+    assert out.splitlines() == want + ["# pairs=6 agree=5 disagree=0 errors=1"]
+
+
+def test_no_worker_left(monkeypatch, capsys):
+    monkeypatch.setattr(analysis, "analyze", lambda system, r_max: os._exit(4))
+    code, out, err = run(capsys, *SMALL_SWEEP, "--workers", "2")
+    assert_no_child_left()
+    assert code == 1 and not err
+    errors = [line.split(",")[-1] for line in out.splitlines()[1:-1]]
+    assert errors.count("WorkerLost: worker exited with status 4") == 2
+    assert errors.count("WorkerLost: no worker left") == 4
+    assert out.splitlines()[-1] == "# pairs=6 agree=0 disagree=0 errors=6"
+
+
+def test_worker_print_reaches_stdout(monkeypatch, tmp_path):
+    real = analysis.analyze
+
+    def analyze(system, r_max):
+        print(f"note {system.p},{system.q}")
+        return real(system, r_max)
+
+    monkeypatch.setattr(analysis, "analyze", analyze)
+    argv = [*SMALL_SWEEP, "--workers", "2", "--out", str(tmp_path / "sweep.csv")]
+    stdout = tmp_path / "stdout"
+    # a block-buffered stdout, which pytest's capture is not
+    with open(stdout, "w", encoding="utf-8") as fh, monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", fh)
+        assert main(argv) == 0
+    notes = stdout.read_text().splitlines()
+    assert sorted(notes) == ["note 13,17", "note 13,5", "note 17,13", "note 17,5",
+                             "note 5,13", "note 5,17"]
+
+
+@pytest.mark.parametrize("cpus, pooled", [({0}, []), ({0, 1, 2}, [3])])
+def test_default_workers_follow_affinity(monkeypatch, capsys, cpus, pooled):
+    seen = []
+    real = _pool.imap
+
+    def imap(func, items, workers, lost):
+        seen.append(workers)
+        return real(func, items, workers, lost)
+
+    monkeypatch.setattr(_pool, "imap", imap)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    code, _, _ = run(capsys, *SMALL_SWEEP)
+    assert code == 0 and seen == pooled
+
+
+def test_sweep_without_fork_runs_serially(monkeypatch, capsys):
+    _, serial, _ = run(capsys, *SMALL_SWEEP, "--workers", "1")
+    monkeypatch.delattr(os, "fork")
+    code, out, _ = run(capsys, *SMALL_SWEEP, "--workers", "2")
+    assert code == 0 and out == serial
 
 
 def test_sweep_empty(capsys):

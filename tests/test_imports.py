@@ -2,10 +2,12 @@
 
 numpy loads only for the SNF oracle.  No call loads `dataclasses` (which
 pulls in `inspect`), `typing` or `random`; `json` loads only where JSON is
-written, `lfsr` only where a register is synthesized and `trace_repr` only
-for `trace`.  Each case runs in a fresh interpreter, since this test process
-has long since imported all of them; the CLI probes run it with `-S`, so
-that no site hook can import a module first and hide the CLI's own import.
+written, `lfsr` only where a register is synthesized, `trace_repr` only
+for `trace` and the worker pool `_pool` only for a pooled sweep, which
+loads no thread, queue or process-pool machinery.  Each case runs in a
+fresh interpreter, since this test process has long since imported all of
+them; the CLI probes run it with `-S`, so that no site hook can import a
+module first and hide the CLI's own import.
 """
 
 import hashlib
@@ -106,9 +108,23 @@ def test_numpy_loads_only_for_ring_commands(argv, code, stdout, numpy):
         assert "z4seq.lfsr" not in modules
     if argv[0] == "lc":
         assert "z4seq.trace_repr" not in modules
+    if argv[0] in ("lc", "verify", "trace"):
+        assert "z4seq._pool" not in modules
     assert stdout in out
     if code == 2:
         assert errors == ["ERROR NotPrime: 4 is not an odd prime >= 3"]
+
+
+def test_pooled_sweep_loads_no_thread_or_queue():
+    code, modules, out, errors = probe("sweep", "--p-max", "13", "--q-max", "13",
+                                       "--workers", "2")
+    assert code == 0 and not errors, errors
+    assert "z4seq._pool" in modules
+    assert not modules & {"concurrent.futures", "multiprocessing", "threading",
+                          "queue"}
+    assert out.endswith("5,13,Case2,1,65,65,65,true,12,\n"
+                        "13,5,Case2,1,65,65,65,true,12,\n"
+                        "# pairs=2 agree=2 disagree=0 errors=0\n")
 
 
 # sha256 of the JSON bytes, as written before json became a lazy import
