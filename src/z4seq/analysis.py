@@ -47,17 +47,23 @@ def power_sums(ring: GaloisRing, pows: list, mults, members) -> list:
     return [ring.sum([pows[m * w % n] for w in members]) for m in mults]
 
 
-def _coset_reps(n: int, us) -> list:
-    """One index per 2-cyclotomic coset mod n met by us: the first one met."""
+def orbits(n: int, us, step: int = 2) -> list:
+    """The orbits of u -> step*u mod n through us, in the order first met.
+
+    Each orbit is a tuple starting at the first of its indices met in us.
+    step must be prime to n, so that the map permutes the residues mod n.
+    """
     seen = bytearray(n)
-    reps = []
+    out = []
     for u in us:
-        if not seen[u]:
-            reps.append(u)
-            while not seen[u]:
-                seen[u] = 1
-                u = 2 * u % n
-    return reps
+        orbit = []
+        while not seen[u]:
+            seen[u] = 1
+            orbit.append(u)
+            u = step * u % n
+        if orbit:
+            out.append(tuple(orbit))
+    return out
 
 
 def frobenius_fill(ring: GaloisRing, n: int, us, values_at) -> list:
@@ -65,19 +71,16 @@ def frobenius_fill(ring: GaloisRing, n: int, us, values_at) -> list:
 
     values_at maps a list of indices to one tuple of packed ring values per
     index, and must satisfy value(2u) = sigma(value(u)); each coset is
-    filled from its representative by stepping u -> 2u, applying sigma.
+    filled from its first index by stepping u -> 2u, applying sigma.
     """
     us = [u % n for u in us]
-    reps = _coset_reps(n, us)
+    cosets = orbits(n, us)
     out = {}
-    for rep, vals in zip(reps, values_at(reps)):
-        u = rep
-        while True:
-            out[u] = vals
-            u = 2 * u % n
-            if u == rep:
-                break
+    for coset, vals in zip(cosets, values_at([c[0] for c in cosets])):
+        out[coset[0]] = vals
+        for u in coset[1:]:
             vals = tuple(ring.sigma(v) for v in vals)
+            out[u] = vals
     return [out[u] for u in us]
 
 

@@ -120,7 +120,7 @@ def _graeffe_lift(f_mask: int, r: int) -> tuple:
 
 
 class GrElement:
-    """An element of GR(4, 4^r) in canonical coefficient form; products are on rows."""
+    """An element of GR(4, 4^r) in canonical coefficient form; products are on packed ints."""
 
     __slots__ = ("ring", "coeffs")
 

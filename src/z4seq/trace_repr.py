@@ -3,9 +3,10 @@
 With ell the order of 2 modulo pq and beta the canonical primitive pq-th
 root of unity, each digit is a Z4 combination of trace values of beta
 powers.  The conjugate orbits are pure beta powers (exponents multiplied by
-powers of 2), so every trace term reduces to table lookups.  The index
-ranges must tile the classes exactly once; that and all divisibility
-requirements are verified up front and reported on failure.
+powers of 2), so every trace term reduces to table lookups.  The orbits are
+found by walking each class under its Frobenius step (`analysis.orbits`),
+and must tile it exactly once; that, the ring degree and the degree the
+inner trace needs are verified up front and reported on failure.
 
 The form is evaluated on a whole vector of indices u at once from the one
 checked power table that `trace_params` builds (packed ints, see
@@ -19,7 +20,7 @@ multiplies A afterwards, one packed product per u.
 
 from collections import namedtuple
 
-from .analysis import frobenius_fill, power_sums, power_table, rho_value
+from .analysis import frobenius_fill, orbits, power_sums, power_table, rho_value
 from .cyclotomy import CASE1, CyclotomicSystem
 from .errors import (
     InternalCaseError,
@@ -36,10 +37,10 @@ class TraceParams(namedtuple("TraceParams", (
     """Trace-form parameters plus the precomputed conjugate-orbit exponents.
 
     epsilon is 1 or 2 in Case1 and None in Case2 (the inner trace descends
-    to degree 4).  q_orbits are the exponent orbits through the multiples of
-    p, p_orbits (Case2 only) those through the multiples of q, d_orbits per
-    class i and per (t, j) the conjugate exponents, and powers the checked
-    packed table of beta.
+    to degree 4).  q_orbits are the exponent orbits under u -> 2u through
+    the multiples of p, p_orbits (Case2 only) those through the multiples
+    of q, d_orbits per class i the orbits under u -> 2^epsilon u (2^4 in
+    Case2), and powers the checked packed table of beta.
     """
 
     __slots__ = ()
@@ -49,10 +50,23 @@ def _fail(reason: str):
     raise TraceFormulaPreconditionFailed(reason)
 
 
+def _flat(orbs) -> list:
+    return [w for orbit in orbs for w in orbit]
+
+
+def _tiling_orbits(system: CyclotomicSystem, label: str, step: int) -> tuple:
+    """The orbits of u -> step*u through class `label`, which they must tile."""
+    members = system.members(label)
+    found = orbits(system.pq, members, step)
+    if sorted(_flat(found)) != sorted(members):
+        _fail(f"conjugate orbits do not tile {label} exactly once")
+    return tuple(found)
+
+
 def trace_params(system: CyclotomicSystem, ring: GaloisRing,
                  beta: GrElement) -> TraceParams:
-    """Compute orders, epsilon and orbit tables; verify every divisibility."""
-    p, q, n, e = system.p, system.q, system.pq, system.e
+    """Compute orders, epsilon and orbit tables; verify each precondition."""
+    p, q, n = system.p, system.q, system.pq
     ell = mult_order(2, n)
     ell_p = mult_order(2, p)
     ell_q = mult_order(2, q)
@@ -73,65 +87,23 @@ def trace_params(system: CyclotomicSystem, ring: GaloisRing,
         eps_eff = 4
     if ell % eps_eff != 0:
         _fail(f"inner trace needs {eps_eff} | ell, but ell = {ell}")
-    if (e * eps_eff) % (4 * ell) != 0:
-        _fail(f"class splitting bound (e*eps)/(4*ell) = {e}*{eps_eff}/{4 * ell} "
-              f"is not an integer")
-    t_count = e * eps_eff // (4 * ell)
-    orbit_len = ell // eps_eff
     step = pow(2, eps_eff, n)
-
-    d_orbits = []
-    for i in range(4):
-        pairs = []
-        atoms = []
-        for t in range(t_count):
-            for j in range(4):
-                w = pow(system.g, 4 * t + i, n) * pow(system.h, j, n) % n
-                orbit = []
-                for _ in range(orbit_len):
-                    orbit.append(w)
-                    w = w * step % n
-                pairs.append(tuple(orbit))
-                atoms.extend(orbit)
-        if sorted(atoms) != sorted(system.members(f"D{i}")):
-            _fail(f"conjugate orbits do not tile D{i} exactly once")
-        d_orbits.append(tuple(pairs))
-
-    def unit_orbits(prime, other, order):
-        reps = []
-        atoms = []
-        for i in range((prime - 1) // order):
-            w = pow(system.g, i, n) * other % n
-            orbit = []
-            for _ in range(order):
-                orbit.append(w)
-                w = w * 2 % n
-            reps.append(tuple(orbit))
-            atoms.extend(orbit)
-        expected = sorted(k * other % n for k in range(1, prime))
-        if sorted(atoms) != expected:
-            _fail(f"orbits do not tile the nonzero multiples of {other}")
-        return tuple(reps)
-
-    q_orbits = unit_orbits(q, p, ell_q)
-    p_orbits = unit_orbits(p, q, ell_p) if system.case != CASE1 else ()
+    d_orbits = tuple(_tiling_orbits(system, f"D{i}", step) for i in range(4))
+    q_orbits = _tiling_orbits(system, "P", 2)
+    p_orbits = _tiling_orbits(system, "Q", 2) if system.case != CASE1 else ()
 
     pows = power_table(beta, n)
     return TraceParams(ell=ell, ell_p=ell_p, ell_q=ell_q, epsilon=epsilon,
                        rho=rho_value(system, beta, pows), q_orbits=q_orbits,
-                       p_orbits=p_orbits, d_orbits=tuple(d_orbits), powers=pows)
-
-
-def _flat(orbits) -> list:
-    return [w for orbit in orbits for w in orbit]
+                       p_orbits=p_orbits, d_orbits=d_orbits, powers=pows)
 
 
 def _trace_values(system: CyclotomicSystem, ring: GaloisRing, params: TraceParams,
-                  pows: list, us) -> list:
+                  us) -> list:
     """The trace form at each index u, packed and reduced."""
-    units = params.q_orbits + (params.p_orbits if system.case != CASE1 else ())
-    unit_set = _flat(units)
-    class_sets = [_flat(orbits) for orbits in params.d_orbits]
+    pows = params.powers
+    unit_set = _flat(params.q_orbits + params.p_orbits)
+    class_sets = [_flat(orbs) for orbs in params.d_orbits]
     # class i carries the coefficient rho + shift_i, shift_i a Z4 scalar
     shifts = [-i % 4 if system.case == CASE1 else (2 - i) % 4 for i in range(4)]
 
@@ -157,7 +129,7 @@ def eval_trace_repr(system: CyclotomicSystem, ring: GaloisRing, beta: GrElement,
 
     Raises NonConstantResult if the evaluated expression leaves Z4.
     """
-    value = _trace_values(system, ring, params, params.powers, [u])[0]
+    value = _trace_values(system, ring, params, [u])[0]
     if value > 3:  # a coefficient above the constant one is nonzero
         raise _non_constant(ring, u, value)
     return value
@@ -172,7 +144,7 @@ def check_trace_repr(system: CyclotomicSystem, ring: GaloisRing, beta: GrElement
     """
     if params is None:
         params = trace_params(system, ring, beta)
-    values = _trace_values(system, ring, params, params.powers, range(system.pq))
+    values = _trace_values(system, ring, params, range(system.pq))
     for u, (value, digit) in enumerate(zip(values, generate(system).digits)):
         if value != digit:
             if value > 3:

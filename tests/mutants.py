@@ -1,0 +1,93 @@
+"""Mutant catalogue: deliberate breaks of the library that named tests must catch.
+
+    python3 tests/mutants.py           # every mutant
+    python3 tests/mutants.py NAME ...  # the named ones
+
+The runner copies src/, tests/ and pyproject.toml to a temporary directory
+and first runs the union of the entries' test files there unmutated.  Then,
+one entry at a time, it replaces the entry's old string, which must occur
+exactly once in its file, with the new one and runs pytest on the entry's
+test files.  A mutant is killed when pytest reports failing tests (exit
+status 1); any other status, a syntax error for one, counts as a broken
+entry.  The exit status is 0 only if the unmutated run passes, every old
+string matches exactly once and every mutant is killed.  Stdlib only; pytest
+does not collect this file.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from collections import namedtuple
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+Mutant = namedtuple("Mutant", "name path old new tests")
+
+MUTANTS = [
+    Mutant("orbit-walk-step-2", "src/z4seq/trace_repr.py",
+           'tuple(_tiling_orbits(system, f"D{i}", step)',
+           'tuple(_tiling_orbits(system, f"D{i}", 2)',
+           ["tests/test_trace_repr.py"]),
+    Mutant("tiling-check-dropped", "src/z4seq/trace_repr.py",
+           "    if sorted(_flat(found)) != sorted(members):\n"
+           '        _fail(f"conjugate orbits do not tile {label} exactly once")\n',
+           "",
+           ["tests/test_trace_repr.py"]),
+    Mutant("fill-sigma-before-first", "src/z4seq/analysis.py",
+           "        out[coset[0]] = vals\n",
+           "        out[coset[0]] = tuple(ring.sigma(v) for v in vals)\n",
+           ["tests/test_analysis.py", "tests/test_cli.py"]),
+]
+
+
+def run_pytest(root: Path, tests) -> int:
+    # no bytecode: a mutant and its original can share size and mtime second
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=root, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def main(names) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    bad = 0
+    with tempfile.TemporaryDirectory(prefix="z4seq-mutants-") as tmp:
+        root = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, root / part,
+                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        shutil.copy(ROOT / "pyproject.toml", root)
+        union = sorted({t for m in chosen for t in m.tests})
+        if run_pytest(root, union) != 0:
+            print(f"unmutated copy fails {' '.join(union)}", file=sys.stderr)
+            return 1
+        for m in chosen:
+            path = root / m.path
+            original = path.read_text()
+            count = original.count(m.old)
+            if count != 1:
+                print(f"{m.name}: old string occurs {count} times in {m.path}")
+                bad += 1
+                continue
+            path.write_text(original.replace(m.old, m.new))
+            started = time.perf_counter()
+            code = run_pytest(root, m.tests)
+            path.write_text(original)
+            verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"BROKEN (pytest exit {code})")
+            print(f"{m.name}: {verdict} by {' '.join(m.tests)} "
+                  f"({time.perf_counter() - started:.1f} s)")
+            bad += code != 1
+    print(f"{len(chosen) - bad}/{len(chosen)} mutants killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -96,7 +96,7 @@ def test_criterion_4_identity_suite():
 
 def test_criterion_5_trace_form():
     pairs = [(5, 13), (13, 5), (5, 17), (17, 5), (13, 17), (5, 29), (29, 5),
-             (5, 113)]
+             (5, 113), (5, 73), (5, 89)]
     ok = True
     failed_preconditions = []
     for pair in pairs:

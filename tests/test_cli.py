@@ -95,8 +95,10 @@ def test_defpoly(capsys):
 
 
 def test_trace_check(capsys):
-    code, out, _ = run(capsys, "trace", "--p", "5", "--q", "13")
-    assert code == 0 and out.strip() == "PASS"
+    # at (5, 73) and (5, 89) e*eps/(4*ell) is not an integer
+    for q in ("13", "73", "89"):
+        code, out, _ = run(capsys, "trace", "--p", "5", "--q", q)
+        assert code == 0 and out.strip() == "PASS", q
 
 
 def test_trace_check_flag_is_usage_error(capsys):
@@ -114,9 +116,10 @@ def test_lc_above_default_cap(capsys):
 
 
 def test_trace_above_default_cap(capsys):
-    # ord_2(5 * 101) = 100
-    code, out, _ = run(capsys, "trace", "--p", "5", "--q", "101", "--r-max", "100")
-    assert code == 0 and out == "PASS\n"
+    # ord_2(5 * 101) = 100 and ord_2(5 * 337) = 84
+    for q in ("101", "337"):
+        code, out, _ = run(capsys, "trace", "--p", "5", "--q", q, "--r-max", "100")
+        assert code == 0 and out == "PASS\n", q
 
 
 def test_verify(capsys):

@@ -1,7 +1,7 @@
 import pytest
 
 from gr_reference import frobenius, trace
-from z4seq.analysis import power_table
+from z4seq.analysis import admissible_pairs, power_table
 from z4seq.cyclotomy import build_system
 from z4seq.errors import TraceFormulaPreconditionFailed
 from z4seq.galois import make_ring, root_of_unity
@@ -122,3 +122,48 @@ def test_trace_epsilon_one_branch():
     seq = generate(s)
     for u in list(range(24)) + [113, 226, 5, 10]:
         assert eval_trace_repr(s, ring, beta, params, u) == seq.digits[u]
+
+
+def test_trace_form_on_every_capped_pair():
+    # every admissible pair with pq <= 2*10^4 and ring degree <= 64, (5, 73)
+    # and (5, 89) among them, where e*eps/(4*ell) is not an integer
+    pairs = admissible_pairs(4000, 4000, 64, pq_max=20_000)
+    assert len(pairs) == 50
+    for pair in pairs:
+        s = build_system(*pair)
+        ring, beta = ring_beta(s)
+        params = trace_params(s, ring, beta)
+        assert check_trace_repr(s, ring, beta, params) == (True, None), pair
+
+
+@pytest.mark.parametrize("pair", [(5, 13), (5, 17), (5, 113), (5, 73)])
+def test_orbits_must_tile_their_class(pair):
+    # swap one residue of D0 with one of D1: the orbit walk from the moved
+    # D1 residue leaves the tampered D0
+    s = build_system(*pair)
+    class_of = list(s.class_of)
+    u0, u1 = s.members("D0")[0], s.members("D1")[0]
+    class_of[u0], class_of[u1] = "D1", "D0"
+    tampered = s._replace(class_of=tuple(class_of))
+    ring, beta = ring_beta(s)
+    with pytest.raises(TraceFormulaPreconditionFailed, match="D0"):
+        trace_params(tampered, ring, beta)
+
+
+@pytest.mark.parametrize("pair", [(5, 13), (5, 17), (13, 17), (5, 113)])
+def test_orbits_match_the_paper_parametrization(pair):
+    # where e*eps/(4*ell) is an integer the orbits of D_i under u -> 2^eps u
+    # are {g^(4t+i) h^j 2^(eps k) : k}, one per t < e*eps/(4*ell) and j < 4
+    s = build_system(*pair)
+    ring, beta = ring_beta(s)
+    params = trace_params(s, ring, beta)
+    n = s.pq
+    eps = params.epsilon or 4  # Case2 descends through degree 4
+    t_count, rem = divmod(s.e * eps, 4 * params.ell)
+    assert rem == 0
+    for i in range(4):
+        paper = [frozenset(pow(s.g, 4 * t + i, n) * pow(s.h, j, n) * pow(2, eps * k, n) % n
+                           for k in range(params.ell // eps))
+                 for t in range(t_count) for j in range(4)]
+        walked = [frozenset(orbit) for orbit in params.d_orbits[i]]
+        assert len(walked) == len(paper) and set(walked) == set(paper)
