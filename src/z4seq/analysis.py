@@ -14,6 +14,10 @@ multiply.  Values indexed by u whose entry at 2u is the Frobenius image of
 the entry at u (the DFT coefficients, set sums of beta^(uw)) are computed
 once per 2-cyclotomic coset and carried round the coset by the Frobenius
 map (`frobenius_fill`).  Single values come back as `GrElement`.
+
+`analyze` never fills the DFT: since sigma is an automorphism, a coset's
+coefficients are all zero or all nonzero, so it counts the nonzero ones from
+one coefficient per coset, weighted by the coset's size (`dft_nonzero_count`).
 """
 
 import math
@@ -89,6 +93,14 @@ def _class_rows(system: CyclotomicSystem, ring: GaloisRing, pows: list) -> list:
     return [ring.sum([pows[u] for u in system.members(f"D{i}")]) for i in range(4)]
 
 
+def _dft_at(seq: QuaternarySequence, ring: GaloisRing, pows: list, reps) -> list:
+    """Packed rho_i = sum_u s_u beta^(-iu) for each i in reps; pows is the power table."""
+    groups = [[u for u, s in enumerate(seq.digits) if s == d] for d in (1, 2, 3)]
+    neg = [-i for i in reps]
+    s1, s2, s3 = (power_sums(ring, pows, neg, group) for group in groups)
+    return [(a + 2 * b + 3 * c) & ring.mask for a, b, c in zip(s1, s2, s3)]
+
+
 class DefiningPolynomial(namedtuple("DefiningPolynomial", "ring beta coeffs")):
     """DFT coefficient vector rho_0..rho_{T-1} with its root of unity."""
 
@@ -112,16 +124,28 @@ def dft(seq: QuaternarySequence, ring: GaloisRing, beta: GrElement,
     if T % 4 != 1:
         raise PeriodNotCongruent1Mod4(f"period {T} = {T % 4} (mod 4)")
     pows = powers if powers is not None else power_table(beta, T)
-    groups = [[u for u, s in enumerate(seq.digits) if s == d] for d in (1, 2, 3)]
 
     def coefficients(reps):
-        neg = [-i for i in reps]
-        s1, s2, s3 = (power_sums(ring, pows, neg, group) for group in groups)
-        return [((a + 2 * b + 3 * c) & ring.mask,) for a, b, c in zip(s1, s2, s3)]
+        return [(v,) for v in _dft_at(seq, ring, pows, reps)]
 
     # rho_2i = sigma(rho_i): sigma fixes the digits and sends beta to beta^2
     coeffs = [ring.unpack(v) for (v,) in frobenius_fill(ring, T, range(T), coefficients)]
     return DefiningPolynomial(ring=ring, beta=beta, coeffs=tuple(coeffs))
+
+
+def dft_nonzero_count(seq: QuaternarySequence, ring: GaloisRing, powers: list) -> int:
+    """lc_by_count(dft(seq, ...)), from one coefficient per 2-cyclotomic coset.
+
+    rho_2i = sigma(rho_i) and sigma is a ring automorphism, so the
+    coefficients of a coset are all zero or all nonzero; each nonzero one
+    found counts for its whole coset.  `powers` is `power_table(beta, T)`.
+    """
+    T = seq.period
+    if T % 4 != 1:
+        raise PeriodNotCongruent1Mod4(f"period {T} = {T % 4} (mod 4)")
+    cosets = orbits(T, range(T))
+    values = _dft_at(seq, ring, powers, [c[0] for c in cosets])
+    return sum(len(c) for c, v in zip(cosets, values) if v)
 
 
 def rho_value(system: CyclotomicSystem, beta: GrElement, powers: list) -> GrElement:
@@ -223,10 +247,9 @@ def analyze(system: CyclotomicSystem, r_max: int = R_MAX) -> AnalysisReport:
     beta = root_of_unity(ring, system.pq)
     seq = generate(system)
     pows = power_table(beta, system.pq)
-    defpoly = dft(seq, ring, beta, pows)
     rho = rho_value(system, beta, pows)
     lc_formula = lc_by_theorem(system)
-    lc_dft = lc_by_count(defpoly)
+    lc_dft = dft_nonzero_count(seq, ring, pows)
     synth = reeds_sloane(seq.digits * 2)
     agree = lc_formula == lc_dft == synth.length and synth.annihilates
     return AnalysisReport(

@@ -152,7 +152,8 @@ def cmd_lc(args) -> int:
         from . import analysis
 
         ring, beta = _ring_and_beta(system, r_max)
-        value = analysis.lc_by_count(analysis.dft(sequence.generate(system), ring, beta))
+        pows = analysis.power_table(beta, system.pq)
+        value = analysis.dft_nonzero_count(sequence.generate(system), ring, pows)
     elif method == "reeds-sloane":
         from .lfsr import reeds_sloane
         value = reeds_sloane(sequence.generate(system).digits * 2).length

@@ -7,7 +7,8 @@ primitive binary polynomial f of degree r, so the residue class of x
 generates the Teichmuller group G1 of order 2^r - 1.
 
 The search for f runs on int bitmasks: odd-weight candidates only, squaring
-by spreading bits, one chain of squarings of x for Rabin's test (with a gcd
+by spreading bits and folding back by f's tap list (built once per
+candidate), one chain of squarings of x for Rabin's test (with a gcd
 sieve at its first steps), and the order test x^((2^r - 1)/d) != 1 by
 squaring and shifting.  Ring arithmetic is on packed Python ints, one 16-bit
 slot per Z4 coefficient (`GaloisRing.pack`/`unpack`): a product is one int
@@ -32,16 +33,20 @@ from .numtheory import R_MAX, factorize
 
 def _bin_gcd(a: int, b: int) -> int:
     while b:
-        while a.bit_length() >= b.bit_length() and a:
-            a ^= b << (a.bit_length() - b.bit_length())
+        nb = b.bit_length()
+        while (na := a.bit_length()) >= nb:
+            a ^= b << (na - nb)
         a, b = b, a
     return a
 
 
-def _bin_reduce(a: int, f: int, r: int) -> int:
-    """a mod f, f of degree r: the part above x^r is folded back times f - x^r."""
-    low = f ^ (1 << r)
-    taps = [j for j in range(r) if low >> j & 1]
+def _bin_taps(f: int, r: int) -> list:
+    """The exponents j < r of the terms of f, f of degree r: x^r = sum x^j mod f."""
+    return [j for j in range(r) if f >> j & 1]
+
+
+def _bin_reduce(a: int, taps: list, r: int) -> int:
+    """a mod f, f of degree r with `_bin_taps(f, r)`: the part above x^r is folded back."""
     mask = (1 << r) - 1
     while a >> r:
         high = a >> r
@@ -51,16 +56,17 @@ def _bin_reduce(a: int, f: int, r: int) -> int:
     return a
 
 
-def _bin_square(a: int, f: int, r: int) -> int:
+def _bin_square(a: int, taps: list, r: int) -> int:
     """a^2 mod f: squaring over GF(2) spreads bit i to bit 2i."""
-    return _bin_reduce(int(bin(a)[2:], 4), f, r)
+    return _bin_reduce(int(bin(a)[2:], 4), taps, r)
 
 
 def _bin_xpow(e: int, f: int, r: int) -> int:
     """x^e mod f, left to right: square per bit, shift (times x) per set bit."""
+    taps = _bin_taps(f, r)
     a = 1
     for bit in bin(e)[2:]:
-        a = _bin_square(a, f, r)
+        a = _bin_square(a, taps, r)
         if bit == "1":
             a <<= 1
             if a >> r:
@@ -81,9 +87,10 @@ def _bin_is_irreducible(f: int, r: int) -> bool:
     early and never an irreducible one.
     """
     stops = {r // d for d in factorize(r)}
+    taps = _bin_taps(f, r)
     a = 2  # x
     for k in range(1, r + 1):
-        a = _bin_square(a, f, r)
+        a = _bin_square(a, taps, r)
         if k < r and (k in stops or k <= _SIEVE_DEPTH) and _bin_gcd(f, a ^ 2) != 1:
             return False
     return a == 2

@@ -41,6 +41,17 @@ MUTANTS = [
            "        out[coset[0]] = vals\n",
            "        out[coset[0]] = tuple(ring.sigma(v) for v in vals)\n",
            ["tests/test_analysis.py", "tests/test_cli.py"]),
+    Mutant("coset-count-without-sizes", "src/z4seq/analysis.py",
+           "return sum(len(c) for c, v in zip(cosets, values) if v)",
+           "return sum(1 for c, v in zip(cosets, values) if v)",
+           ["tests/test_analysis.py"]),
+    Mutant("taps-without-constant-term", "src/z4seq/galois.py",
+           "[j for j in range(r) if f >> j & 1]",
+           "[j for j in range(1, r) if f >> j & 1]",
+           ["tests/test_ring_setup.py"]),
+    Mutant("reeds-sloane-tie-takes-later", "src/z4seq/lfsr.py",
+           "cand < bestL", "cand <= bestL",
+           ["tests/test_lfsr.py"]),
 ]
 
 

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gr_reference import mul, power
 from z4seq.analysis import (
@@ -9,6 +10,7 @@ from z4seq.analysis import (
     analyze,
     defining_poly_formula,
     dft,
+    dft_nonzero_count,
     lc_by_count,
     lc_by_theorem,
     power_sums,
@@ -114,6 +116,51 @@ def test_dft_rejects_bad_period():
     order13 = power(root_of_unity(ring65, 65), 5)  # order 13, not 65
     with pytest.raises(PeriodMismatch):
         dft(QuaternarySequence(65, (1,) * 65), ring65, order13)
+
+
+@st.composite
+def periodic_digits(draw):
+    """A period T = 1 (mod 4) and T digits: uniform, in 2*Z4, one spike, or all zero."""
+    T = draw(st.sampled_from((65, 85, 145, 185, 221)))
+    kind = draw(st.sampled_from(("uniform", "even", "spike", "zero")))
+    if kind == "uniform":
+        return T, draw(st.lists(st.integers(0, 3), min_size=T, max_size=T))
+    if kind == "even":
+        return T, [2 * b for b in draw(st.lists(st.integers(0, 1), min_size=T, max_size=T))]
+    digits = [0] * T
+    if kind == "spike":
+        digits[draw(st.integers(0, T - 1))] = draw(st.integers(1, 3))
+    return T, digits
+
+
+@settings(max_examples=60, deadline=None)
+@given(periodic_digits())
+def test_coset_count_matches_full_dft(case):
+    T, digits = case
+    ring = make_ring(mult_order(2, T))
+    beta = root_of_unity(ring, T)
+    pows = power_table(beta, T)
+    seq = QuaternarySequence(T, tuple(digits))
+    assert dft_nonzero_count(seq, ring, pows) == lc_by_count(dft(seq, ring, beta, pows))
+
+
+def test_coset_count_on_paper_sequences():
+    pairs = admissible_pairs(200, 200, pq_max=1000)
+    assert len(pairs) == 32
+    for p, q in pairs:
+        s = build_system(p, q)
+        ring, beta = ring_beta(s)
+        pows = power_table(beta, s.pq)
+        seq = generate(s)
+        assert dft_nonzero_count(seq, ring, pows) == lc_by_count(dft(seq, ring, beta, pows)), \
+            (p, q)
+
+
+def test_coset_count_rejects_bad_period():
+    ring = make_ring(4)
+    pows = power_table(root_of_unity(ring, 15), 15)
+    with pytest.raises(PeriodNotCongruent1Mod4):
+        dft_nonzero_count(QuaternarySequence(15, (1,) * 15), ring, pows)
 
 
 def test_reconstruction_exhaustive():
