@@ -30,6 +30,12 @@ from .numtheory import R_MAX, factorize, is_prime, mult_order
 from .sequence import QuaternarySequence, generate
 
 
+def _ring_and_beta(system: CyclotomicSystem, r_max: int) -> tuple:
+    """GR(4, 4^ord_2(pq)) under the degree cap r_max, and its primitive pq-th root beta."""
+    ring = make_ring(mult_order(2, system.pq), r_max)
+    return ring, root_of_unity(ring, system.pq)
+
+
 def power_table(beta: GrElement, n: int) -> list:
     """Packed beta^0 .. beta^(n-1) after verifying ord(beta) = n."""
     ring = beta.ring
@@ -110,9 +116,6 @@ class DefiningPolynomial(namedtuple("DefiningPolynomial", "ring beta coeffs")):
     def period(self) -> int:
         return len(self.coeffs)
 
-    def nonzero_count(self) -> int:
-        return sum(1 for c in self.coeffs if c)
-
 
 def dft(seq: QuaternarySequence, ring: GaloisRing, beta: GrElement,
         powers: list | None = None) -> DefiningPolynomial:
@@ -161,30 +164,17 @@ def defining_poly_formula(system: CyclotomicSystem, ring: GaloisRing,
 
     Case1: coefficient 2 on exponents jp (0 <= j < q), rho - i on D_i, 0 on Q.
     Case2: coefficient 2 on jq (0 <= j < p) and jp (1 <= j < q), rho + 2 - i on D_i.
+    So with s = 0 in Case1 and 2 in Case2: 2 on R and P, s on Q, rho + s - i on D_i.
     """
     T = system.pq
     if T % 4 != 1:
         raise PeriodNotCongruent1Mod4(f"period {T} = {T % 4} (mod 4)")
     rho = rho_value(system, beta, power_table(beta, T))
-    two = ring.scalar(2)
-    coeffs = [ring.zero] * T
-    if system.case == CASE1:
-        for j in range(system.q):
-            coeffs[j * system.p % T] = two
-        for i in range(4):
-            ci = rho - ring.scalar(i)
-            for u in system.members(f"D{i}"):
-                coeffs[u] = ci
-    else:
-        for j in range(system.p):
-            coeffs[j * system.q % T] = two
-        for j in range(1, system.q):
-            coeffs[j * system.p] = two
-        for i in range(4):
-            ci = rho + ring.scalar(2 - i)
-            for u in system.members(f"D{i}"):
-                coeffs[u] = ci
-    return DefiningPolynomial(ring=ring, beta=beta, coeffs=tuple(coeffs))
+    s = 0 if system.case == CASE1 else 2
+    coeff = {"R": ring.scalar(2), "P": ring.scalar(2), "Q": ring.scalar(s)}
+    coeff.update((f"D{i}", rho + ring.scalar(s - i)) for i in range(4))
+    coeffs = tuple(coeff[label] for label in system.class_of)
+    return DefiningPolynomial(ring=ring, beta=beta, coeffs=coeffs)
 
 
 def _inner_products(system: CyclotomicSystem, ring: GaloisRing, pows: list) -> list:
@@ -198,7 +188,7 @@ def _inner_products(system: CyclotomicSystem, ring: GaloisRing, pows: list) -> l
 
 def lc_by_count(defpoly: DefiningPolynomial) -> int:
     """Linear complexity as the number of nonzero DFT coefficients."""
-    return defpoly.nonzero_count()
+    return sum(1 for c in defpoly.coeffs if c)
 
 
 class AnalysisReport(namedtuple("AnalysisReport", (
@@ -242,9 +232,7 @@ def analyze(system: CyclotomicSystem, r_max: int = R_MAX) -> AnalysisReport:
     """
     from .lfsr import reeds_sloane  # here, so verify, trace and defpoly never load lfsr
 
-    ell = mult_order(2, system.pq)
-    ring = make_ring(ell, r_max)
-    beta = root_of_unity(ring, system.pq)
+    ring, beta = _ring_and_beta(system, r_max)
     seq = generate(system)
     pows = power_table(beta, system.pq)
     rho = rho_value(system, beta, pows)
@@ -255,7 +243,7 @@ def analyze(system: CyclotomicSystem, r_max: int = R_MAX) -> AnalysisReport:
     return AnalysisReport(
         p=system.p, q=system.q, case=system.case, two_class=system.two_class,
         rho=rho, rho_in_z4=is_constant(rho) is not None, lc_formula=lc_formula,
-        lc_dft=lc_dft, lc_reeds_sloane=synth.length, agree=agree, ring_degree=ell,
+        lc_dft=lc_dft, lc_reeds_sloane=synth.length, agree=agree, ring_degree=ring.r,
     )
 
 

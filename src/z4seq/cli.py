@@ -21,7 +21,7 @@ import time
 
 from . import cyclotomy, sequence
 from .errors import TraceFormulaPreconditionFailed, Z4SeqError
-from .numtheory import R_MAX, mult_order
+from .numtheory import R_MAX
 
 SWEEP_R_MAX_DEFAULT = 32
 
@@ -41,15 +41,18 @@ def _load_config(path: str) -> dict:
     return out
 
 
-def _apply_config(parser, args):
-    """Fill the flags left unset on the command line from the --config file.
+def _apply_config(parser, args, argv):
+    """Parse argv again with the --config file's values as the defaults.
 
     Each value is checked like its flag, with the subcommand's own argparse
-    `type` and `choices`; a key that names no valued flag is an error.
+    `type` and `choices`; a key that names no valued flag is an error.  Flags
+    given on the command line override the file.
     """
     commands = next(a for a in parser._actions if a.dest == "command")
-    actions = {a.dest: a for a in commands.choices[args.command]._actions
+    subparser = commands.choices[args.command]
+    actions = {a.dest: a for a in subparser._actions
                if a.option_strings and a.nargs != 0 and a.dest != "config"}
+    values = {}
     for key, raw in _load_config(args.config).items():
         action = actions.get(key)
         if action is None:
@@ -61,13 +64,9 @@ def _apply_config(parser, args):
         if action.choices is not None and value not in action.choices:
             raise ValueError(f"config {key} = {raw!r} is not one of "
                              f"{', '.join(action.choices)}")
-        if getattr(args, key) is None:
-            setattr(args, key, value)
-
-
-def _setting(args, name, default):
-    value = getattr(args, name)
-    return default if value is None else value
+        values[key] = value
+    subparser.set_defaults(**values)
+    return parser.parse_args(argv)
 
 
 def _emit(text: str, out_path):
@@ -84,26 +83,15 @@ def _json_text(obj, indent=2) -> str:
     return json.dumps(obj, indent=indent) + "\n"
 
 
-def _require_pair(args):
+def _system(args):
     if args.p is None or args.q is None:
         raise ValueError("both --p and --q are required")
-    return args.p, args.q
-
-
-def _ring_and_beta(system, r_max):
-    from .galois import make_ring, root_of_unity
-
-    ell = mult_order(2, system.pq)
-    ring = make_ring(ell, r_max)
-    return ring, root_of_unity(ring, system.pq)
+    return cyclotomy.build_system(args.p, args.q)
 
 
 def cmd_system(args) -> int:
-    p, q = _require_pair(args)
-    system = cyclotomy.build_system(p, q)
-    summary = system.summary()
-    fmt = _setting(args, "format", "text")
-    if fmt == "json":
+    summary = _system(args).summary()
+    if args.format == "json":
         text = _json_text(summary)
     else:
         parts = [f"{k}={v}" for k, v in summary.items() if k != "class_sizes"]
@@ -114,36 +102,28 @@ def cmd_system(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    p, q = _require_pair(args)
-    system = cyclotomy.build_system(p, q)
-    seq = sequence.generate(system)
-    fmt = _setting(args, "format", "text")
-    text = sequence.to_csv(seq) if fmt == "csv" else sequence.to_text(seq)
+    seq = sequence.generate(_system(args))
+    text = sequence.to_csv(seq) if args.format == "csv" else sequence.to_text(seq)
     _emit(text, args.out)
     return 0
 
 
 def cmd_lc(args) -> int:
-    p, q = _require_pair(args)
-    method = _setting(args, "method", "all")
-    r_max = _setting(args, "r_max", R_MAX)
-    system = cyclotomy.build_system(p, q)
-    fmt = _setting(args, "format", "text")
-    out = args.out
-
+    system = _system(args)
+    method = args.method
     if method == "all":
         from . import analysis
 
-        report = analysis.analyze(system, r_max)
-        if fmt == "json":
+        report = analysis.analyze(system, args.r_max)
+        if args.format == "json":
             text = _json_text(report.to_dict())
-        elif fmt == "csv":
+        elif args.format == "csv":
             text = analysis.AnalysisReport.CSV_HEADER + "\n" + report.csv_row() + "\n"
         else:
             verdict = "AGREE" if report.agree else "DISAGREE"
             text = (f"{report.lc_formula} {report.lc_dft} "
                     f"{report.lc_reeds_sloane} {verdict}\n")
-        _emit(text, out)
+        _emit(text, args.out)
         return 0 if report.agree else 1
 
     if method == "formula":
@@ -151,7 +131,7 @@ def cmd_lc(args) -> int:
     elif method == "dft":
         from . import analysis
 
-        ring, beta = _ring_and_beta(system, r_max)
+        ring, beta = analysis._ring_and_beta(system, args.r_max)
         pows = analysis.power_table(beta, system.pq)
         value = analysis.dft_nonzero_count(sequence.generate(system), ring, pows)
     elif method == "reeds-sloane":
@@ -159,28 +139,26 @@ def cmd_lc(args) -> int:
         value = reeds_sloane(sequence.generate(system).digits * 2).length
     else:
         raise ValueError(f"unknown method {method!r}")
-    if fmt == "json":
-        text = _json_text({"p": p, "q": q, "method": method, "value": value}, indent=None)
+    if args.format == "json":
+        text = _json_text({"p": system.p, "q": system.q, "method": method, "value": value},
+                          indent=None)
     else:
         text = f"{value}\n"
-    _emit(text, out)
+    _emit(text, args.out)
     return 0
 
 
 def cmd_defpoly(args) -> int:
     from . import analysis
 
-    p, q = _require_pair(args)
-    r_max = _setting(args, "r_max", R_MAX)
-    system = cyclotomy.build_system(p, q)
-    ring, beta = _ring_and_beta(system, r_max)
+    system = _system(args)
+    ring, beta = analysis._ring_and_beta(system, args.r_max)
     defpoly = analysis.dft(sequence.generate(system), ring, beta)
-    fmt = _setting(args, "format", "text")
     rows = [(u, cyclotomy.classify(system, u), "".join(str(c) for c in coeff.coeffs))
             for u, coeff in enumerate(defpoly.coeffs)]
-    if fmt == "json":
+    if args.format == "json":
         text = _json_text(
-            {"p": p, "q": q, "ring_degree": ring.r,
+            {"p": system.p, "q": system.q, "ring_degree": ring.r,
              "coefficients": [
                  {"exponent": u, "label": lab, "coefficient": cf}
                  for u, lab, cf in rows
@@ -194,12 +172,10 @@ def cmd_defpoly(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    from . import trace_repr
+    from . import analysis, trace_repr
 
-    p, q = _require_pair(args)
-    r_max = _setting(args, "r_max", R_MAX)
-    system = cyclotomy.build_system(p, q)
-    ring, beta = _ring_and_beta(system, r_max)
+    system = _system(args)
+    ring, beta = analysis._ring_and_beta(system, args.r_max)
     out = args.out
     try:
         params = trace_repr.trace_params(system, ring, beta)
@@ -217,10 +193,8 @@ def cmd_trace(args) -> int:
 def cmd_verify(args) -> int:
     from . import analysis
 
-    p, q = _require_pair(args)
-    r_max = _setting(args, "r_max", R_MAX)
-    system = cyclotomy.build_system(p, q)
-    ring, beta = _ring_and_beta(system, r_max)
+    system = _system(args)
+    ring, beta = analysis._ring_and_beta(system, args.r_max)
     checks = analysis.verify_identities(system, ring, beta)
     lines = [f"{name} {'PASS' if ok else 'FAIL'}" for name, ok in checks.items()]
     all_ok = all(checks.values())
@@ -269,19 +243,14 @@ def _sweep_row_text(row, timings):
 
 
 def cmd_sweep(args) -> int:
-    p_max = _setting(args, "p_max", 40)
-    q_max = _setting(args, "q_max", 40)
-    r_max = _setting(args, "r_max", SWEEP_R_MAX_DEFAULT)
+    r_max, fmt, out_path, timings = args.r_max, args.format, args.out, args.timings
     if r_max > R_MAX:
         raise ValueError(f"r_max {r_max} exceeds the hard cap {R_MAX}")
-    fmt = _setting(args, "format", "csv")
-    out_path = args.out
-    timings = args.timings
-    workers = _setting(args, "workers", 0)
 
     from . import analysis
 
-    pairs = analysis.admissible_pairs(p_max, q_max, r_max)
+    pairs = analysis.admissible_pairs(args.p_max, args.q_max, r_max)
+    workers = args.workers
     if workers <= 0:
         workers = min(8, _usable_cpus())
     if not hasattr(os, "fork"):
@@ -355,13 +324,13 @@ def build_parser() -> argparse.ArgumentParser:
         if pair:
             sp.add_argument("--p", type=int, help="first prime")
             sp.add_argument("--q", type=int, help="second prime")
-        sp.add_argument("--format", choices=formats,
-                        help=f"output format (default {default})")
+        sp.add_argument("--format", choices=formats, default=default,
+                        help="output format (default %(default)s)")
         sp.add_argument("--out", help="write output to this file")
         sp.add_argument("--config", help="flat key=value config file")
         if r_max is not None:
-            sp.add_argument("--r-max", dest="r_max", type=int,
-                            help=f"ring-degree cap (default {r_max})")
+            sp.add_argument("--r-max", dest="r_max", type=int, default=r_max,
+                            help="ring-degree cap (default %(default)s)")
 
     all_formats = ("text", "json", "csv")
     add_common(sub.add_parser("system", help="print the cyclotomic system summary"),
@@ -371,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("lc", help="linear complexity by chosen method(s)")
     add_common(sp, all_formats, r_max=R_MAX)
     sp.add_argument("--method", choices=("formula", "dft", "reeds-sloane", "all"),
-                    help="method (default all)")
+                    default="all", help="method (default %(default)s)")
     add_common(sub.add_parser("defpoly", help="dump defining polynomial coefficients"),
                all_formats, r_max=R_MAX)
     add_common(sub.add_parser("trace", help="check the trace form digit-for-digit"),
@@ -380,9 +349,12 @@ def build_parser() -> argparse.ArgumentParser:
                ("text",), r_max=R_MAX)
     sp = sub.add_parser("sweep", help="analyze all admissible pairs under the caps")
     add_common(sp, all_formats, default="csv", pair=False, r_max=SWEEP_R_MAX_DEFAULT)
-    sp.add_argument("--p-max", dest="p_max", type=int, help="cap on p (default 40)")
-    sp.add_argument("--q-max", dest="q_max", type=int, help="cap on q (default 40)")
-    sp.add_argument("--workers", type=int, help="worker processes (default auto)")
+    sp.add_argument("--p-max", dest="p_max", type=int, default=40,
+                    help="cap on p (default %(default)s)")
+    sp.add_argument("--q-max", dest="q_max", type=int, default=40,
+                    help="cap on q (default %(default)s)")
+    sp.add_argument("--workers", type=int, default=0,
+                    help="worker processes (default auto)")
     sp.add_argument("--timings", action="store_true",
                     help="include per-pair seconds (output no longer deterministic)")
     return parser
@@ -404,12 +376,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.config:
-            _apply_config(parser, args)
+            args = _apply_config(parser, args, argv)
         return _COMMANDS[args.command](args)
-    except Z4SeqError as exc:
-        print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (Z4SeqError, ValueError, OSError) as exc:
         print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

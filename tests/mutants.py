@@ -52,6 +52,16 @@ MUTANTS = [
     Mutant("reeds-sloane-tie-takes-later", "src/z4seq/lfsr.py",
            "cand < bestL", "cand <= bestL",
            ["tests/test_lfsr.py"]),
+    Mutant("config-overrides-flags", "src/z4seq/cli.py",
+           "    subparser.set_defaults(**values)\n"
+           "    return parser.parse_args(argv)\n",
+           "    for key, value in values.items():\n"
+           "        setattr(args, key, value)\n"
+           "    return args\n",
+           ["tests/test_cli.py"]),
+    Mutant("formula-q-coefficient", "src/z4seq/analysis.py",
+           '"Q": ring.scalar(s)', '"Q": ring.scalar(0)',
+           ["tests/test_analysis.py"]),
 ]
 
 

@@ -194,17 +194,17 @@ def test_formula_structure():
                     if poly.coeffs[s.members(f"D{i}")[0]] == ring.zero]
     if in_z4:
         assert len(zero_classes) == 1
-        assert poly.nonzero_count() == s.q + 3 * s.e
+        assert lc_by_count(poly) == s.q + 3 * s.e
     else:
         assert not zero_classes
-        assert poly.nonzero_count() == s.pq - s.p + 1
+        assert lc_by_count(poly) == s.pq - s.p + 1
 
     # Case2: coefficient 2 at exponent 0; every coefficient nonzero
     s = build_system(5, 13)
     ring, beta = ring_beta(s)
     poly = defining_poly_formula(s, ring, beta)
     assert poly.coeffs[0] == ring.scalar(2)
-    assert poly.nonzero_count() == s.pq
+    assert lc_by_count(poly) == s.pq
 
 
 def test_inner_product_patterns():

@@ -349,6 +349,19 @@ def test_flags_override_config(tmp_path, capsys):
     assert fields["q"] == "17" and fields["case"] == "Case1"
 
 
+def test_config_replaces_and_flags_override_parser_defaults(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("p-max = 17\nq-max = 17\nr-max = 12\nformat = text\n")
+    code, out, _ = run(capsys, "sweep", "--config", str(cfg), "--r-max", "24")
+    assert (code, out) == run(capsys, "sweep", "--p-max", "17", "--q-max", "17",
+                              "--r-max", "24", "--format", "text")[:2]
+    assert code == 0 and out.endswith("pairs=6 agree=6 disagree=0 errors=0\n")
+    cfg.write_text("p = 5\nq = 13\nmethod = formula\n")
+    assert run(capsys, "lc", "--config", str(cfg))[:2] == (0, "65\n")
+    assert run(capsys, "lc", "--config", str(cfg), "--method", "all")[:2] == \
+        (0, "65 65 65 AGREE\n")
+
+
 def test_byte_determinism(capsys):
     outs = set()
     for _ in range(2):
