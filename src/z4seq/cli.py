@@ -134,11 +134,9 @@ def cmd_lc(args) -> int:
         ring, beta = analysis._ring_and_beta(system, args.r_max)
         pows = analysis.power_table(beta, system.pq)
         value = analysis.dft_nonzero_count(sequence.generate(system), ring, pows)
-    elif method == "reeds-sloane":
+    else:  # reeds-sloane: argparse and the config check admit no other method
         from .lfsr import reeds_sloane
         value = reeds_sloane(sequence.generate(system).digits * 2).length
-    else:
-        raise ValueError(f"unknown method {method!r}")
     if args.format == "json":
         text = _json_text({"p": system.p, "q": system.q, "method": method, "value": value},
                           indent=None)

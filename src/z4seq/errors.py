@@ -49,10 +49,6 @@ class InternalCaseError(Z4SeqError):
     """Class of 2 inconsistent with the residue case (construction bug)."""
 
 
-class OracleTooLarge(Z4SeqError):
-    """The SNF oracle is capped at period 128."""
-
-
 class TraceFormulaPreconditionFailed(Z4SeqError):
     """A divisibility or coverage requirement of the trace form failed."""
 

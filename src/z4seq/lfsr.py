@@ -1,4 +1,4 @@
-"""Minimal LFSR synthesis over Z4 plus an independent solvability oracle.
+"""Minimal LFSR synthesis over Z4 plus an independent span oracle.
 
 reeds_sloane is the Reeds-Sloane algorithm (J. A. Reeds and N. J. A. Sloane,
 "Shift-register synthesis (modulo m)", SIAM J. Comput. 14 (1985) 505-513)
@@ -26,17 +26,25 @@ shorter, so a tie keeps the earlier one.  The algorithm is still O(N^2), in
 word-parallel bit operations: about 3 ms for the 1130 digits of (5,113) on
 a 2-vCPU machine.
 
-snf_min_length is the independent oracle: for each length ascending it
-decides solvability of the recurrence on the *periodic* sequence by Smith
-diagonalization over Z4.  The two routes share no linear algebra.  The
-oracle is the only numpy code of the package, so it imports numpy itself
-when called; numpy is therefore not a runtime dependency but part of the
-`test` extra.
+span_min_length is the independent oracle.  A recurrence of order L on the
+*periodic* sequence s of period T says that s lies in the Z4-span of its
+cyclic shifts by 1..L, so the oracle adds one shift per L and stops at the
+first L whose span holds s.  The span is two GF(2) echelon bases on T-bit
+ints, each vector stored under its top bit: level 1 holds span vectors
+whose mod-2 parts are independent; level 2 spans {u : 2u in the span}, the
+mod-2 parts of the level-1 vectors and the halves of the even remainders.
+s is in the span if and only if level 1 reduces it to an even 2u with u in
+level 2.  Pivots are not scaled: subtracting a level-1 vector clears the
+bit 0 of its odd pivot entry whatever that entry is, and a remainder only
+has to stay in its coset of the span.  The remainder of s is kept from one
+L to the next, so it is reduced further only when a new pivot meets its top
+bit.  The oracle shares no linear algebra with Reeds-Sloane, has no period
+cap and is O(T^2) operations on T-bit ints: about 40 ms for the 565 digits
+of (5,113) on the same machine.  The package needs the standard library
+alone.
 """
 
 from collections import namedtuple
-
-from .errors import OracleTooLarge
 
 
 class LfsrResult(namedtuple("LfsrResult", "length connection annihilates")):
@@ -130,87 +138,54 @@ def reeds_sloane(digits) -> LfsrResult:
 
 # --- independent oracle -----------------------------------------------------
 
-def solvable_z4(A, b) -> bool:
-    """Decide solvability of A x = b over Z4 by Smith reduction.
+def _reduce1(level1, lo, hi):
+    """Z4 vector (lo, hi) less level-1 vectors, until lo is 0 or its top bit no pivot."""
+    while lo:
+        v = level1.get(lo.bit_length() - 1)
+        if v is None:
+            break
+        lo, hi = _sub(lo, hi, *v)
+    return lo, hi
 
-    Elementary row operations are mirrored on b; column operations only
-    reparametrize the unknowns.  After diagonalization the pivots are units
-    or 2, and compatibility is a per-row valuation check.
+
+def _reduce2(level2, u):
+    """GF(2) vector u less level-2 vectors, until it is 0 or its top bit no pivot."""
+    while u:
+        b = level2.get(u.bit_length() - 1)
+        if b is None:
+            break
+        u ^= b
+    return u
+
+
+def span_min_length(digits) -> int:
+    """Smallest L with the periodic sequence s in the Z4-span of its shifts by 1..L.
+
+    That is the order of the shortest recurrence s_i = -sum_(j=1..L) c_j s_(i-j)
+    on all i mod T, the linear complexity of s; 0 for the all-zero sequence.
     """
-    import numpy as np
-
-    M = np.asarray(A, dtype=np.int64).copy() % 4
-    v = np.asarray(b, dtype=np.int64).copy() % 4
-    if M.size == 0:
-        return bool(np.all(v % 4 == 0))
-    nrows, ncols = M.shape
-    r = 0
-    while r < nrows and r < ncols:
-        sub = M[r:, r:]
-        picks = np.argwhere(sub % 2 == 1)
-        if picks.size == 0:
-            picks = np.argwhere(sub == 2)
-            if picks.size == 0:
-                break
-        pi, pj = int(picks[0][0]) + r, int(picks[0][1]) + r
-        if pi != r:
-            M[[r, pi]] = M[[pi, r]]
-            v[[r, pi]] = v[[pi, r]]
-        if pj != r:
-            M[:, [r, pj]] = M[:, [pj, r]]
-        piv = int(M[r, r])
-        if piv % 2:
-            M[r] = M[r] * piv % 4  # units are self-inverse
-            v[r] = v[r] * piv % 4
-            col = M[:, r].copy()
-            col[r] = 0
-            if np.any(col):
-                M -= np.outer(col, M[r])
-                M %= 4
-                v -= col * v[r]
-                v %= 4
-            M[r, r + 1:] = 0  # column eliminations against a cleared column
-        else:
-            # the working submatrix is entirely even here
-            col = M[r + 1:, r] // 2
-            if np.any(col):
-                M[r + 1:] -= np.outer(col, M[r])
-                M[r + 1:] %= 4
-                v[r + 1:] -= col * v[r]
-                v[r + 1:] %= 4
-            M[r, r + 1:] = 0
-        r += 1
-    diag = M.diagonal()[:r]
-    if np.any((diag == 2) & (v[:r] % 2 != 0)):
-        return False
-    return bool(np.all(v[r:] % 4 == 0))
-
-
-def _periodic_system(s, L, period):
-    """Toeplitz system for an order-L recurrence on the periodic sequence."""
-    import numpy as np
-
-    A = np.empty((period, L), dtype=np.int64)
-    b = np.empty(period, dtype=np.int64)
-    for t in range(period):
-        i = L + t
-        for j in range(1, L + 1):
-            A[t, j - 1] = s[(i - j) % period]
-        b[t] = -s[i % period] % 4
-    return A, b
-
-
-def snf_min_length(digits, period: int) -> int:
-    """Smallest order of a periodic recurrence over Z4, by ascending SNF tests."""
-    if period > 128:
-        raise OracleTooLarge(f"oracle capped at period 128, got {period}")
     s = [int(d) % 4 for d in digits]
-    if len(s) != period:
-        raise ValueError(f"{len(s)} digits for period {period}")
-    if all(v == 0 for v in s):
-        return 0
-    for L in range(1, period + 1):
-        A, b = _periodic_system(s, L, period)
-        if solvable_z4(A, b):
-            return L
-    raise AssertionError("unreachable: order = period always solves")
+    T = len(s)
+    mask = (1 << T) - 1
+    s0, s1 = _planes(s)
+    level1 = {}  # top bit of lo -> (lo, hi) of a span vector, its pivot entry odd
+    level2 = {}  # top bit -> u, a GF(2) echelon basis of {u : 2u in the span}
+    r0, r1 = s0, s1  # s less span vectors: s is in the span iff this is
+    for L in range(T + 1):
+        if L:
+            g0, g1 = _reduce1(level1, (s0 << L | s0 >> (T - L)) & mask,
+                              (s1 << L | s1 >> (T - L)) & mask)
+            if g0:  # a new pivot; 2g is in the span, so g mod 2 joins level 2
+                level1[g0.bit_length() - 1] = (g0, g1)
+                half = g0
+            else:  # g = 2 * g1
+                half = g1
+            half = _reduce2(level2, half)
+            if half:
+                level2[half.bit_length() - 1] = half
+        r0, r1 = _reduce1(level1, r0, r1)
+        if not r0:
+            r1 = _reduce2(level2, r1)
+            if not r1:
+                return L
+    raise AssertionError("unreachable: the shift by T is s itself")

@@ -52,6 +52,18 @@ MUTANTS = [
     Mutant("reeds-sloane-tie-takes-later", "src/z4seq/lfsr.py",
            "cand < bestL", "cand <= bestL",
            ["tests/test_lfsr.py"]),
+    Mutant("span-even-half-dropped", "src/z4seq/lfsr.py",
+           "            else:  # g = 2 * g1\n"
+           "                half = g1\n",
+           "            else:  # g = 2 * g1\n"
+           "                half = 0\n",
+           ["tests/test_lfsr.py"]),
+    Mutant("span-pivot-half-dropped", "src/z4seq/lfsr.py",
+           "                half = g0\n", "                half = 0\n",
+           ["tests/test_lfsr.py"]),
+    Mutant("span-reduction-without-borrow", "src/z4seq/lfsr.py",
+           "lo, hi = _sub(lo, hi, *v)", "lo, hi = lo ^ v[0], hi ^ v[1]",
+           ["tests/test_lfsr.py"]),
     Mutant("config-overrides-flags", "src/z4seq/cli.py",
            "    subparser.set_defaults(**values)\n"
            "    return parser.parse_args(argv)\n",

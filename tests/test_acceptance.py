@@ -5,6 +5,7 @@ import tempfile
 import time
 
 from gr_reference import power
+from snf_reference import snf_min_length
 from z4seq.analysis import (
     admissible_pairs,
     analyze,
@@ -18,7 +19,7 @@ from z4seq.cli import main as cli_main
 from z4seq.cyclotomy import build_system
 from z4seq.errors import TraceFormulaPreconditionFailed
 from z4seq.galois import make_ring, root_of_unity
-from z4seq.lfsr import reeds_sloane, snf_min_length
+from z4seq.lfsr import reeds_sloane
 from z4seq.numtheory import mult_order
 from z4seq.sequence import QuaternarySequence, generate
 from z4seq.trace_repr import check_trace_repr, trace_params

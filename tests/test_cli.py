@@ -393,6 +393,20 @@ def test_sweep_error_is_a_row(monkeypatch, capsys):
     assert lines[-1] == "# pairs=2 agree=1 disagree=0 errors=1"
 
 
+def test_unknown_method_is_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["lc", "--p", "5", "--q", "13", "--method", "bogus"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and not captured.out
+    assert "argument --method: invalid choice: 'bogus'" in captured.err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("p = 5\nq = 13\nmethod = bogus\n")
+    code, out, err = run(capsys, "lc", "--config", str(cfg))
+    assert code == 2 and not out
+    assert err == ("ERROR ValueError: config method = 'bogus' is not one of "
+                   "formula, dft, reeds-sloane, all\n")
+
+
 def test_config_value_checked_like_flag(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     for body, named in (("format = xml", "'xml'"), ("p = five", "config p:")):

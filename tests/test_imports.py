@@ -1,15 +1,17 @@
 """The import graph: each CLI call loads only the modules its command runs.
 
-numpy loads only for the SNF oracle.  No call loads `dataclasses` (which
-pulls in `inspect`), `typing` or `random`; `json` loads only where JSON is
-written, `lfsr` only where a register is synthesized, `trace_repr` only
-for `trace` and the worker pool `_pool` only for a pooled sweep, which
-loads no thread, queue or process-pool machinery.  Each case runs in a
+No library module imports numpy, the span oracle of `lfsr` included, and
+no call loads `dataclasses` (which pulls in `inspect`), `typing` or
+`random`; `json` loads only where JSON is written, `lfsr` only where a
+register is synthesized, `trace_repr` only for `trace` and the worker pool
+`_pool` only for a pooled sweep, which loads no thread, queue or
+process-pool machinery.  Each case runs in a
 fresh interpreter, since this test process has long since imported all of
 them; the CLI probes run it with `-S`, so that no site hook can import a
 module first and hide the CLI's own import.
 """
 
+import ast
 import hashlib
 import json
 import os
@@ -145,10 +147,21 @@ def test_json_loads_only_for_json_output(argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_only_the_snf_oracle_loads_numpy():
-    done = run_fresh("-c", "import sys; from z4seq import lfsr; "
-                           "print('numpy' in sys.modules, end=' '); "
-                           "lfsr.snf_min_length([1, 0, 0, 0, 0], 5); "
-                           "print('numpy' in sys.modules)")
+def test_span_oracle_runs_without_numpy():
+    done = run_fresh("-S", "-c", "import sys; from z4seq import lfsr; "
+                                 "print(lfsr.span_min_length([1, 0, 0, 0, 0]), "
+                                 "'numpy' in sys.modules)")
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "False True\n"
+    assert done.stdout == "5 False\n"
+
+
+def test_no_library_module_imports_numpy():
+    for path in sorted(Path(SRC, "z4seq").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "numpy" for n in names), (path.name, node.lineno)

@@ -5,11 +5,11 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from z4seq.analysis import lc_by_theorem
+from snf_reference import OracleTooLarge, snf_min_length, solvable_z4
+from z4seq.analysis import admissible_pairs, lc_by_theorem
 from z4seq.cyclotomy import build_system
-from z4seq.errors import OracleTooLarge
 from z4seq.lfsr import (LfsrResult, _digits, _dot, _planes, _scale, _sub,
-                        reeds_sloane, snf_min_length, solvable_z4)
+                        reeds_sloane, span_min_length)
 from z4seq.sequence import generate
 
 
@@ -261,6 +261,44 @@ def test_snf_oracle_on_paper_sequences():
         system = build_system(*pair)
         seq = generate(system)
         assert snf_min_length(seq.digits, system.pq) == lc_by_theorem(system), pair
+
+
+def test_span_oracle_fixtures():
+    assert span_min_length([]) == 0
+    assert span_min_length([0] * 300) == 0
+    assert span_min_length([3] * 300) == 1
+    assert span_min_length([0, 2] * 150) == 2
+    assert span_min_length([1] + [0] * 299) == 300  # periodic impulse
+
+
+def test_span_oracle_on_paper_sequences():
+    # every admissible pair with pq <= 1000, with no ring cap: periods 65 to 985
+    pairs = admissible_pairs(200, 200, r_max=1000, pq_max=1000)
+    assert len(pairs) == 54
+    for pair in pairs:
+        system = build_system(*pair)
+        digits = generate(system).digits
+        lc = lc_by_theorem(system)
+        assert span_min_length(digits) == lc == reeds_sloane(digits * 2).length, pair
+
+
+@st.composite
+def periods(draw, max_len):
+    """One period of T <= max_len digits: uniform, in 2*Z4, or a single spike."""
+    T = draw(st.integers(1, max_len))
+    kind = draw(st.sampled_from(["uniform", "even", "spike"]))
+    if kind != "spike":
+        return draw(st.lists(DIGIT if kind == "uniform" else EVEN, min_size=T, max_size=T))
+    digits = [draw(DIGIT)] * T  # a constant period with one digit changed
+    i = draw(st.integers(0, T - 1))
+    digits[i] = (digits[i] + draw(st.integers(1, 3))) % 4
+    return digits
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(periods(128))
+def test_span_oracle_vs_snf_hypothesis(digits):
+    assert span_min_length(digits) == snf_min_length(digits, len(digits))
 
 
 def test_quaternary_sequence_5_13():
