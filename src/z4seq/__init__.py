@@ -18,15 +18,14 @@ _EXPORTS = {
                  "analyze", "defining_poly_formula", "dft", "lc_by_count",
                  "power_table", "rho_value", "verify_identities"),
     "cyclotomy": ("CASE1", "CASE2", "CyclotomicSystem", "build_system",
-                  "classify", "count_solutions", "lc_by_theorem"),
+                  "count_solutions", "lc_by_theorem"),
     "galois": ("GaloisRing", "GrElement", "is_constant", "make_ring",
                "root_of_unity"),
     "lfsr": ("LfsrResult", "reeds_sloane", "span_min_length"),
     "numtheory": ("R_MAX", "common_primitive_root", "crt_pair", "euler_phi",
                   "factorize", "is_prime", "mult_order"),
     "sequence": ("QuaternarySequence", "generate", "to_csv", "to_text"),
-    "trace_repr": ("TraceParams", "check_trace_repr", "eval_trace_repr",
-                   "trace_params"),
+    "trace_repr": ("TraceParams", "check_trace_repr", "trace_params"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = frozenset(_EXPORTS) | {"cli", "errors"}

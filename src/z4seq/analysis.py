@@ -2,9 +2,10 @@
 
 The defining polynomial of a period-T sequence is its Galois-ring DFT
 rho_i = sum_u s_u beta^(-iu) against a primitive T-th root of unity beta;
-for the cyclotomic quaternary sequences the coefficients also follow a
-closed form per residue case, and the linear complexity equals the number
-of nonzero coefficients.  An LFSR-synthesis oracle cross-checks everything.
+for the cyclotomic quaternary sequences each coefficient is also a*rho + b,
+(a, b) read off the class of its exponent in `cyclotomy.class_coefficients`,
+and the linear complexity equals the number of nonzero coefficients.  An
+LFSR-synthesis oracle cross-checks everything.
 
 Ring data is one list of packed ints (`galois.GaloisRing.pack`), the powers
 beta^0 .. beta^(T-1), checked to have order exactly T (`power_table`).  The
@@ -23,7 +24,9 @@ one coefficient per coset, weighted by the coset's size (`dft_nonzero_count`).
 import math
 from collections import namedtuple
 
-from .cyclotomy import CASE1, CyclotomicSystem, count_solutions, lc_by_theorem
+from .cyclotomy import (
+    CyclotomicSystem, class_coefficients, count_solutions, lc_by_theorem,
+)
 from .errors import PeriodMismatch, PeriodNotCongruent1Mod4
 from .galois import GaloisRing, GrElement, is_constant, make_ring, root_of_unity
 from .numtheory import R_MAX, factorize, is_prime, mult_order
@@ -112,10 +115,6 @@ class DefiningPolynomial(namedtuple("DefiningPolynomial", "ring beta coeffs")):
 
     __slots__ = ()
 
-    @property
-    def period(self) -> int:
-        return len(self.coeffs)
-
 
 def dft(seq: QuaternarySequence, ring: GaloisRing, beta: GrElement,
         powers: list | None = None) -> DefiningPolynomial:
@@ -160,19 +159,16 @@ def rho_value(system: CyclotomicSystem, beta: GrElement, powers: list) -> GrElem
 
 def defining_poly_formula(system: CyclotomicSystem, ring: GaloisRing,
                           beta: GrElement) -> DefiningPolynomial:
-    """Closed-form defining polynomial per residue case.
+    """Closed-form defining polynomial: each class's coefficient a*rho + b.
 
-    Case1: coefficient 2 on exponents jp (0 <= j < q), rho - i on D_i, 0 on Q.
-    Case2: coefficient 2 on jq (0 <= j < p) and jp (1 <= j < q), rho + 2 - i on D_i.
-    So with s = 0 in Case1 and 2 in Case2: 2 on R and P, s on Q, rho + s - i on D_i.
+    (a, b) is the class's entry in `cyclotomy.class_coefficients`.
     """
     T = system.pq
     if T % 4 != 1:
         raise PeriodNotCongruent1Mod4(f"period {T} = {T % 4} (mod 4)")
-    rho = rho_value(system, beta, power_table(beta, T))
-    s = 0 if system.case == CASE1 else 2
-    coeff = {"R": ring.scalar(2), "P": ring.scalar(2), "Q": ring.scalar(s)}
-    coeff.update((f"D{i}", rho + ring.scalar(s - i)) for i in range(4))
+    rho = ring.pack(rho_value(system, beta, power_table(beta, T)).coeffs)
+    coeff = {label: ring.unpack((a * rho + b) & ring.mask)
+             for label, (a, b) in class_coefficients(system).items()}
     coeffs = tuple(coeff[label] for label in system.class_of)
     return DefiningPolynomial(ring=ring, beta=beta, coeffs=coeffs)
 
@@ -318,10 +314,9 @@ def verify_identities(system: CyclotomicSystem, ring: GaloisRing,
         ok = ok and count_solutions(system, a, "pq") == (1 if hits else 0)
     checks["solution-counts"] = ok
 
-    if system.case == CASE1:
-        expected = [[int(i == j) for j in range(4)] for i in range(4)]
-    else:
-        expected = [[int((i - j) % 4 == 2) for j in range(4)] for i in range(4)]
+    # -1 lies in D_t, t = (q-1)/2 mod 4: 0 in Case1, 2 in Case2
+    t = (q - 1) // 2 % 4
+    expected = [[int((i - j) % 4 == t) for j in range(4)] for i in range(4)]
     checks["inner-products"] = _inner_products(system, ring, pows) == expected
 
     in_z4 = is_constant(rho_value(system, beta, pows)) is not None

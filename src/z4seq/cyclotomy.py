@@ -9,7 +9,9 @@ where g is the smallest common primitive root of p and q and h is the CRT
 element with h = g (mod p), h = 1 (mod q).  Together with P (nonzero
 multiples of p), Q (nonzero multiples of q) and R = {0} they partition Z_pq.
 The closed-form linear complexity of the sequence is a function of the
-residue case and the class of 2 alone (`lc_by_theorem`).
+residue case and the class of 2 alone (`lc_by_theorem`); the defining
+polynomial's coefficient on each class, a*rho + b, is one table per residue
+case (`class_coefficients`).
 """
 
 import math
@@ -129,11 +131,6 @@ def build_system(p: int, q: int) -> CyclotomicSystem:
                             class_of=tuple(class_of))
 
 
-def classify(system: CyclotomicSystem, u: int) -> str:
-    """Label of u mod pq: one of D0..D3, P, Q, R."""
-    return system.class_of[u % system.pq]
-
-
 def count_solutions(system: CyclotomicSystem, a: int, modulus: str) -> int:
     """Number of w in D0 with g^a + w = 0 modulo p, q, or pq (by enumeration).
 
@@ -160,3 +157,15 @@ def lc_by_theorem(system: CyclotomicSystem) -> int:
     if i not in (1, 3):
         raise InternalCaseError(f"Case2 system with 2 in D{i}")
     return p * q
+
+
+def class_coefficients(system: CyclotomicSystem) -> dict:
+    """The paper's defining-polynomial table: label -> (a, b), coefficient a*rho + b.
+
+    2 on R and P, s on Q and rho + s - i on D_i, with s = 0 in Case1 and
+    s = 2 in Case2; b is reduced into 0..3.
+    """
+    s = 0 if system.case == CASE1 else 2
+    table = {"R": (0, 2), "P": (0, 2), "Q": (0, s)}
+    table.update((label, (1, (s - i) % 4)) for i, label in enumerate(D_LABELS))
+    return table

@@ -10,18 +10,19 @@ inner trace needs are verified up front and reported on failure.
 
 The form is evaluated on a whole vector of indices u at once from the one
 checked power table that `trace_params` builds (packed ints, see
-`galois.GaloisRing.pack`).  Each digit is 2 + 2 U(u) + rho A(u) + B(u), where
-U, A and B are set sums of beta^(uw) with Z4 weights: U over the unit
-orbits, A over all four class orbit sets, B with the scalar part of each
-class coefficient.  They are taken at one u per 2-cyclotomic coset and
-carried to 2u by the Frobenius map; rho, which the map does not fix,
-multiplies A afterwards, one packed product per u.
+`galois.GaloisRing.pack`).  Each class carries its coefficient a*rho + b
+from `cyclotomy.class_coefficients` on the set sum of beta^(uw) over its
+orbits (R's orbit is {0}), so each digit is rho A(u) + B(u): A sums the
+set sums with the weights a, B with the Z4 weights b.  They are taken at
+one u per 2-cyclotomic coset and carried to 2u by the Frobenius map; rho,
+which the map does not fix, multiplies A afterwards, one packed product
+per u.
 """
 
 from collections import namedtuple
 
 from .analysis import frobenius_fill, orbits, power_sums, power_table, rho_value
-from .cyclotomy import CASE1, CyclotomicSystem
+from .cyclotomy import CASE1, CyclotomicSystem, class_coefficients
 from .errors import (
     InternalCaseError,
     NonConstantResult,
@@ -38,9 +39,9 @@ class TraceParams(namedtuple("TraceParams", (
 
     epsilon is 1 or 2 in Case1 and None in Case2 (the inner trace descends
     to degree 4).  q_orbits are the exponent orbits under u -> 2u through
-    the multiples of p, p_orbits (Case2 only) those through the multiples
-    of q, d_orbits per class i the orbits under u -> 2^epsilon u (2^4 in
-    Case2), and powers the checked packed table of beta.
+    the multiples of p (class P), p_orbits those through the multiples of
+    q (class Q), d_orbits per class i the orbits under u -> 2^epsilon u
+    (2^4 in Case2), and powers the checked packed table of beta.
     """
 
     __slots__ = ()
@@ -75,22 +76,18 @@ def trace_params(system: CyclotomicSystem, ring: GaloisRing,
 
     if system.case == CASE1:
         two = system.two_class
-        if two == 0:
-            epsilon = 1
-        elif two == 2:
-            epsilon = 2
-        else:
+        if two % 2:
             raise InternalCaseError(f"Case1 system with 2 in D{two}")
-        eps_eff = epsilon
+        epsilon = two // 2 + 1  # 2^epsilon is the least power of 2 in D0
     else:
         epsilon = None
-        eps_eff = 4
+    eps_eff = epsilon or 4
     if ell % eps_eff != 0:
         _fail(f"inner trace needs {eps_eff} | ell, but ell = {ell}")
     step = pow(2, eps_eff, n)
     d_orbits = tuple(_tiling_orbits(system, f"D{i}", step) for i in range(4))
     q_orbits = _tiling_orbits(system, "P", 2)
-    p_orbits = _tiling_orbits(system, "Q", 2) if system.case != CASE1 else ()
+    p_orbits = _tiling_orbits(system, "Q", 2)
 
     pows = power_table(beta, n)
     return TraceParams(ell=ell, ell_p=ell_p, ell_q=ell_q, epsilon=epsilon,
@@ -102,37 +99,21 @@ def _trace_values(system: CyclotomicSystem, ring: GaloisRing, params: TraceParam
                   us) -> list:
     """The trace form at each index u, packed and reduced."""
     pows = params.powers
-    unit_set = _flat(params.q_orbits + params.p_orbits)
-    class_sets = [_flat(orbs) for orbs in params.d_orbits]
-    # class i carries the coefficient rho + shift_i, shift_i a Z4 scalar
-    shifts = [-i % 4 if system.case == CASE1 else (2 - i) % 4 for i in range(4)]
+    orbit_sets = {"R": ((0,),), "P": params.q_orbits, "Q": params.p_orbits}
+    orbit_sets.update((f"D{i}", orbs) for i, orbs in enumerate(params.d_orbits))
+    table = class_coefficients(system)
+    sets = [_flat(orbit_sets[label]) for label in table]
+    weights = tuple(zip(*table.values()))  # the a of each class, then the b
 
     def set_sums(reps):
-        """(U, A, B) at each index of reps."""
-        units_at = power_sums(ring, pows, reps, unit_set)
-        classes_at = zip(*(power_sums(ring, pows, reps, members) for members in class_sets))
-        return [(unit, ring.sum(d), sum(s * v for s, v in zip(shifts, d)) & ring.mask)
-                for unit, d in zip(units_at, classes_at)]
+        """(A, B) at each index of reps."""
+        rows = zip(*(power_sums(ring, pows, reps, members) for members in sets))
+        return [tuple(sum(w * v for w, v in zip(column, row)) & ring.mask
+                      for column in weights) for row in rows]
 
     rho = ring.pack(params.rho.coeffs)
-    return [(2 + 2 * unit + ring.mul(rho, a) + b) & ring.mask
-            for unit, a, b in frobenius_fill(ring, len(pows), us, set_sums)]
-
-
-def _non_constant(ring: GaloisRing, u: int, value: int) -> NonConstantResult:
-    return NonConstantResult(f"trace form at u={u} is not in Z4: {ring.unpack(value)!r}")
-
-
-def eval_trace_repr(system: CyclotomicSystem, ring: GaloisRing, beta: GrElement,
-                    params: TraceParams, u: int) -> int:
-    """The Z4 digit produced by the trace form at index u.
-
-    Raises NonConstantResult if the evaluated expression leaves Z4.
-    """
-    value = _trace_values(system, ring, params, [u])[0]
-    if value > 3:  # a coefficient above the constant one is nonzero
-        raise _non_constant(ring, u, value)
-    return value
+    return [(ring.mul(rho, a) + b) & ring.mask
+            for a, b in frobenius_fill(ring, len(pows), us, set_sums)]
 
 
 def check_trace_repr(system: CyclotomicSystem, ring: GaloisRing, beta: GrElement,
@@ -147,7 +128,8 @@ def check_trace_repr(system: CyclotomicSystem, ring: GaloisRing, beta: GrElement
     values = _trace_values(system, ring, params, range(system.pq))
     for u, (value, digit) in enumerate(zip(values, generate(system).digits)):
         if value != digit:
-            if value > 3:
-                raise _non_constant(ring, u, value)
+            if value > 3:  # a coefficient above the constant one is nonzero
+                raise NonConstantResult(
+                    f"trace form at u={u} is not in Z4: {ring.unpack(value)!r}")
             return False, u
     return True, None

@@ -71,9 +71,26 @@ MUTANTS = [
            "        setattr(args, key, value)\n"
            "    return args\n",
            ["tests/test_cli.py"]),
-    Mutant("formula-q-coefficient", "src/z4seq/analysis.py",
-           '"Q": ring.scalar(s)', '"Q": ring.scalar(0)',
-           ["tests/test_analysis.py"]),
+    Mutant("formula-q-coefficient", "src/z4seq/cyclotomy.py",
+           '"Q": (0, s)', '"Q": (0, 0)',
+           ["tests/test_analysis.py", "tests/test_trace_repr.py",
+            "tests/test_ring_arrays.py"]),
+    Mutant("table-d-shift-sign-flipped", "src/z4seq/cyclotomy.py",
+           "(1, (s - i) % 4)", "(1, (s + i) % 4)",
+           ["tests/test_analysis.py", "tests/test_trace_repr.py"]),
+    Mutant("table-r-coefficient-zero", "src/z4seq/cyclotomy.py",
+           '"R": (0, 2)', '"R": (0, 0)',
+           ["tests/test_analysis.py", "tests/test_trace_repr.py"]),
+    Mutant("sub-without-borrow", "src/z4seq/lfsr.py",
+           "return a0 ^ b0, a1 ^ b1 ^ (b0 & ~a0)", "return a0 ^ b0, a1 ^ b1",
+           ["tests/test_lfsr.py"]),
+    Mutant("sigma-without-reduce", "src/z4seq/galois.py",
+           'return self.reduce(int.from_bytes(spread, "little"))',
+           'return int.from_bytes(spread, "little")',
+           ["tests/test_packed.py"]),
+    Mutant("barrett-quotient-slot-off", "src/z4seq/galois.py",
+           "SLOT_BITS * max(r - 2, 0)", "SLOT_BITS * max(r - 1, 0)",
+           ["tests/test_packed.py"]),
 ]
 
 

@@ -39,7 +39,7 @@ def evaluate(poly, u, pows):
     acc = poly.ring.zero
     for i, c in enumerate(poly.coeffs):
         if c:
-            acc = acc + mul(c, pows[i * u % poly.period])
+            acc = acc + mul(c, pows[i * u % len(poly.coeffs)])
     return acc
 
 

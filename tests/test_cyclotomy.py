@@ -6,7 +6,6 @@ from z4seq.cyclotomy import (
     CASE1,
     CASE2,
     build_system,
-    classify,
     count_solutions,
 )
 from z4seq.errors import EqualPrimes, GcdNotFour, NotPrime
@@ -26,10 +25,10 @@ def test_h4_lands_in_d0():
     s = build_system(5, 13)
     assert 27 * 27 % 65 == 14 and 14 * 14 % 65 == 1
     assert pow(s.h, 4, 65) == 1
-    assert classify(s, 1) == "D0"
+    assert s.class_of[1] == "D0"
     for p, q in PAIRS:
         s = build_system(p, q)
-        assert classify(s, pow(s.h, 4, s.pq)) == "D0"
+        assert s.class_of[pow(s.h, 4, s.pq)] == "D0"
 
 
 def test_rejections():
@@ -45,11 +44,11 @@ def test_rejections():
 
 def test_classify_fixtures():
     s = build_system(5, 13)
-    assert classify(s, 0) == "R"
-    assert classify(s, 10) == "P"
-    assert classify(s, 1) == "D0"
-    assert classify(s, 13) == "Q"
-    assert classify(s, 65) == "R"  # reduced mod pq
+    assert s.class_of[0] == "R"
+    assert s.class_of[10] == "P"
+    assert s.class_of[1] == "D0"
+    assert s.class_of[13] == "Q"
+    assert s.class_of[65 % s.pq] == "R"  # reduced mod pq
 
 
 def test_case_of():

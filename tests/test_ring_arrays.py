@@ -13,7 +13,7 @@ from z4seq.errors import NonConstantResult, PeriodMismatch
 from z4seq.galois import SLOT_BITS, is_constant, make_ring, root_of_unity
 from z4seq.numtheory import mult_order
 from z4seq.sequence import generate
-from z4seq.trace_repr import check_trace_repr, eval_trace_repr, trace_params
+from z4seq.trace_repr import _trace_values, check_trace_repr, trace_params
 
 POWER_PAIRS = [(5, 13), (5, 17), (13, 17), (5, 29)]
 TRACE_PAIRS = [(5, 13), (13, 5), (5, 17), (17, 5)]
@@ -64,7 +64,7 @@ def test_power_table_rejects_wrong_order():
         power_table(beta, 13)  # beta^13 != 1
 
 
-def reference_digit(system, ring, params, pows, u):
+def reference_value(system, ring, params, pows, u):
     """The trace form at u summed element by element, one index at a time."""
     n = system.pq
 
@@ -81,6 +81,11 @@ def reference_digit(system, ring, params, pows, u):
     for i in range(4):
         shift = -i if system.case == CASE1 else 2 - i
         total = total + mul(params.rho + ring.scalar(shift), orbit_sum(params.d_orbits[i]))
+    return total
+
+
+def reference_digit(system, ring, params, pows, u):
+    total = reference_value(system, ring, params, pows, u)
     value = is_constant(total)
     if value is None:
         raise NonConstantResult(f"trace form at u={u} is not in Z4: {total!r}")
@@ -132,8 +137,9 @@ def test_trace_form_matches_element_reference(data):
         d_orbits[i] = tuple(orbits)
     broken = params._replace(rho=params.rho + ring.element(coeffs),
                              d_orbits=tuple(d_orbits))
-    for u in data.draw(st.lists(st.integers(0, s.pq - 1), min_size=1, max_size=4)):
-        assert outcome(eval_trace_repr, s, ring, beta, broken, u) == \
-            outcome(reference_digit, s, ring, broken, pows, u)
+    # the whole ring value at each u, so a digit and a value outside Z4 alike
+    us = data.draw(st.lists(st.integers(0, s.pq - 1), min_size=1, max_size=4))
+    assert _trace_values(s, ring, broken, us) == \
+        [ring.pack(reference_value(s, ring, broken, pows, u).coeffs) for u in us]
     assert outcome(check_trace_repr, s, ring, beta, broken) == \
         outcome(reference_check, s, ring, broken, pows)

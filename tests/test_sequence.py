@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from z4seq.cyclotomy import build_system, classify
+from z4seq.cyclotomy import build_system
 from z4seq.sequence import QuaternarySequence, generate, to_csv, to_text
 
 BRANCH_VALUE = {"R": 2, "Q": 2, "P": 0, "D0": 0, "D1": 1, "D2": 2, "D3": 3}
@@ -23,7 +23,7 @@ def test_digits_follow_classification():
         s = build_system(*pair)
         seq = generate(s)
         for u, d in enumerate(seq.digits):
-            assert d == BRANCH_VALUE[classify(s, u)]
+            assert d == BRANCH_VALUE[s.class_of[u]]
 
 
 def test_generate_is_pure():

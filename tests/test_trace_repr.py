@@ -2,12 +2,12 @@ import pytest
 
 from gr_reference import frobenius, trace
 from z4seq.analysis import admissible_pairs, power_table
-from z4seq.cyclotomy import build_system
-from z4seq.errors import TraceFormulaPreconditionFailed
+from z4seq.cyclotomy import build_system, lc_by_theorem
+from z4seq.errors import InternalCaseError, TraceFormulaPreconditionFailed
 from z4seq.galois import make_ring, root_of_unity
 from z4seq.numtheory import mult_order
 from z4seq.sequence import generate
-from z4seq.trace_repr import check_trace_repr, eval_trace_repr, trace_params
+from z4seq.trace_repr import _trace_values, check_trace_repr, trace_params
 
 
 def ring_beta(system):
@@ -87,11 +87,8 @@ def test_digit_fixtures():
     s = build_system(5, 13)
     ring, beta = ring_beta(s)
     params = trace_params(s, ring, beta)
-    assert eval_trace_repr(s, ring, beta, params, 0) == 2
-    for u in s.members("P")[:4]:
-        assert eval_trace_repr(s, ring, beta, params, u) == 0
-    for u in s.members("Q"):
-        assert eval_trace_repr(s, ring, beta, params, u) == 2
+    us = [0, *s.members("P")[:4], *s.members("Q")]
+    assert _trace_values(s, ring, params, us) == [2] + [0] * 4 + [2] * len(s.members("Q"))
 
 
 @pytest.mark.parametrize("pair", [(5, 13), (13, 5), (5, 17), (17, 5)])
@@ -109,9 +106,9 @@ def test_non_constant_result_guard():
     ring, beta = ring_beta(s)
     params = trace_params(s, ring, beta)
     broken = params._replace(rho=ring.x)
+    assert any(v > 3 for v in _trace_values(s, ring, broken, range(s.pq)))
     with pytest.raises(NonConstantResult):
-        for u in range(s.pq):
-            eval_trace_repr(s, ring, beta, broken, u)
+        check_trace_repr(s, ring, beta, broken)
 
 
 def test_trace_epsilon_one_branch():
@@ -120,8 +117,8 @@ def test_trace_epsilon_one_branch():
     ring, beta = ring_beta(s)
     params = trace_params(s, ring, beta)
     seq = generate(s)
-    for u in list(range(24)) + [113, 226, 5, 10]:
-        assert eval_trace_repr(s, ring, beta, params, u) == seq.digits[u]
+    us = list(range(24)) + [113, 226, 5, 10]
+    assert _trace_values(s, ring, params, us) == [seq.digits[u] for u in us]
 
 
 def test_trace_form_on_every_capped_pair():
@@ -167,3 +164,26 @@ def test_orbits_match_the_paper_parametrization(pair):
                  for t in range(t_count) for j in range(4)]
         walked = [frozenset(orbit) for orbit in params.d_orbits[i]]
         assert len(walked) == len(paper) and set(walked) == set(paper)
+
+
+def rotate_d_classes(system):
+    """The system with each D_i relabelled D_(i+1), 2's class with them."""
+    shift = {f"D{i}": f"D{(i + 1) % 4}" for i in range(4)}
+    return system._replace(class_of=tuple(shift.get(lab, lab) for lab in system.class_of))
+
+
+def test_case_and_class_of_two_must_agree():
+    # Case1 needs 2 in D0 or D2, Case2 2 in D1 or D3; rotating the labels
+    # moves 2 to a class of the other parity
+    s = build_system(5, 113)
+    ring, beta = ring_beta(s)
+    wrong = rotate_d_classes(s)
+    assert s.two_class == 0 and wrong.two_class == 1
+    with pytest.raises(InternalCaseError, match="Case1 system with 2 in D1"):
+        lc_by_theorem(wrong)
+    with pytest.raises(InternalCaseError, match="Case1 system with 2 in D1"):
+        trace_params(wrong, ring, beta)
+
+    wrong = rotate_d_classes(build_system(5, 13))
+    with pytest.raises(InternalCaseError, match="Case2 system with 2 in D2"):
+        lc_by_theorem(wrong)
