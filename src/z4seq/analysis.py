@@ -197,13 +197,6 @@ class AnalysisReport(namedtuple("AnalysisReport", (
 
     __slots__ = ()
 
-    CSV_HEADER = "p,q,case,two_class,lc_formula,lc_dft,lc_rs,agree"
-
-    def csv_row(self) -> str:
-        return (f"{self.p},{self.q},{self.case},{self.two_class},"
-                f"{self.lc_formula},{self.lc_dft},{self.lc_reeds_sloane},"
-                f"{str(self.agree).lower()}")
-
     def to_dict(self) -> dict:
         return {
             "p": self.p,

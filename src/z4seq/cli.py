@@ -7,17 +7,14 @@ machine-parseable line `ERROR <Code>: <message>` on stderr.
 Every command runs on the standard library and imports only what it runs:
 the class data and the sequence are integer arithmetic, the ring modules
 (`galois`, `analysis`, `trace_repr`), whose arithmetic is on packed ints,
-and `lfsr` are imported by the commands that use them, the forked worker
-pool `_pool` only by a pooled sweep, and `json` only on the branches that
+and `lfsr` are imported by the commands that use them, the sweep's rows and
+worker pool `_sweep` only by `sweep`, and `json` only on the branches that
 write JSON.
 """
 
 import argparse
 import contextlib
-import functools
-import os
 import sys
-import time
 
 from . import cyclotomy, sequence
 from .errors import TraceFormulaPreconditionFailed, Z4SeqError
@@ -118,7 +115,7 @@ def cmd_lc(args) -> int:
         if args.format == "json":
             text = _json_text(report.to_dict())
         elif args.format == "csv":
-            text = analysis.AnalysisReport.CSV_HEADER + "\n" + report.csv_row() + "\n"
+            text = f"{_LC_CSV_HEADER}\n{_csv_row(report.to_dict(), _SWEEP_COLUMNS[:8])}\n"
         else:
             verdict = "AGREE" if report.agree else "DISAGREE"
             text = (f"{report.lc_formula} {report.lc_dft} "
@@ -201,42 +198,15 @@ def cmd_verify(args) -> int:
     return 0 if all_ok else 1
 
 
-def _sweep_worker(pair, r_max):
-    from . import analysis
-
-    p, q = pair
-    started = time.perf_counter()
-    try:
-        report = analysis.analyze(cyclotomy.build_system(p, q), r_max)
-        row = report.to_dict()
-        row["error"] = ""
-    except Exception as exc:  # a failing pair is a row, never a lost sweep
-        row = {"p": p, "q": q, "error": f"{type(exc).__name__}: {exc}"}
-    row["seconds"] = round(time.perf_counter() - started, 3)
-    return row
-
-
-def _lost_row(pair, reason):
-    p, q = pair
-    return {"p": p, "q": q, "error": f"WorkerLost: {reason}"}
-
-
-def _usable_cpus():
-    """CPUs this process may run on: its affinity mask where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 _SWEEP_COLUMNS = ("p", "q", "case", "two_class", "lc_formula", "lc_dft",
                   "lc_reeds_sloane", "agree", "ring_degree")
+# `lc --format csv` writes the first eight sweep columns under this header
+_LC_CSV_HEADER = "p,q,case,two_class,lc_formula,lc_dft,lc_rs,agree"
 
 
-def _sweep_row_text(row, timings):
-    vals = [str(row.get(col, "")) for col in _SWEEP_COLUMNS]
-    if timings:
-        vals.append(str(row.get("seconds", "")))
-    vals.append(row.get("error", ""))
+def _csv_row(row, columns) -> str:
+    """The row's values under `columns`, comma-joined; booleans lower-case."""
+    vals = [str(row.get(col, "")) for col in columns]
     return ",".join(v.lower() if v in ("True", "False") else v for v in vals)
 
 
@@ -245,17 +215,10 @@ def cmd_sweep(args) -> int:
     if r_max > R_MAX:
         raise ValueError(f"r_max {r_max} exceeds the hard cap {R_MAX}")
 
-    from . import analysis
+    from . import _sweep, analysis
 
     pairs = analysis.admissible_pairs(args.p_max, args.q_max, r_max)
-    workers = args.workers
-    if workers <= 0:
-        workers = min(8, _usable_cpus())
-    if not hasattr(os, "fork"):
-        workers = 1  # the pool forks; without fork the sweep runs serially
-    workers = min(workers, max(1, len(pairs)))
-    work = functools.partial(_sweep_worker, r_max=r_max)
-
+    columns = _SWEEP_COLUMNS + (("seconds",) if timings else ()) + ("error",)
     rows = []
     with contextlib.ExitStack() as stack:
         sink = (stack.enter_context(open(out_path, "w", encoding="utf-8"))
@@ -265,42 +228,32 @@ def cmd_sweep(args) -> int:
             sink.write(text)
             sink.flush()
 
-        header = list(_SWEEP_COLUMNS) + (["seconds"] if timings else []) + ["error"]
         if fmt == "csv":
-            flush(",".join(header) + "\n")
-        if workers == 1:
-            results = map(work, pairs)
-        else:
-            # lfsr loads here once, not in every child
-            from . import _pool, lfsr  # noqa: F401
-
-            results = stack.enter_context(contextlib.closing(
-                _pool.imap(work, pairs, workers, _lost_row)))
-        # rows come in submission order: deterministic output, progressive flush
-        for row in results:
+            flush(",".join(columns) + "\n")
+        # rows come in pair order: deterministic output, progressive flush
+        for row in stack.enter_context(contextlib.closing(
+                _sweep.rows(pairs, r_max, args.workers))):
             rows.append(row)
             if fmt == "csv":
-                flush(_sweep_row_text(row, timings) + "\n")
+                flush(_csv_row(row, columns) + "\n")
+            elif fmt == "text":
+                flush(_csv_row(row, columns).replace(",", "\t") + "\n")
 
-        agree = sum(1 for r in rows if r.get("agree") is True)
-        disagree = sum(1 for r in rows if r.get("agree") is False)
-        errors = sum(1 for r in rows if r.get("error"))
-        summary = {"pairs": len(rows), "agree": agree,
-                   "disagree": disagree, "errors": errors}
+        summary = {"pairs": len(rows),
+                   "agree": sum(r.get("agree") is True for r in rows),
+                   "disagree": sum(r.get("agree") is False for r in rows),
+                   "errors": sum(bool(r.get("error")) for r in rows)}
+        counts = " ".join(f"{key}={n}" for key, n in summary.items()) + "\n"
         if fmt == "csv":
-            flush(f"# pairs={len(rows)} agree={agree} disagree={disagree} "
-                  f"errors={errors}\n")
+            flush("# " + counts)
         elif fmt == "json":
             if not timings:
                 for r in rows:
                     r.pop("seconds", None)
             flush(_json_text({"rows": rows, "summary": summary}))
         else:
-            for row in rows:
-                flush(_sweep_row_text(row, timings).replace(",", "\t") + "\n")
-            flush(f"pairs={len(rows)} agree={agree} disagree={disagree} "
-                  f"errors={errors}\n")
-    return 0 if disagree == 0 and errors == 0 else 1
+            flush(counts)
+    return 0 if summary["disagree"] == summary["errors"] == 0 else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -144,19 +144,26 @@ def count_solutions(system: CyclotomicSystem, a: int, modulus: str) -> int:
     return sum(1 for w in system.members("D0") if (ga + w) % m == 0)
 
 
+def case_two_class(system: CyclotomicSystem) -> int:
+    """The index of 2's class, checked against the residue case.
+
+    Case1 needs 2 in D0 or D2, Case2 needs 2 in D1 or D3.
+    """
+    i = system.two_class
+    if (i % 2 == 0) != (system.case == CASE1):
+        raise InternalCaseError(f"{system.case} system with 2 in D{i}")
+    return i
+
+
 def lc_by_theorem(system: CyclotomicSystem) -> int:
     """Closed-form linear complexity selected by the class of 2."""
     p, q = system.p, system.q
-    i = system.two_class
-    if system.case == CASE1:
-        if i == 0:
-            return q + 3 * (p - 1) * (q - 1) // 4
-        if i == 2:
-            return p * q - p + 1
-        raise InternalCaseError(f"Case1 system with 2 in D{i}")
-    if i not in (1, 3):
-        raise InternalCaseError(f"Case2 system with 2 in D{i}")
-    return p * q
+    i = case_two_class(system)
+    if system.case == CASE2:
+        return p * q
+    if i == 0:
+        return q + 3 * (p - 1) * (q - 1) // 4
+    return p * q - p + 1
 
 
 def class_coefficients(system: CyclotomicSystem) -> dict:

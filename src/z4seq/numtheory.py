@@ -14,9 +14,8 @@ from .errors import NoCommonRoot, NotCoprime
 # can state it before any ring code is loaded.
 R_MAX = 64
 
-# Witness set proving compositeness deterministically for all n < 3.3e24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
+# The trial divisors of `is_prime`, and its witness set, which proves
+# compositeness deterministically for all n < 3.3e24.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -32,7 +31,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

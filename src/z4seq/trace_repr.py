@@ -22,12 +22,8 @@ per u.
 from collections import namedtuple
 
 from .analysis import frobenius_fill, orbits, power_sums, power_table, rho_value
-from .cyclotomy import CASE1, CyclotomicSystem, class_coefficients
-from .errors import (
-    InternalCaseError,
-    NonConstantResult,
-    TraceFormulaPreconditionFailed,
-)
+from .cyclotomy import CASE1, CyclotomicSystem, case_two_class, class_coefficients
+from .errors import NonConstantResult, TraceFormulaPreconditionFailed
 from .galois import GaloisRing, GrElement
 from .numtheory import mult_order
 from .sequence import generate
@@ -47,10 +43,6 @@ class TraceParams(namedtuple("TraceParams", (
     __slots__ = ()
 
 
-def _fail(reason: str):
-    raise TraceFormulaPreconditionFailed(reason)
-
-
 def _flat(orbs) -> list:
     return [w for orbit in orbs for w in orbit]
 
@@ -60,7 +52,8 @@ def _tiling_orbits(system: CyclotomicSystem, label: str, step: int) -> tuple:
     members = system.members(label)
     found = orbits(system.pq, members, step)
     if sorted(_flat(found)) != sorted(members):
-        _fail(f"conjugate orbits do not tile {label} exactly once")
+        raise TraceFormulaPreconditionFailed(
+            f"conjugate orbits do not tile {label} exactly once")
     return tuple(found)
 
 
@@ -72,18 +65,17 @@ def trace_params(system: CyclotomicSystem, ring: GaloisRing,
     ell_p = mult_order(2, p)
     ell_q = mult_order(2, q)
     if ring.r != ell:
-        _fail(f"ring degree {ring.r} != ord of 2 mod {n} = {ell}")
+        raise TraceFormulaPreconditionFailed(
+            f"ring degree {ring.r} != ord of 2 mod {n} = {ell}")
 
     if system.case == CASE1:
-        two = system.two_class
-        if two % 2:
-            raise InternalCaseError(f"Case1 system with 2 in D{two}")
-        epsilon = two // 2 + 1  # 2^epsilon is the least power of 2 in D0
+        epsilon = case_two_class(system) // 2 + 1  # 2^epsilon: least power of 2 in D0
     else:
         epsilon = None
     eps_eff = epsilon or 4
     if ell % eps_eff != 0:
-        _fail(f"inner trace needs {eps_eff} | ell, but ell = {ell}")
+        raise TraceFormulaPreconditionFailed(
+            f"inner trace needs {eps_eff} | ell, but ell = {ell}")
     step = pow(2, eps_eff, n)
     d_orbits = tuple(_tiling_orbits(system, f"D{i}", step) for i in range(4))
     q_orbits = _tiling_orbits(system, "P", 2)

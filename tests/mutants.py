@@ -34,7 +34,8 @@ MUTANTS = [
            ["tests/test_trace_repr.py"]),
     Mutant("tiling-check-dropped", "src/z4seq/trace_repr.py",
            "    if sorted(_flat(found)) != sorted(members):\n"
-           '        _fail(f"conjugate orbits do not tile {label} exactly once")\n',
+           "        raise TraceFormulaPreconditionFailed(\n"
+           '            f"conjugate orbits do not tile {label} exactly once")\n',
            "",
            ["tests/test_trace_repr.py"]),
     Mutant("fill-sigma-before-first", "src/z4seq/analysis.py",
@@ -78,6 +79,25 @@ MUTANTS = [
     Mutant("table-d-shift-sign-flipped", "src/z4seq/cyclotomy.py",
            "(1, (s - i) % 4)", "(1, (s + i) % 4)",
            ["tests/test_analysis.py", "tests/test_trace_repr.py"]),
+    Mutant("case-rule-case2-half-dropped", "src/z4seq/cyclotomy.py",
+           "if (i % 2 == 0) != (system.case == CASE1):",
+           "if i % 2 and system.case == CASE1:",
+           ["tests/test_trace_repr.py"]),
+    Mutant("no-flush-before-fork", "src/z4seq/_sweep.py",
+           "    sys.stdout.flush()  # so the children's copies of the buffers are empty\n"
+           "    sys.stderr.flush()\n",
+           "",
+           ["tests/test_cli.py"]),
+    Mutant("child-exits-by-sys-exit", "src/z4seq/_sweep.py",
+           "os._exit(status)", "sys.exit(status)",
+           ["tests/test_cli.py"]),
+    Mutant("child-stdout-not-flushed", "src/z4seq/_sweep.py",
+           "            sys.stdout.flush()  # os._exit skips the flush of a normal exit\n",
+           "",
+           ["tests/test_cli.py"]),
+    Mutant("dead-child-pair-not-lost", "src/z4seq/_sweep.py",
+           "done[held] = _lost(pairs[held], worker.reap())", "worker.reap()",
+           ["tests/test_cli.py"]),
     Mutant("table-r-coefficient-zero", "src/z4seq/cyclotomy.py",
            '"R": (0, 2)', '"R": (0, 0)',
            ["tests/test_analysis.py", "tests/test_trace_repr.py"]),

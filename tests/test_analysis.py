@@ -18,6 +18,7 @@ from z4seq.analysis import (
     rho_value,
     verify_identities,
 )
+from z4seq.cli import _SWEEP_COLUMNS, _csv_row
 from z4seq.cyclotomy import CASE1, build_system
 from z4seq.errors import (
     GcdNotFour,
@@ -252,7 +253,7 @@ def test_analyze_agrees():
     rep = analyze(build_system(5, 13))
     assert rep.lc_formula == rep.lc_dft == rep.lc_reeds_sloane == 65
     assert rep.agree and rep.ring_degree == 12
-    assert rep.csv_row() == "5,13,Case2,1,65,65,65,true"
+    assert _csv_row(rep.to_dict(), _SWEEP_COLUMNS[:8]) == "5,13,Case2,1,65,65,65,true"
 
 
 def test_gcd_rejected_before_ring_work():

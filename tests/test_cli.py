@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import z4seq
-from z4seq import _pool, analysis, lfsr
+from z4seq import _sweep, analysis, lfsr
 from z4seq.lfsr import LfsrResult
 from z4seq.cli import SWEEP_R_MAX_DEFAULT, main
 from z4seq.numtheory import R_MAX
@@ -286,13 +286,13 @@ def test_worker_print_reaches_stdout(monkeypatch, tmp_path):
 @pytest.mark.parametrize("cpus, pooled", [({0}, []), ({0, 1, 2}, [3])])
 def test_default_workers_follow_affinity(monkeypatch, capsys, cpus, pooled):
     seen = []
-    real = _pool.imap
+    real = _sweep._forked
 
-    def imap(func, items, workers, lost):
+    def forked(pairs, r_max, workers):
         seen.append(workers)
-        return real(func, items, workers, lost)
+        return real(pairs, r_max, workers)
 
-    monkeypatch.setattr(_pool, "imap", imap)
+    monkeypatch.setattr(_sweep, "_forked", forked)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     code, _, _ = run(capsys, *SMALL_SWEEP)

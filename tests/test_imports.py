@@ -3,12 +3,12 @@
 No library module imports numpy, the span oracle of `lfsr` included, and
 no call loads `dataclasses` (which pulls in `inspect`), `typing` or
 `random`; `json` loads only where JSON is written, `lfsr` only where a
-register is synthesized, `trace_repr` only for `trace` and the worker pool
-`_pool` only for a pooled sweep, which loads no thread, queue or
-process-pool machinery.  Each case runs in a
-fresh interpreter, since this test process has long since imported all of
-them; the CLI probes run it with `-S`, so that no site hook can import a
-module first and hide the CLI's own import.
+register is synthesized, `trace_repr` only for `trace` and the sweep's rows
+`_sweep` only for `sweep`, whose pool loads no thread, queue or process-pool
+machinery.  No library module imports the CLI.  Each case runs in a fresh
+interpreter, since this test process has long since imported all of them;
+the CLI probes run it with `-S`, so that no site hook can import a module
+first and hide the CLI's own import.
 """
 
 import ast
@@ -86,32 +86,30 @@ def test_stage_script_runs_from_a_cold_package(command):
 PAIR = ("--p", "5", "--q", "13")
 
 
-@pytest.mark.parametrize("argv, code, stdout, numpy", [
-    (("system", *PAIR), 0, "case=Case2", False),
-    (("gen", *PAIR), 0, "2010201330", False),
-    (("lc", "--method", "formula", *PAIR), 0, "65\n", False),
-    (("lc", "--method", "reeds-sloane", *PAIR), 0, "65\n", False),
-    (("--help",), 0, "usage: z4seq", False),
-    (("system", "--p", "4", "--q", "13"), 2, "", False),
-    (("lc", "--method", "all", *PAIR), 0, "65 65 65 AGREE\n", False),
-    (("verify", *PAIR), 0, "result PASS\n", False),
-    (("trace", *PAIR), 0, "PASS\n", False),
-    (("defpoly", *PAIR), 0, "0,R,200000000000\n", False),
+@pytest.mark.parametrize("argv, code, stdout", [
+    (("system", *PAIR), 0, "case=Case2"),
+    (("gen", *PAIR), 0, "2010201330"),
+    (("lc", "--method", "formula", *PAIR), 0, "65\n"),
+    (("lc", "--method", "reeds-sloane", *PAIR), 0, "65\n"),
+    (("--help",), 0, "usage: z4seq"),
+    (("system", "--p", "4", "--q", "13"), 2, ""),
+    (("lc", "--method", "all", *PAIR), 0, "65 65 65 AGREE\n"),
+    (("verify", *PAIR), 0, "result PASS\n"),
+    (("trace", *PAIR), 0, "PASS\n"),
+    (("defpoly", *PAIR), 0, "0,R,200000000000\n"),
     (("sweep", "--p-max", "13", "--q-max", "13", "--workers", "1"), 0,
-     "5,13,Case2,1,65,65,65,true,12,\n", False),
+     "5,13,Case2,1,65,65,65,true,12,\n"),
 ])
-def test_numpy_loads_only_for_ring_commands(argv, code, stdout, numpy):
+def test_commands_load_only_what_they_run(argv, code, stdout):
     got, modules, out, errors = probe(*argv)
     assert got == code, errors
-    assert ("numpy" in modules) == numpy
     assert not modules & NEVER, modules & NEVER
     assert "json" not in modules  # text and CSV output
     if argv[0] in ("verify", "trace", "defpoly"):
         assert "z4seq.lfsr" not in modules
     if argv[0] == "lc":
         assert "z4seq.trace_repr" not in modules
-    if argv[0] in ("lc", "verify", "trace"):
-        assert "z4seq._pool" not in modules
+    assert ("z4seq._sweep" in modules) == (argv[0] == "sweep")
     assert stdout in out
     if code == 2:
         assert errors == ["ERROR NotPrime: 4 is not an odd prime >= 3"]
@@ -121,7 +119,7 @@ def test_pooled_sweep_loads_no_thread_or_queue():
     code, modules, out, errors = probe("sweep", "--p-max", "13", "--q-max", "13",
                                        "--workers", "2")
     assert code == 0 and not errors, errors
-    assert "z4seq._pool" in modules
+    assert "z4seq._sweep" in modules
     assert not modules & {"concurrent.futures", "multiprocessing", "threading",
                           "queue"}
     assert out.endswith("5,13,Case2,1,65,65,65,true,12,\n"
@@ -155,13 +153,29 @@ def test_span_oracle_runs_without_numpy():
     assert done.stdout == "5 False\n"
 
 
-def test_no_library_module_imports_numpy():
+def library_imports():
+    """(file name, line, names) of each import in the library's sources.
+
+    A `from` import names its module and each module.name it takes, so
+    `from . import cli` names `.cli`.
+    """
     for path in sorted(Path(SRC, "z4seq").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
+                yield path.name, node.lineno, [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            assert not any(n.split(".")[0] == "numpy" for n in names), (path.name, node.lineno)
+                base = "." * node.level + (node.module or "")
+                yield path.name, node.lineno, [base] + [
+                    f"{base.rstrip('.')}.{alias.name}" for alias in node.names]
+
+
+def test_no_library_module_imports_numpy():
+    for name, line, names in library_imports():
+        assert not any(n.split(".")[0] == "numpy" for n in names), (name, line)
+
+
+def test_no_library_module_imports_the_cli():
+    # under `python -m z4seq.cli` an import of z4seq.cli would compile and
+    # run cli.py a second time
+    for name, line, names in library_imports():
+        assert not {"z4seq.cli", ".cli"} & set(names), (name, line)
