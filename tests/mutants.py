@@ -9,13 +9,16 @@ one entry at a time, it replaces the entry's old string, which must occur
 exactly once in its file, with the new one and runs pytest on the entry's
 test files.  A mutant is killed when pytest reports failing tests (exit
 status 1); any other status, a syntax error for one, counts as a broken
-entry.  The exit status is 0 only if the unmutated run passes, every old
-string matches exactly once and every mutant is killed.  Stdlib only; pytest
-does not collect this file.
+entry, and so does a run that outlasts `PYTEST_TIMEOUT_S`, reported as
+`timed out`.  Each run is its own process group, killed whole when it ends,
+so no process a mutant lets loose outlives it.  The exit status is 0 only
+if the unmutated run passes, every old string matches exactly once and
+every mutant is killed.  Stdlib only; pytest does not collect this file.
 """
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -24,6 +27,7 @@ from collections import namedtuple
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PYTEST_TIMEOUT_S = 300  # one pytest run; none takes a minute on 2 vCPUs
 
 Mutant = namedtuple("Mutant", "name path old new tests")
 
@@ -111,15 +115,39 @@ MUTANTS = [
     Mutant("barrett-quotient-slot-off", "src/z4seq/galois.py",
            "SLOT_BITS * max(r - 2, 0)", "SLOT_BITS * max(r - 1, 0)",
            ["tests/test_packed.py"]),
+    Mutant("modulus-not-lifted", "src/z4seq/galois.py",
+           "GaloisRing(r, _graeffe_lift(f, r))",
+           "GaloisRing(r, tuple(f >> i & 1 for i in range(r + 1)))",
+           ["tests/test_galois.py", "tests/test_ring_setup.py"]),
+    Mutant("class-shift-forced-true", "src/z4seq/analysis.py",
+           'checks["class-shift"] = all(', 'checks["class-shift"] = True or all(',
+           ["tests/test_analysis.py"]),
+    Mutant("reap-without-waitpid", "src/z4seq/_sweep.py",
+           "_, status = os.waitpid(self.pid, 0)", "status = 0",
+           ["tests/test_cli.py"]),
+    Mutant("exit-without-freeze", "src/z4seq/cli.py",
+           "    finally:\n        gc.freeze()\n", "    finally:\n        pass\n",
+           ["tests/test_exit.py"]),
 ]
 
 
-def run_pytest(root: Path, tests) -> int:
+def run_pytest(root: Path, tests):
+    """pytest's exit status on `tests`, or None if it outlasts PYTEST_TIMEOUT_S."""
     # no bytecode: a mutant and its original can share size and mtime second
     env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
-    return subprocess.run(cmd, cwd=root, env=env, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.DEVNULL).returncode
+    proc = subprocess.Popen(cmd, cwd=root, env=env, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL, start_new_session=True)
+    try:
+        return proc.wait(timeout=PYTEST_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return None
+    finally:
+        try:  # the run and whatever it forked, a pool a mutant hangs included
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
 
 
 def main(names) -> int:
@@ -136,8 +164,10 @@ def main(names) -> int:
                             ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
         shutil.copy(ROOT / "pyproject.toml", root)
         union = sorted({t for m in chosen for t in m.tests})
-        if run_pytest(root, union) != 0:
-            print(f"unmutated copy fails {' '.join(union)}", file=sys.stderr)
+        code = run_pytest(root, union)
+        if code != 0:
+            how = "times out on" if code is None else "fails"
+            print(f"unmutated copy {how} {' '.join(union)}", file=sys.stderr)
             return 1
         for m in chosen:
             path = root / m.path
@@ -151,7 +181,8 @@ def main(names) -> int:
             started = time.perf_counter()
             code = run_pytest(root, m.tests)
             path.write_text(original)
-            verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"BROKEN (pytest exit {code})")
+            verdict = {None: "timed out", 0: "SURVIVED", 1: "killed"}.get(
+                code, f"BROKEN (pytest exit {code})")
             print(f"{m.name}: {verdict} by {' '.join(m.tests)} "
                   f"({time.perf_counter() - started:.1f} s)")
             bad += code != 1
