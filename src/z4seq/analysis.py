@@ -24,9 +24,7 @@ one coefficient per coset, weighted by the coset's size (`dft_nonzero_count`).
 import math
 from collections import namedtuple
 
-from .cyclotomy import (
-    CyclotomicSystem, class_coefficients, count_solutions, lc_by_theorem,
-)
+from .cyclotomy import CyclotomicSystem, count_solutions, lc_by_theorem
 from .errors import PeriodMismatch, PeriodNotCongruent1Mod4
 from .galois import GaloisRing, GrElement, is_constant, make_ring, root_of_unity
 from .numtheory import R_MAX, factorize, is_prime, mult_order
@@ -116,16 +114,12 @@ class DefiningPolynomial(namedtuple("DefiningPolynomial", "ring beta coeffs")):
     __slots__ = ()
 
 
-def dft(seq: QuaternarySequence, ring: GaloisRing, beta: GrElement,
-        powers: list | None = None) -> DefiningPolynomial:
-    """Galois-ring DFT of one period; exact inversion needs T = 1 (mod 4).
-
-    `powers` is the checked table `power_table(beta, T)` when the caller has it.
-    """
+def dft(seq: QuaternarySequence, ring: GaloisRing, beta: GrElement) -> DefiningPolynomial:
+    """Galois-ring DFT of one period; exact inversion needs T = 1 (mod 4)."""
     T = seq.period
     if T % 4 != 1:
         raise PeriodNotCongruent1Mod4(f"period {T} = {T % 4} (mod 4)")
-    pows = powers if powers is not None else power_table(beta, T)
+    pows = power_table(beta, T)
 
     def coefficients(reps):
         return [(v,) for v in _dft_at(seq, ring, pows, reps)]
@@ -155,22 +149,6 @@ def rho_value(system: CyclotomicSystem, beta: GrElement, powers: list) -> GrElem
     ring = beta.ring
     _, d1, d2, d3 = _class_rows(system, ring, powers)
     return ring.unpack((d1 + 2 * d2 + 3 * d3) & ring.mask)
-
-
-def defining_poly_formula(system: CyclotomicSystem, ring: GaloisRing,
-                          beta: GrElement) -> DefiningPolynomial:
-    """Closed-form defining polynomial: each class's coefficient a*rho + b.
-
-    (a, b) is the class's entry in `cyclotomy.class_coefficients`.
-    """
-    T = system.pq
-    if T % 4 != 1:
-        raise PeriodNotCongruent1Mod4(f"period {T} = {T % 4} (mod 4)")
-    rho = ring.pack(rho_value(system, beta, power_table(beta, T)).coeffs)
-    coeff = {label: ring.unpack((a * rho + b) & ring.mask)
-             for label, (a, b) in class_coefficients(system).items()}
-    coeffs = tuple(coeff[label] for label in system.class_of)
-    return DefiningPolynomial(ring=ring, beta=beta, coeffs=coeffs)
 
 
 def _inner_products(system: CyclotomicSystem, ring: GaloisRing, pows: list) -> list:

@@ -67,12 +67,28 @@ def _apply_config(parser, args, argv):
     return parser.parse_args(argv)
 
 
+def _write(stream, text: str) -> None:
+    """Write text to a text stream through its binary layer, then flush both.
+
+    An unbuffered binary layer (PYTHONUNBUFFERED) may take only part of a
+    write, as when a pipe's reader closes; the text layer would drop the
+    tail unseen, so each write's count is checked and the rest written
+    again, which raises BrokenPipeError once the reader is gone.
+    """
+    stream.flush()
+    data = memoryview(text.encode(stream.encoding, stream.errors))
+    while data:
+        written = stream.buffer.write(data)
+        data = data[written:]
+    stream.buffer.flush()
+
+
 def _emit(text: str, out_path):
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            _write(fh, text)
     else:
-        sys.stdout.write(text)
+        _write(sys.stdout, text)
 
 
 def _json_text(obj, indent=2) -> str:
@@ -226,8 +242,7 @@ def cmd_sweep(args) -> int:
                 if out_path else sys.stdout)
 
         def flush(text):
-            sink.write(text)
-            sink.flush()
+            _write(sink, text)
 
         if fmt == "csv":
             flush(",".join(columns) + "\n")

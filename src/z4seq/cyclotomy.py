@@ -8,6 +8,11 @@ splits into four classes
 where g is the smallest common primitive root of p and q and h is the CRT
 element with h = g (mod p), h = 1 (mod q).  Together with P (nonzero
 multiples of p), Q (nonzero multiples of q) and R = {0} they partition Z_pq.
+
+`build_system` labels a unit u by the index of u mod q: u is in D_i exactly
+when ind_g(u mod q) = i (mod 4).  Since h = g (mod p) and h = 1 (mod q),
+D_0 = <g^4, h> = Z_p^* x (Z_q^*)^4 and D_i = g^i D_0.
+
 The closed-form linear complexity of the sequence is a function of the
 residue case and the class of 2 alone (`lc_by_theorem`); the defining
 polynomial's coefficient on each class, a*rho + b, is one table per residue
@@ -96,32 +101,18 @@ def build_system(p: int, q: int) -> CyclotomicSystem:
     h = crt_pair(g, p, 1, q)
     e = (p - 1) * (q - 1) // 4
 
-    class_of: list = [None] * n
+    # one period of labels by the residue mod q: Q at 0, D_(ind_g(x) mod 4) at x = g^k
+    period = ["Q"] * q
+    x = 1
+    for k in range(q - 1):
+        period[x] = D_LABELS[k % 4]
+        x = x * g % q
+    class_of = period * p
+    class_of[p::p] = ["P"] * (q - 1)
     class_of[0] = "R"
-    for k in range(1, q):
-        class_of[k * p] = "P"
-    for k in range(1, p):
-        class_of[k * q] = "Q"
 
-    g4 = pow(g, 4, n)
-    hpow = [pow(h, j, n) for j in range(4)]
     for i in range(4):
-        label = D_LABELS[i]
-        x = pow(g, i, n)
-        for _ in range(e // 4):
-            for hj in hpow:
-                v = x * hj % n
-                if class_of[v] is not None:
-                    raise Z4SeqError(
-                        f"internal: residue {v} hit twice ({class_of[v]} vs {label})"
-                    )
-                class_of[v] = label
-            x = x * g4 % n
-
-    if any(lab is None for lab in class_of):
-        raise Z4SeqError("internal: classes do not cover Z_pq")
-    for i in range(4):
-        size = sum(1 for lab in class_of if lab == D_LABELS[i])
+        size = class_of.count(D_LABELS[i])
         if size != e:
             raise Z4SeqError(f"internal: |D{i}| = {size}, expected {e}")
     if class_of[pow(h, 4, n)] != "D0":

@@ -1,0 +1,27 @@
+"""The paper's closed-form defining polynomial: the reference `analysis.dft` is checked against.
+
+Each coefficient is its exponent's class entry a*rho + b in
+`cyclotomy.class_coefficients`, with rho = sum_{i=1..3} i * D_i(beta) from
+`analysis.rho_value`; no DFT sum is taken.
+"""
+
+from z4seq.analysis import DefiningPolynomial, power_table, rho_value
+from z4seq.cyclotomy import CyclotomicSystem, class_coefficients
+from z4seq.errors import PeriodNotCongruent1Mod4
+from z4seq.galois import GaloisRing, GrElement
+
+
+def defining_poly_formula(system: CyclotomicSystem, ring: GaloisRing,
+                          beta: GrElement) -> DefiningPolynomial:
+    """Closed-form defining polynomial: each class's coefficient a*rho + b.
+
+    (a, b) is the class's entry in `cyclotomy.class_coefficients`.
+    """
+    T = system.pq
+    if T % 4 != 1:
+        raise PeriodNotCongruent1Mod4(f"period {T} = {T % 4} (mod 4)")
+    rho = ring.pack(rho_value(system, beta, power_table(beta, T)).coeffs)
+    coeff = {label: ring.unpack((a * rho + b) & ring.mask)
+             for label, (a, b) in class_coefficients(system).items()}
+    coeffs = tuple(coeff[label] for label in system.class_of)
+    return DefiningPolynomial(ring=ring, beta=beta, coeffs=coeffs)

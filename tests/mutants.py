@@ -128,6 +128,15 @@ MUTANTS = [
     Mutant("exit-without-freeze", "src/z4seq/cli.py",
            "    finally:\n        gc.freeze()\n", "    finally:\n        pass\n",
            ["tests/test_exit.py"]),
+    Mutant("index-table-mod-p", "src/z4seq/cyclotomy.py",
+           "x = x * g % q", "x = x * g % p",
+           ["tests/test_cyclotomy.py"]),
+    Mutant("d1-d3-swapped", "src/z4seq/cyclotomy.py",
+           "D_LABELS[k % 4]", "D_LABELS[-k % 4]",
+           ["tests/test_cyclotomy.py"]),
+    Mutant("short-write-count-ignored", "src/z4seq/cli.py",
+           "data = data[written:]", "data = data[len(data):]",
+           ["tests/test_exit.py"]),
 ]
 
 

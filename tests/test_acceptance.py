@@ -4,12 +4,12 @@ import random
 import tempfile
 import time
 
+from formula_reference import defining_poly_formula
 from gr_reference import power
 from snf_reference import snf_min_length
 from z4seq.analysis import (
     admissible_pairs,
     analyze,
-    defining_poly_formula,
     dft,
     lc_by_count,
     lc_by_theorem,

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from z4seq.analysis import admissible_pairs
 from z4seq.cyclotomy import (
     CASE1,
     CASE2,
@@ -29,6 +30,32 @@ def test_h4_lands_in_d0():
     for p, q in PAIRS:
         s = build_system(p, q)
         assert s.class_of[pow(s.h, 4, s.pq)] == "D0"
+
+
+def enumerated_classes(p, q, g, h):
+    """The paper's labels: D_i = {g^(4s+i) h^j : 0 <= s < e/4, 0 <= j < 4},
+    then P, Q and R; every residue mod pq labelled exactly once."""
+    n, e = p * q, (p - 1) * (q - 1) // 4
+    labels = [None] * n
+    members = [(0, "R")]
+    members += [(k * p, "P") for k in range(1, q)]
+    members += [(k * q, "Q") for k in range(1, p)]
+    members += [(pow(g, 4 * s + i, n) * pow(h, j, n) % n, f"D{i}")
+                for i in range(4) for s in range(e // 4) for j in range(4)]
+    for u, label in members:
+        assert labels[u] is None, (u, labels[u], label)
+        labels[u] = label
+    assert None not in labels
+    return tuple(labels)
+
+
+def test_index_labels_equal_the_enumeration():
+    # no ring is built, so the degree cap must not filter any pair
+    pairs = admissible_pairs(5000, 5000, r_max=10**6, pq_max=5000)
+    assert len(pairs) == 268
+    for p, q in pairs:
+        s = build_system(p, q)
+        assert s.class_of == enumerated_classes(p, q, s.g, s.h), (p, q)
 
 
 def test_rejections():

@@ -27,7 +27,9 @@ def run_module(*argv, unbuffered=True, **popen):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    if not unbuffered:
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    else:
         env.pop("PYTHONUNBUFFERED", None)
     return subprocess.Popen([sys.executable, "-m", "z4seq.cli", *argv],
                             env=env, **popen)
@@ -83,14 +85,29 @@ def test_entry_freezes_the_collector_on_every_way_out(monkeypatch, capsys, argv,
         gc.unfreeze()
 
 
-def test_gen_into_a_reader_that_stops_after_one_byte():
-    # 200,046 bytes of digits, more than a pipe holds, so the reader's close
-    # breaks main's own write; the status and stderr are those of the commit
-    # before entry() froze the collector
-    with run_module("gen", "--p", "5", "--q", "40009", unbuffered=False,
+def gen_into_a_reader_that_stops_after_one_byte(unbuffered):
+    """(exit code, stderr) of `gen` at (5,40009) whose reader closes after one byte.
+
+    200,046 bytes of digits, more than a pipe holds, so the reader's close
+    breaks main's own write.
+    """
+    with run_module("gen", "--p", "5", "--q", "40009", unbuffered=unbuffered,
                     stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
         assert proc.stdout.read(1) == b"2"
         proc.stdout.close()
         _, stderr = proc.communicate(timeout=120)
-    assert (proc.returncode, stderr) == (
+    return proc.returncode, stderr
+
+
+def test_gen_into_a_reader_that_stops_after_one_byte():
+    # the status and stderr are those of the commit before entry() froze the
+    # collector
+    assert gen_into_a_reader_that_stops_after_one_byte(unbuffered=False) == (
+        2, b"ERROR BrokenPipeError: [Errno 32] Broken pipe\n")
+
+
+def test_unbuffered_gen_into_a_reader_that_stops_after_one_byte():
+    # an unbuffered stdout takes part of the write before the reader closes;
+    # the tail must not be dropped with exit 0
+    assert gen_into_a_reader_that_stops_after_one_byte(unbuffered=True) == (
         2, b"ERROR BrokenPipeError: [Errno 32] Broken pipe\n")
