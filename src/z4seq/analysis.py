@@ -14,17 +14,21 @@ masked int sums over it, and a product with a ring value is one packed
 multiply.  Values indexed by u whose entry at 2u is the Frobenius image of
 the entry at u (the DFT coefficients, set sums of beta^(uw)) are computed
 once per 2-cyclotomic coset and carried round the coset by the Frobenius
-map (`frobenius_fill`).  Single values come back as `GrElement`.
+map (`frobenius_fill`).  Single values (rho, each DFT coefficient) are
+packed ints too; only output reads their digits (`GaloisRing.digits`).
 
 `analyze` never fills the DFT: since sigma is an automorphism, a coset's
 coefficients are all zero or all nonzero, so it counts the nonzero ones from
 one coefficient per coset, weighted by the coset's size (`dft_nonzero_count`).
+The same coefficients check the paper's theorem, class by class
+(`_theorem_holds`).
 """
 
 import math
 from collections import namedtuple
 
-from .cyclotomy import CyclotomicSystem, count_solutions, lc_by_theorem
+from .cyclotomy import (CyclotomicSystem, class_coefficients, count_solutions,
+                        lc_by_theorem)
 from .errors import PeriodMismatch, PeriodNotCongruent1Mod4
 from .galois import GaloisRing, GrElement, is_constant, make_ring, root_of_unity
 from .numtheory import R_MAX, factorize, is_prime, mult_order
@@ -39,8 +43,7 @@ def _ring_and_beta(system: CyclotomicSystem, r_max: int) -> tuple:
 
 def power_table(beta: GrElement, n: int) -> list:
     """Packed beta^0 .. beta^(n-1) after verifying ord(beta) = n."""
-    ring = beta.ring
-    step = ring.pack(beta.coeffs)
+    ring, step = beta.ring, beta.value
     pows = [1]
     for _ in range(n):
         pows.append(ring.mul(pows[-1], step))
@@ -97,7 +100,7 @@ def frobenius_fill(ring: GaloisRing, n: int, us, values_at) -> list:
 
 def _class_rows(system: CyclotomicSystem, ring: GaloisRing, pows: list) -> list:
     """D_0 .. D_3 evaluated at the table's base, packed."""
-    return [ring.sum([pows[u] for u in system.members(f"D{i}")]) for i in range(4)]
+    return [ring.sum([pows[u] for u in system.classes[f"D{i}"]]) for i in range(4)]
 
 
 def _dft_at(seq: QuaternarySequence, ring: GaloisRing, pows: list, reps) -> list:
@@ -109,7 +112,7 @@ def _dft_at(seq: QuaternarySequence, ring: GaloisRing, pows: list, reps) -> list
 
 
 class DefiningPolynomial(namedtuple("DefiningPolynomial", "ring beta coeffs")):
-    """DFT coefficient vector rho_0..rho_{T-1} with its root of unity."""
+    """Packed DFT coefficients rho_0..rho_{T-1} with their root of unity."""
 
     __slots__ = ()
 
@@ -125,12 +128,12 @@ def dft(seq: QuaternarySequence, ring: GaloisRing, beta: GrElement) -> DefiningP
         return [(v,) for v in _dft_at(seq, ring, pows, reps)]
 
     # rho_2i = sigma(rho_i): sigma fixes the digits and sends beta to beta^2
-    coeffs = [ring.unpack(v) for (v,) in frobenius_fill(ring, T, range(T), coefficients)]
-    return DefiningPolynomial(ring=ring, beta=beta, coeffs=tuple(coeffs))
+    coeffs = tuple(v for (v,) in frobenius_fill(ring, T, range(T), coefficients))
+    return DefiningPolynomial(ring=ring, beta=beta, coeffs=coeffs)
 
 
-def dft_nonzero_count(seq: QuaternarySequence, ring: GaloisRing, powers: list) -> int:
-    """lc_by_count(dft(seq, ...)), from one coefficient per 2-cyclotomic coset.
+def _coset_dft(seq: QuaternarySequence, ring: GaloisRing, powers: list) -> tuple:
+    """(lc_by_count(dft(seq, ...)), {i: rho_i}) for i the first index of each coset.
 
     rho_2i = sigma(rho_i) and sigma is a ring automorphism, so the
     coefficients of a coset are all zero or all nonzero; each nonzero one
@@ -141,14 +144,37 @@ def dft_nonzero_count(seq: QuaternarySequence, ring: GaloisRing, powers: list) -
         raise PeriodNotCongruent1Mod4(f"period {T} = {T % 4} (mod 4)")
     cosets = orbits(T, range(T))
     values = _dft_at(seq, ring, powers, [c[0] for c in cosets])
-    return sum(len(c) for c, v in zip(cosets, values) if v)
+    return (sum(len(c) for c, v in zip(cosets, values) if v),
+            {c[0]: v for c, v in zip(cosets, values)})
 
 
-def rho_value(system: CyclotomicSystem, beta: GrElement, powers: list) -> GrElement:
-    """rho = sum_{i=1..3} i * D_i(beta); `powers` is `power_table(beta, pq)`."""
+def dft_nonzero_count(seq: QuaternarySequence, ring: GaloisRing, powers: list) -> int:
+    """lc_by_count(dft(seq, ...)), from one coefficient per 2-cyclotomic coset."""
+    return _coset_dft(seq, ring, powers)[0]
+
+
+def _theorem_holds(system: CyclotomicSystem, ring: GaloisRing, rho: int,
+                   at_cosets: dict) -> bool:
+    """The paper's theorem on the DFT coefficients {i: rho_i} of `_coset_dft`.
+
+    Each rho_i equals a*rho + b, (a, b) the entry of i's class in
+    `cyclotomy.class_coefficients`.  The other indices follow from
+    sigma(rho) = rho - t, 2 in D_t: doubling maps D_i to D_(i+t) and fixes
+    R, P and Q, whose coefficients are in Z4.
+    """
+    table = class_coefficients(system)
+    for i, value in at_cosets.items():
+        a, b = table[system.class_of[i]]
+        if value != (a * rho + b) & ring.mask:
+            return False
+    return ring.sigma(rho) == (rho + 4 - system.two_class) & ring.mask
+
+
+def rho_value(system: CyclotomicSystem, beta: GrElement, powers: list) -> int:
+    """Packed rho = sum_{i=1..3} i * D_i(beta); `powers` is `power_table(beta, pq)`."""
     ring = beta.ring
     _, d1, d2, d3 = _class_rows(system, ring, powers)
-    return ring.unpack((d1 + 2 * d2 + 3 * d3) & ring.mask)
+    return (d1 + 2 * d2 + 3 * d3) & ring.mask
 
 
 def _inner_products(system: CyclotomicSystem, ring: GaloisRing, pows: list) -> list:
@@ -168,7 +194,7 @@ def lc_by_count(defpoly: DefiningPolynomial) -> int:
 class AnalysisReport(namedtuple("AnalysisReport", (
         "p q case two_class rho rho_in_z4 lc_formula lc_dft lc_reeds_sloane "
         "agree ring_degree"))):
-    """Cross-checked linear-complexity results for one (p, q).
+    """Cross-checked linear-complexity results for one (p, q); rho is its Z4 digits.
 
     A tuple: JSON output goes through `to_dict`, never the record itself.
     """
@@ -181,7 +207,7 @@ class AnalysisReport(namedtuple("AnalysisReport", (
             "q": self.q,
             "case": self.case,
             "two_class": self.two_class,
-            "rho": list(self.rho.coeffs),
+            "rho": list(self.rho),
             "rho_in_z4": self.rho_in_z4,
             "lc_formula": self.lc_formula,
             "lc_dft": self.lc_dft,
@@ -194,8 +220,9 @@ class AnalysisReport(namedtuple("AnalysisReport", (
 def analyze(system: CyclotomicSystem, r_max: int = R_MAX) -> AnalysisReport:
     """Full pipeline: formula vs DFT count vs Reeds-Sloane on two periods.
 
-    The routes agree when the three lengths are equal and the synthesized
-    register passes its own annihilation check.
+    The routes agree when the three lengths are equal, the synthesized
+    register passes its own annihilation check and the DFT coefficients the
+    count reads obey the paper's theorem (`_theorem_holds`).
     """
     from .lfsr import reeds_sloane  # here, so verify, trace and defpoly never load lfsr
 
@@ -204,12 +231,13 @@ def analyze(system: CyclotomicSystem, r_max: int = R_MAX) -> AnalysisReport:
     pows = power_table(beta, system.pq)
     rho = rho_value(system, beta, pows)
     lc_formula = lc_by_theorem(system)
-    lc_dft = dft_nonzero_count(seq, ring, pows)
+    lc_dft, at_cosets = _coset_dft(seq, ring, pows)
     synth = reeds_sloane(seq.digits * 2)
-    agree = lc_formula == lc_dft == synth.length and synth.annihilates
+    agree = (lc_formula == lc_dft == synth.length and synth.annihilates
+             and _theorem_holds(system, ring, rho, at_cosets))
     return AnalysisReport(
         p=system.p, q=system.q, case=system.case, two_class=system.two_class,
-        rho=rho, rho_in_z4=is_constant(rho) is not None, lc_formula=lc_formula,
+        rho=ring.digits(rho), rho_in_z4=is_constant(rho), lc_formula=lc_formula,
         lc_dft=lc_dft, lc_reeds_sloane=synth.length, agree=agree, ring_degree=ring.r,
     )
 
@@ -244,7 +272,7 @@ def verify_identities(system: CyclotomicSystem, ring: GaloisRing,
     pows = power_table(beta, n)
     checks = {}
 
-    sizes = {lab: len(system.members(lab)) for lab in ("D0", "D1", "D2", "D3", "P", "Q", "R")}
+    sizes = {lab: len(system.classes[lab]) for lab in ("D0", "D1", "D2", "D3", "P", "Q", "R")}
     checks["partition"] = (
         all(sizes[f"D{i}"] == system.e for i in range(4))
         and sizes["P"] == q - 1 and sizes["Q"] == p - 1 and sizes["R"] == 1
@@ -253,9 +281,9 @@ def verify_identities(system: CyclotomicSystem, ring: GaloisRing,
     )
 
     # D_j[0] * D_i == D_(i+j) for all 16 (i, j)
-    d_sets = [frozenset(system.members(f"D{i}")) for i in range(4)]
+    d_sets = [frozenset(system.classes[f"D{i}"]) for i in range(4)]
     checks["class-shift"] = all(
-        frozenset(system.members(f"D{j}")[0] * v % n for v in d_sets[i])
+        frozenset(system.classes[f"D{j}"][0] * v % n for v in d_sets[i])
         == d_sets[(i + j) % 4]
         for i in range(4) for j in range(4))
 
@@ -266,7 +294,7 @@ def verify_identities(system: CyclotomicSystem, ring: GaloisRing,
 
     # D_i at beta^m is the sum of beta^(m*u) over u in D_i; at the prime-order
     # points m = kp and m = kq it is carried round each coset by sigma
-    classes = [system.members(f"D{i}") for i in range(4)]
+    classes = [system.classes[f"D{i}"] for i in range(4)]
 
     def class_sums(reps):
         return list(zip(*(power_sums(ring, pows, reps, members) for members in classes)))
@@ -290,7 +318,7 @@ def verify_identities(system: CyclotomicSystem, ring: GaloisRing,
     expected = [[int((i - j) % 4 == t) for j in range(4)] for i in range(4)]
     checks["inner-products"] = _inner_products(system, ring, pows) == expected
 
-    in_z4 = is_constant(rho_value(system, beta, pows)) is not None
+    in_z4 = is_constant(rho_value(system, beta, pows))
     checks["rho-membership"] = in_z4 == (system.two_class == 0)
 
     return checks

@@ -166,7 +166,7 @@ def cmd_defpoly(args) -> int:
     system = _system(args)
     ring, beta = analysis._ring_and_beta(system, args.r_max)
     defpoly = analysis.dft(sequence.generate(system), ring, beta)
-    rows = [(u, system.class_of[u], "".join(str(c) for c in coeff.coeffs))
+    rows = [(u, system.class_of[u], "".join(str(c) for c in ring.digits(coeff)))
             for u, coeff in enumerate(defpoly.coeffs)]
     if args.format == "json":
         text = _json_text(

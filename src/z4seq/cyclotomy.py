@@ -52,9 +52,6 @@ class CyclotomicSystem(namedtuple("CyclotomicSystem", "p q e g h case class_of")
             out[lab].append(u)
         return {lab: tuple(members) for lab, members in out.items()}
 
-    def members(self, label: str) -> tuple:
-        return self.classes[label]
-
     @cached_property
     def two_class(self) -> int:
         """Index i of the class D_i containing 2."""
@@ -72,7 +69,7 @@ class CyclotomicSystem(namedtuple("CyclotomicSystem", "p q e g h case class_of")
             "e": self.e,
             "case": self.case,
             "two_class": self.two_class,
-            "class_sizes": {lab: len(self.members(lab)) for lab in LABELS},
+            "class_sizes": {lab: len(self.classes[lab]) for lab in LABELS},
         }
 
 
@@ -132,7 +129,7 @@ def count_solutions(system: CyclotomicSystem, a: int, modulus: str) -> int:
     except KeyError:
         raise ValueError(f"modulus must be 'p', 'q' or 'pq', got {modulus!r}") from None
     ga = pow(system.g, a, system.pq)
-    return sum(1 for w in system.members("D0") if (ga + w) % m == 0)
+    return sum(1 for w in system.classes["D0"] if (ga + w) % m == 0)
 
 
 def case_two_class(system: CyclotomicSystem) -> int:

@@ -29,10 +29,6 @@ class DegreeTooLarge(Z4SeqError):
     """Requested Galois-ring extension degree exceeds the configured cap."""
 
 
-class RingMismatch(Z4SeqError):
-    """Arithmetic attempted between elements of different rings."""
-
-
 class PeriodNotDividing(Z4SeqError):
     """Root-of-unity order must divide 2^r - 1."""
 

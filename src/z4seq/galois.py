@@ -10,22 +10,23 @@ The search for f runs on int bitmasks: odd-weight candidates only, squaring
 by spreading bits and folding back by f's tap list (built once per
 candidate), one chain of squarings of x for Rabin's test (with a gcd
 sieve at its first steps), and the order test x^((2^r - 1)/d) != 1 by
-squaring and shifting.  Ring arithmetic is on packed Python ints, one 16-bit
-slot per Z4 coefficient (`GaloisRing.pack`/`unpack`): a product is one int
-multiply, a slot mask for mod 4 and a Barrett reduction by the modulus (two
-more multiplies against the precomputed floor(x^(2r-2)/h)).  Sums of packed
-elements are int sums masked before a slot can carry (`GaloisRing.sum`).
-Since sigma(x) = x^2, the Frobenius map spreads slot k to slot 2k and
-reduces (`GaloisRing.sigma`).  The order of x is proved once, on f; the
-ring checks that its modulus lifts f and vanishes at x^2, which suffices
-(`_build_ring`).  `GrElement` is the value type of single ring elements:
-coefficients, addition and equality.
+squaring and shifting.  Ring values are packed Python ints, one 16-bit slot
+per Z4 coefficient (`GaloisRing.pack`, read back by `GaloisRing.digits`): a
+product is one int multiply, a slot mask for mod 4 and a Barrett reduction
+by the modulus (two more multiplies against the precomputed
+floor(x^(2r-2)/h)).  Sums of packed elements are int sums masked before a
+slot can carry (`GaloisRing.sum`).  Since sigma(x) = x^2, the Frobenius map
+spreads slot k to slot 2k and reduces (`GaloisRing.sigma`).  The order of x
+is proved once, on f; the ring checks that its modulus lifts f and vanishes
+at x^2, which suffices (`_build_ring`).  `GrElement` is the record
+`root_of_unity` returns: a packed value with its ring.
 """
 
+from collections import namedtuple
 from functools import lru_cache
 from itertools import islice
 
-from .errors import DegreeTooLarge, PeriodNotDividing, RingMismatch, Z4SeqError
+from .errors import DegreeTooLarge, PeriodNotDividing, Z4SeqError
 from .numtheory import R_MAX, factorize
 
 
@@ -126,44 +127,10 @@ def _graeffe_lift(f_mask: int, r: int) -> tuple:
     return tuple(sign * prod[2 * k] % 4 for k in range(r + 1))
 
 
-class GrElement:
-    """An element of GR(4, 4^r) in canonical coefficient form; products are on packed ints."""
+class GrElement(namedtuple("GrElement", "ring value")):
+    """A packed element of GR(4, 4^r) together with its ring."""
 
-    __slots__ = ("ring", "coeffs")
-
-    def __init__(self, ring, coeffs):
-        self.ring = ring
-        self.coeffs = coeffs
-
-    def _check(self, other):
-        if self.ring is not other.ring and self.ring != other.ring:
-            raise RingMismatch(f"{self.ring!r} vs {other.ring!r}")
-
-    def __add__(self, other):
-        self._check(other)
-        return GrElement(self.ring,
-                         tuple((a + b) % 4 for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        self._check(other)
-        return GrElement(self.ring,
-                         tuple((a - b) % 4 for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        return GrElement(self.ring, tuple(-a % 4 for a in self.coeffs))
-
-    def __eq__(self, other):
-        return (isinstance(other, GrElement)
-                and self.ring == other.ring and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __bool__(self):
-        return any(self.coeffs)
-
-    def __repr__(self):
-        return f"GrElement{self.coeffs}"
+    __slots__ = ()
 
 
 # A ring element packed into one int: slot k (bits 16k .. 16k+15) holds the
@@ -182,8 +149,9 @@ def _slot_mask(k: int) -> int:
 class GaloisRing:
     """GR(4, 4^r) with a fixed canonical modulus; immutable after init.
 
-    Arithmetic is on packed ints (`pack`, `unpack`): a product is one int
+    Arithmetic is on packed ints (`pack`, `digits`): a product is one int
     multiply, a slot mask for mod 4 and a Barrett reduction by the modulus.
+    x is the packed residue class of x.
     """
 
     def __init__(self, r: int, modulus: tuple):
@@ -203,21 +171,7 @@ class GaloisRing:
         self._neg_h = self.pack([-c for c in self.modulus])
         self._high = SLOT_BITS * r
         self._qshift = SLOT_BITS * max(r - 2, 0)  # mu = 0 when r = 1
-        self.zero = GrElement(self, (0,) * r)
-        self.one = self.scalar(1)
-        if r == 1:
-            self.x = self.scalar(-self.modulus[0])
-        else:
-            self.x = GrElement(self, (0, 1) + (0,) * (r - 2))
-
-    def scalar(self, c: int) -> GrElement:
-        return GrElement(self, (c % 4,) + (0,) * (self.r - 1))
-
-    def element(self, coeffs) -> GrElement:
-        coeffs = tuple(int(c) % 4 for c in coeffs)
-        if len(coeffs) > self.r:
-            raise ValueError(f"at most {self.r} coefficients, got {len(coeffs)}")
-        return GrElement(self, coeffs + (0,) * (self.r - len(coeffs)))
+        self.x = -self.modulus[0] % 4 if r == 1 else 1 << SLOT_BITS
 
     @staticmethod
     def pack(coeffs) -> int:
@@ -227,9 +181,9 @@ class GaloisRing:
         buf[::2] = coeffs
         return int.from_bytes(buf, "little")
 
-    def unpack(self, v: int) -> GrElement:
-        """The element held by a reduced packed int."""
-        return GrElement(self, tuple(v.to_bytes(2 * self.r, "little")[::2]))
+    def digits(self, v: int) -> tuple:
+        """The Z4 coefficients c_0 .. c_(r-1) of a reduced packed int."""
+        return tuple(v.to_bytes(2 * self.r, "little")[::2])
 
     def reduce(self, c: int) -> int:
         """c mod the modulus, for c of degree at most 2r - 2 with slots mod 4."""
@@ -269,13 +223,6 @@ class GaloisRing:
             if len(part) < SUM_CHUNK:
                 return total
 
-    def __eq__(self, other):
-        return (isinstance(other, GaloisRing)
-                and self.r == other.r and self.modulus == other.modulus)
-
-    def __hash__(self):
-        return hash((self.r, self.modulus))
-
     def __repr__(self):
         return f"GaloisRing(r={self.r})"
 
@@ -307,8 +254,7 @@ def _build_ring(r: int) -> GaloisRing:
     if sum((c & 1) << i for i, c in enumerate(ring.modulus)) != f:
         raise Z4SeqError(f"internal: modulus is not a lift of {f:#b} in GR(4,4^{r})")
     # the modulus vanishes at x^2, so sigma(x) = x^2 defines ring.sigma
-    x = ring.pack(ring.x.coeffs)
-    x2 = ring.mul(x, x)
+    x2 = ring.mul(ring.x, ring.x)
     h_x2 = 0
     for c in reversed(ring.modulus):
         h_x2 = (ring.mul(h_x2, x2) + c) & ring.mask
@@ -332,11 +278,9 @@ def root_of_unity(ring: GaloisRing, period: int) -> GrElement:
         raise PeriodNotDividing(f"period must be odd and positive, got {period}")
     if ring.order % period != 0:
         raise PeriodNotDividing(f"{period} does not divide 2^{ring.r} - 1")
-    return ring.unpack(ring.pow(ring.pack(ring.x.coeffs), ring.order // period))
+    return GrElement(ring, ring.pow(ring.x, ring.order // period))
 
 
-def is_constant(a: GrElement):
-    """The Z4 value of a if it lies in the prime subring, else None."""
-    if any(a.coeffs[1:]):
-        return None
-    return a.coeffs[0]
+def is_constant(v: int) -> bool:
+    """Whether the reduced packed v lies in the prime subring Z4: slots 1.. are 0."""
+    return v < 4

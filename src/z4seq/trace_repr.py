@@ -24,7 +24,7 @@ from collections import namedtuple
 from .analysis import frobenius_fill, orbits, power_sums, power_table, rho_value
 from .cyclotomy import CASE1, CyclotomicSystem, case_two_class, class_coefficients
 from .errors import NonConstantResult, TraceFormulaPreconditionFailed
-from .galois import GaloisRing, GrElement
+from .galois import GaloisRing, GrElement, is_constant
 from .numtheory import mult_order
 from .sequence import generate
 
@@ -37,7 +37,8 @@ class TraceParams(namedtuple("TraceParams", (
     to degree 4).  q_orbits are the exponent orbits under u -> 2u through
     the multiples of p (class P), p_orbits those through the multiples of
     q (class Q), d_orbits per class i the orbits under u -> 2^epsilon u
-    (2^4 in Case2), and powers the checked packed table of beta.
+    (2^4 in Case2), powers the checked packed table of beta, and rho is
+    packed, as `analysis.rho_value` returns it.
     """
 
     __slots__ = ()
@@ -49,7 +50,7 @@ def _flat(orbs) -> list:
 
 def _tiling_orbits(system: CyclotomicSystem, label: str, step: int) -> tuple:
     """The orbits of u -> step*u through class `label`, which they must tile."""
-    members = system.members(label)
+    members = system.classes[label]
     found = orbits(system.pq, members, step)
     if sorted(_flat(found)) != sorted(members):
         raise TraceFormulaPreconditionFailed(
@@ -103,25 +104,23 @@ def _trace_values(system: CyclotomicSystem, ring: GaloisRing, params: TraceParam
         return [tuple(sum(w * v for w, v in zip(column, row)) & ring.mask
                       for column in weights) for row in rows]
 
-    rho = ring.pack(params.rho.coeffs)
-    return [(ring.mul(rho, a) + b) & ring.mask
+    return [(ring.mul(params.rho, a) + b) & ring.mask
             for a, b in frobenius_fill(ring, len(pows), us, set_sums)]
 
 
 def check_trace_repr(system: CyclotomicSystem, ring: GaloisRing, beta: GrElement,
-                     params: TraceParams | None = None):
+                     params: TraceParams):
     """(ok, first_mismatch): exhaustive digit-for-digit comparison.
 
-    The first failing index decides: NonConstantResult if the form leaves Z4
-    there, else that index is returned as the first mismatch.
+    params is `trace_params(system, ring, beta)`, whose power table the form
+    reads.  The first failing index decides: NonConstantResult if the form
+    leaves Z4 there, else that index is returned as the first mismatch.
     """
-    if params is None:
-        params = trace_params(system, ring, beta)
     values = _trace_values(system, ring, params, range(system.pq))
     for u, (value, digit) in enumerate(zip(values, generate(system).digits)):
         if value != digit:
-            if value > 3:  # a coefficient above the constant one is nonzero
+            if not is_constant(value):
                 raise NonConstantResult(
-                    f"trace form at u={u} is not in Z4: {ring.unpack(value)!r}")
+                    f"trace form at u={u} is not in Z4: GrElement{ring.digits(value)}")
             return False, u
     return True, None

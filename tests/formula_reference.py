@@ -2,7 +2,8 @@
 
 Each coefficient is its exponent's class entry a*rho + b in
 `cyclotomy.class_coefficients`, with rho = sum_{i=1..3} i * D_i(beta) from
-`analysis.rho_value`; no DFT sum is taken.
+`analysis.rho_value`; no DFT sum is taken.  Coefficients are packed, as
+`analysis.dft` returns them.
 """
 
 from z4seq.analysis import DefiningPolynomial, power_table, rho_value
@@ -20,8 +21,8 @@ def defining_poly_formula(system: CyclotomicSystem, ring: GaloisRing,
     T = system.pq
     if T % 4 != 1:
         raise PeriodNotCongruent1Mod4(f"period {T} = {T % 4} (mod 4)")
-    rho = ring.pack(rho_value(system, beta, power_table(beta, T)).coeffs)
-    coeff = {label: ring.unpack((a * rho + b) & ring.mask)
+    rho = rho_value(system, beta, power_table(beta, T))
+    coeff = {label: (a * rho + b) & ring.mask
              for label, (a, b) in class_coefficients(system).items()}
     coeffs = tuple(coeff[label] for label in system.class_of)
     return DefiningPolynomial(ring=ring, beta=beta, coeffs=coeffs)

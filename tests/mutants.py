@@ -47,8 +47,8 @@ MUTANTS = [
            "        out[coset[0]] = tuple(ring.sigma(v) for v in vals)\n",
            ["tests/test_analysis.py", "tests/test_cli.py"]),
     Mutant("coset-count-without-sizes", "src/z4seq/analysis.py",
-           "return sum(len(c) for c, v in zip(cosets, values) if v)",
-           "return sum(1 for c, v in zip(cosets, values) if v)",
+           "(sum(len(c) for c, v in zip(cosets, values) if v)",
+           "(sum(1 for c, v in zip(cosets, values) if v)",
            ["tests/test_analysis.py"]),
     Mutant("taps-without-constant-term", "src/z4seq/galois.py",
            "[j for j in range(r) if f >> j & 1]",
@@ -137,6 +137,20 @@ MUTANTS = [
     Mutant("short-write-count-ignored", "src/z4seq/cli.py",
            "data = data[written:]", "data = data[len(data):]",
            ["tests/test_exit.py"]),
+    Mutant("every-value-constant", "src/z4seq/galois.py",
+           "    return v < 4", "    return True",
+           ["tests/test_galois.py"]),
+    Mutant("digits-read-high-bytes", "src/z4seq/galois.py",
+           '"little")[::2])', '"little")[1::2])',
+           ["tests/test_packed.py"]),
+    Mutant("theorem-frobenius-step-dropped", "src/z4seq/analysis.py",
+           "return ring.sigma(rho) == (rho + 4 - system.two_class) & ring.mask",
+           "return True",
+           ["tests/test_analysis.py"]),
+    Mutant("theorem-d-coefficient-shifted", "src/z4seq/analysis.py",
+           "if value != (a * rho + b) & ring.mask:",
+           "if value != (a * (rho + 1) + b) & ring.mask:",
+           ["tests/test_analysis.py"]),
 ]
 
 

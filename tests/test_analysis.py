@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from formula_reference import defining_poly_formula
-from gr_reference import mul, power
+from gr_reference import mul, one, root_power, scalar, unpack, zero
+from z4seq import analysis
 from z4seq.analysis import (
+    _coset_dft,
     _inner_products,
+    _theorem_holds,
     admissible_pairs,
     analyze,
     dft,
@@ -18,8 +21,8 @@ from z4seq.analysis import (
     rho_value,
     verify_identities,
 )
-from z4seq.cli import _SWEEP_COLUMNS, _csv_row
-from z4seq.cyclotomy import CASE1, build_system
+from z4seq.cli import _SWEEP_COLUMNS, _csv_row, main
+from z4seq.cyclotomy import CASE1, CASE2, build_system, class_coefficients
 from z4seq.errors import (
     GcdNotFour,
     PeriodMismatch,
@@ -37,16 +40,16 @@ def ring_beta(system):
 
 def evaluate(poly, u, pows):
     """G(beta^u) = sum_i rho_i beta^(iu), element by element."""
-    acc = poly.ring.zero
+    acc = zero(poly.ring)
     for i, c in enumerate(poly.coeffs):
         if c:
-            acc = acc + mul(c, pows[i * u % len(poly.coeffs)])
+            acc = acc + mul(unpack(poly.ring, c), pows[i * u % len(poly.coeffs)])
     return acc
 
 
 def class_sum(system, i, ring, pows, m=1):
     """D_i evaluated at gamma = base^m of the table: sum of gamma^u over u in D_i."""
-    return ring.unpack(power_sums(ring, pows, [m], system.members(f"D{i}"))[0])
+    return unpack(ring, power_sums(ring, pows, [m], system.classes[f"D{i}"])[0])
 
 
 def test_class_sum_at_one_and_subgroup_points():
@@ -54,12 +57,12 @@ def test_class_sum_at_one_and_subgroup_points():
         s = build_system(*pair)
         ring, beta = ring_beta(s)
         pows = power_table(beta, s.pq)
-        target = ring.scalar(3 * (s.q - 1) // 4)
+        target = scalar(ring, 3 * (s.q - 1) // 4)
         for i in range(4):
             # gamma = 1 gives |D_i| = e = 0 (mod 4)
-            assert class_sum(s, i, ring, pows, 0) == ring.scalar(s.e)
+            assert class_sum(s, i, ring, pows, 0) == scalar(ring, s.e)
             for k in range(s.q):
-                assert class_sum(s, i, ring, pows, k * s.p % s.pq) == ring.zero
+                assert class_sum(s, i, ring, pows, k * s.p % s.pq) == zero(ring)
             for k in range(1, s.p):
                 assert class_sum(s, i, ring, pows, k * s.q % s.pq) == target
 
@@ -68,12 +71,12 @@ def test_root_of_unity_sums():
     s = build_system(5, 13)
     ring, beta = ring_beta(s)
     pows = power_table(beta, s.pq)
-    assert sum((ring.unpack(pows[j * s.p % s.pq]) for j in range(s.q)),
-               ring.zero) == ring.zero
-    assert sum((ring.unpack(pows[j * s.q % s.pq]) for j in range(s.p)),
-               ring.zero) == ring.zero
-    units = sum((class_sum(s, i, ring, pows) for i in range(4)), ring.zero)
-    assert units == ring.one
+    assert sum((unpack(ring, pows[j * s.p % s.pq]) for j in range(s.q)),
+               zero(ring)) == zero(ring)
+    assert sum((unpack(ring, pows[j * s.q % s.pq]) for j in range(s.p)),
+               zero(ring)) == zero(ring)
+    units = sum((class_sum(s, i, ring, pows) for i in range(4)), zero(ring))
+    assert units == one(ring)
 
 
 def test_dft_constant_sequence():
@@ -82,8 +85,8 @@ def test_dft_constant_sequence():
     for c in range(4):
         seq = QuaternarySequence(65, (c,) * 65)
         poly = dft(seq, ring, beta)
-        assert poly.coeffs[0] == ring.scalar(c)
-        assert all(poly.coeffs[i] == ring.zero for i in range(1, 65))
+        assert unpack(ring, poly.coeffs[0]) == scalar(ring, c)
+        assert all(unpack(ring, poly.coeffs[i]) == zero(ring) for i in range(1, 65))
 
 
 def test_dft_impulse():
@@ -91,7 +94,7 @@ def test_dft_impulse():
     beta = root_of_unity(ring, 65)
     seq = QuaternarySequence(65, (1,) + (0,) * 64)
     poly = dft(seq, ring, beta)
-    assert all(c == ring.one for c in poly.coeffs)
+    assert all(unpack(ring, c) == one(ring) for c in poly.coeffs)
     assert lc_by_count(poly) == 65
 
 
@@ -105,7 +108,7 @@ def test_dft_coeff0_of_quaternary_5_13():
     s = build_system(5, 13)
     ring, beta = ring_beta(s)
     poly = dft(generate(s), ring, beta)
-    assert poly.coeffs[0] == ring.scalar(2)
+    assert unpack(ring, poly.coeffs[0]) == scalar(ring, 2)
 
 
 def test_dft_rejects_bad_period():
@@ -114,7 +117,7 @@ def test_dft_rejects_bad_period():
     with pytest.raises(PeriodNotCongruent1Mod4):
         dft(QuaternarySequence(15, (1,) * 15), ring, beta)
     ring65 = make_ring(12)
-    order13 = power(root_of_unity(ring65, 65), 5)  # order 13, not 65
+    order13 = root_power(root_of_unity(ring65, 65), 5)  # order 13, not 65
     with pytest.raises(PeriodMismatch):
         dft(QuaternarySequence(65, (1,) * 65), ring65, order13)
 
@@ -170,9 +173,9 @@ def test_reconstruction_exhaustive():
         ring, beta = ring_beta(s)
         seq = generate(s)
         poly = dft(seq, ring, beta)
-        pows = [ring.unpack(row) for row in power_table(beta, s.pq)]
+        pows = [unpack(ring, row) for row in power_table(beta, s.pq)]
         for u in range(s.pq):
-            assert evaluate(poly, u, pows) == ring.scalar(seq.digits[u])
+            assert evaluate(poly, u, pows) == scalar(ring, seq.digits[u])
 
 
 def test_formula_equals_dft():
@@ -188,11 +191,11 @@ def test_formula_structure():
     s = build_system(5, 17)
     ring, beta = ring_beta(s)
     poly = defining_poly_formula(s, ring, beta)
-    for u in s.members("Q"):
-        assert poly.coeffs[u] == ring.zero
-    in_z4 = is_constant(rho_value(s, beta, power_table(beta, s.pq))) is not None
+    for u in s.classes["Q"]:
+        assert unpack(ring, poly.coeffs[u]) == zero(ring)
+    in_z4 = is_constant(rho_value(s, beta, power_table(beta, s.pq)))
     zero_classes = [i for i in range(4)
-                    if poly.coeffs[s.members(f"D{i}")[0]] == ring.zero]
+                    if unpack(ring, poly.coeffs[s.classes[f"D{i}"][0]]) == zero(ring)]
     if in_z4:
         assert len(zero_classes) == 1
         assert lc_by_count(poly) == s.q + 3 * s.e
@@ -204,7 +207,7 @@ def test_formula_structure():
     s = build_system(5, 13)
     ring, beta = ring_beta(s)
     poly = defining_poly_formula(s, ring, beta)
-    assert poly.coeffs[0] == ring.scalar(2)
+    assert unpack(ring, poly.coeffs[0]) == scalar(ring, 2)
     assert lc_by_count(poly) == s.pq
 
 
@@ -216,11 +219,11 @@ def test_inner_product_patterns():
         products = _inner_products(s, ring, power_table(beta, s.pq))
         for i in range(4):
             for j in range(4):
-                val = ring.unpack(products[i][j])
+                val = unpack(ring, products[i][j])
                 if s.case == CASE1:
-                    expected = ring.one if i == j else ring.zero
+                    expected = one(ring) if i == j else zero(ring)
                 else:
-                    expected = ring.one if (i - j) % 4 == 2 else ring.zero
+                    expected = one(ring) if (i - j) % 4 == 2 else zero(ring)
                 assert val == expected, (pair, i, j)
 
 
@@ -228,7 +231,7 @@ def test_rho_constancy_follows_two_class():
     for pair, expected in [((5, 113), True), ((5, 17), False), ((5, 13), False)]:
         s = build_system(*pair)
         ring, beta = ring_beta(s)
-        in_z4 = is_constant(rho_value(s, beta, power_table(beta, s.pq))) is not None
+        in_z4 = is_constant(rho_value(s, beta, power_table(beta, s.pq)))
         assert in_z4 == expected, pair
         assert in_z4 == (s.two_class == 0)
 
@@ -256,6 +259,57 @@ def test_analyze_agrees():
     assert _csv_row(rep.to_dict(), _SWEEP_COLUMNS[:8]) == "5,13,Case2,1,65,65,65,true"
 
 
+def coset_values(s):
+    """ring, rho and the DFT at each coset's first index, as `analyze` reads them."""
+    ring, beta = ring_beta(s)
+    pows = power_table(beta, s.pq)
+    return ring, rho_value(s, beta, pows), _coset_dft(generate(s), ring, pows)[1]
+
+
+def test_theorem_holds_on_paper_sequences():
+    for p, q in admissible_pairs(200, 200, pq_max=1000):
+        s = build_system(p, q)
+        assert _theorem_holds(s, *coset_values(s)), (p, q)
+
+
+@pytest.mark.parametrize("pair", [(5, 13), (5, 17), (5, 113)])
+def test_theorem_check_needs_the_frobenius_step(pair):
+    # values made from the table itself with rho replaced by x match at every
+    # coset representative; only sigma(x) = x^2 != x - t shows they are wrong
+    s = build_system(*pair)
+    ring, rho, at_cosets = coset_values(s)
+    table = class_coefficients(s)
+    fake = {i: (a * ring.x + b) & ring.mask
+            for i in at_cosets for a, b in [table[s.class_of[i]]]}
+    assert _theorem_holds(s, ring, rho, at_cosets)
+    assert not _theorem_holds(s, ring, ring.x, fake)
+
+
+def test_corrupted_rho_is_a_disagreement(monkeypatch, capsys):
+    # the three lengths still agree; only the coefficient check sees rho
+    rho_of = analysis.rho_value
+    monkeypatch.setattr(analysis, "rho_value", lambda *args: rho_of(*args) ^ 1)
+    assert main(["lc", "--p", "5", "--q", "13"]) == 1
+    assert capsys.readouterr().out == "65 65 65 DISAGREE\n"
+
+
+def test_q_coefficient_forced_to_zero_is_a_disagreement(monkeypatch, capsys):
+    # the nonzero count cannot see a wrong Q coefficient: in Case2 every
+    # coefficient stays nonzero
+    def without_q(system):
+        return {**class_coefficients(system), "Q": (0, 0)}
+
+    monkeypatch.setattr(analysis, "class_coefficients", without_q)
+    pairs = [pair for pair in admissible_pairs(60, 60, 64)
+             if build_system(*pair).case == CASE2]
+    assert len(pairs) == 13
+    for pair in pairs:
+        rep = analyze(build_system(*pair))
+        assert rep.lc_formula == rep.lc_dft == rep.lc_reeds_sloane and not rep.agree, pair
+    assert main(["lc", "--p", "5", "--q", "13"]) == 1
+    assert capsys.readouterr().out == "65 65 65 DISAGREE\n"
+
+
 def test_gcd_rejected_before_ring_work():
     with pytest.raises(GcdNotFour):
         build_system(3, 13)
@@ -275,14 +329,14 @@ def test_rho_shift_relation():
     ring, beta = ring_beta(s)
     rng = random.Random(5)
     pows = power_table(beta, s.pq)
-    rho = rho_value(s, beta, pows)
+    rho = unpack(ring, rho_value(s, beta, pows))
     for _ in range(4):
         l = rng.randrange(4)
-        k = rng.choice(s.members(f"D{l}"))
-        gamma = power(beta, k)
-        shifted = rho_value(s, gamma, power_table(gamma, s.pq))
-        total = sum((class_sum(s, i, ring, pows) for i in range(4)), ring.zero)
-        expected = rho - mul(ring.scalar(l), total)
+        k = rng.choice(s.classes[f"D{l}"])
+        gamma = root_power(beta, k)
+        shifted = unpack(ring, rho_value(s, gamma, power_table(gamma, s.pq)))
+        total = sum((class_sum(s, i, ring, pows) for i in range(4)), zero(ring))
+        expected = rho - mul(scalar(ring, l), total)
         assert shifted == expected
 
 
@@ -334,11 +388,11 @@ def test_verify_identities_can_fail():
         "class-shift", "inner-products", "partition", "rho-membership",
         "solution-counts"]
     # one residue of D1 traded with one of D2 that differs from it mod q
-    u = s.members("D1")[0]
-    v = next(w for w in s.members("D2") if (w - u) % s.q)
+    u = s.classes["D1"][0]
+    v = next(w for w in s.classes["D2"] if (w - u) % s.q)
     assert failing(swap_residues(s, u, v)) == [
         "class-shift", "class-sums", "inner-products"]
     # a unit traded with a multiple of p: the units no longer sum to 1
-    assert failing(swap_residues(s, s.members("D0")[0], s.members("P")[0])) == [
+    assert failing(swap_residues(s, s.classes["D0"][0], s.classes["P"][0])) == [
         "class-shift", "class-sums", "inner-products", "partition",
         "root-of-unity-sums", "solution-counts"]

@@ -17,9 +17,9 @@ PAIRS = [(5, 13), (13, 5), (5, 17), (17, 5), (13, 17), (17, 13)]
 def test_build_5_13():
     s = build_system(5, 13)
     assert s.g == 2 and s.h == 27 and s.e == 12
-    assert all(len(s.members(f"D{i}")) == 12 for i in range(4))
-    assert len(s.members("P")) == 12 and len(s.members("Q")) == 4
-    assert s.members("R") == (0,)
+    assert all(len(s.classes[f"D{i}"]) == 12 for i in range(4))
+    assert len(s.classes["P"]) == 12 and len(s.classes["Q"]) == 4
+    assert s.classes["R"] == (0,)
 
 
 def test_h4_lands_in_d0():
@@ -123,23 +123,23 @@ def test_partition():
         seen = set()
         total = 0
         for lab in ("D0", "D1", "D2", "D3", "P", "Q", "R"):
-            members = s.members(lab)
+            members = s.classes[lab]
             assert seen.isdisjoint(members)
             seen.update(members)
             total += len(members)
         assert total == n and seen == set(range(n))
-        assert len(s.members("P")) == q - 1
-        assert len(s.members("Q")) == p - 1
+        assert len(s.classes["P"]) == q - 1
+        assert len(s.classes["Q"]) == p - 1
 
 
 def test_class_shift():
     rng = random.Random(9)
     for p, q in [(5, 13), (5, 17), (13, 17)]:
         s = build_system(p, q)
-        d = [frozenset(s.members(f"D{i}")) for i in range(4)]
+        d = [frozenset(s.classes[f"D{i}"]) for i in range(4)]
         for _ in range(12):
             i, j = rng.randrange(4), rng.randrange(4)
-            u = rng.choice(s.members(f"D{j}"))
+            u = rng.choice(s.classes[f"D{j}"])
             assert frozenset(u * v % s.pq for v in d[i]) == d[(i + j) % 4]
 
 

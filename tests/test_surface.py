@@ -15,7 +15,8 @@ from z4seq.lfsr import reeds_sloane
 from z4seq.sequence import QuaternarySequence
 from z4seq.trace_repr import trace_params
 
-STAGES = Path(__file__).resolve().parents[1] / "bench" / "stages.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+STAGES = BENCH / "stages.py"
 
 
 def test_exports_resolve_once():
@@ -88,12 +89,22 @@ def stages():
     return module
 
 
-@pytest.mark.parametrize("command", ["lc", "verify", "trace"])
+@pytest.mark.parametrize("command", ["lc", "verify", "trace", "analyze"])
 def test_stage_script_prints_cli_stdout(stages, command, capsys):
     # the traced benchmark run calls library stages by name: it must keep
-    # reproducing the CLI's bytes
-    assert main([command, "--p", "5", "--q", "13"]) == 0
+    # reproducing the CLI's bytes (for `analyze`, the pair's sweep row) and
+    # the counters recorded in the benchmark's reference
+    if command == "analyze":
+        argv = ["sweep", "--workers", "1", "--p-max", "5", "--q-max", "13"]
+    else:
+        argv = [command, "--p", "5", "--q", "13"]
+    assert main(argv) == 0
     cli_out = capsys.readouterr().out
+    if command == "analyze":
+        cli_out = next(line + "\n" for line in cli_out.splitlines()
+                       if line.startswith("5,13,"))
     stages.main([command, "5", "13"])
     doc = json.loads(capsys.readouterr().out)
     assert doc["stdout"] == cli_out
+    reference = json.loads((BENCH / "reference.json").read_text())
+    assert doc["counters"] == reference["counters"][f"{command} 5 13"]

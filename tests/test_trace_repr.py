@@ -1,6 +1,6 @@
 import pytest
 
-from gr_reference import frobenius, trace
+from gr_reference import frobenius, trace, unpack, zero
 from z4seq.analysis import admissible_pairs, power_table
 from z4seq.cyclotomy import build_system, lc_by_theorem
 from z4seq.errors import InternalCaseError, TraceFormulaPreconditionFailed
@@ -61,8 +61,8 @@ def test_orbit_shortcut_matches_general_trace():
     eps = params.epsilon
     for orbit in params.d_orbits[0][:3]:
         w = orbit[0]
-        orbit_sum = sum((ring.unpack(pows[x]) for x in orbit), ring.zero)
-        assert orbit_sum == trace(ring.unpack(pows[w]), eps)
+        orbit_sum = sum((unpack(ring, pows[x]) for x in orbit), zero(ring))
+        assert orbit_sum == trace(unpack(ring, pows[w]), eps)
 
 
 def test_frobenius_squares_beta_powers():
@@ -70,7 +70,7 @@ def test_frobenius_squares_beta_powers():
     ring, beta = ring_beta(s)
     pows = power_table(beta, s.pq)
     for w in (1, 7, 30, 64):
-        assert frobenius(ring.unpack(pows[w]), 1) == ring.unpack(pows[2 * w % s.pq])
+        assert frobenius(unpack(ring, pows[w]), 1) == unpack(ring, pows[2 * w % s.pq])
 
 
 def test_q_orbit_sums_are_frobenius_invariant():
@@ -79,7 +79,7 @@ def test_q_orbit_sums_are_frobenius_invariant():
     params = trace_params(s, ring, beta)
     pows = power_table(beta, s.pq)
     for orbit in params.q_orbits:
-        val = sum((ring.unpack(pows[w]) for w in orbit), ring.zero)
+        val = sum((unpack(ring, pows[w]) for w in orbit), zero(ring))
         assert frobenius(val, 1) == val
 
 
@@ -87,15 +87,15 @@ def test_digit_fixtures():
     s = build_system(5, 13)
     ring, beta = ring_beta(s)
     params = trace_params(s, ring, beta)
-    us = [0, *s.members("P")[:4], *s.members("Q")]
-    assert _trace_values(s, ring, params, us) == [2] + [0] * 4 + [2] * len(s.members("Q"))
+    us = [0, *s.classes["P"][:4], *s.classes["Q"]]
+    assert _trace_values(s, ring, params, us) == [2] + [0] * 4 + [2] * len(s.classes["Q"])
 
 
 @pytest.mark.parametrize("pair", [(5, 13), (13, 5), (5, 17), (17, 5)])
 def test_trace_reproduces_all_digits(pair):
     s = build_system(*pair)
     ring, beta = ring_beta(s)
-    ok, first = check_trace_repr(s, ring, beta)
+    ok, first = check_trace_repr(s, ring, beta, trace_params(s, ring, beta))
     assert ok and first is None
 
 
@@ -109,6 +109,19 @@ def test_non_constant_result_guard():
     assert any(v > 3 for v in _trace_values(s, ring, broken, range(s.pq)))
     with pytest.raises(NonConstantResult):
         check_trace_repr(s, ring, beta, broken)
+
+
+def test_non_constant_message_shows_coefficients():
+    # the message lists the value's Z4 coefficients c_0 .. c_(r-1)
+    from z4seq.errors import NonConstantResult
+
+    s = build_system(5, 13)
+    ring, beta = ring_beta(s)
+    broken = trace_params(s, ring, beta)._replace(rho=ring.x)
+    with pytest.raises(NonConstantResult) as info:
+        check_trace_repr(s, ring, beta, broken)
+    assert str(info.value) == ("trace form at u=1 is not in Z4: "
+                               "GrElement(1, 0, 3, 0, 2, 0, 1, 0, 2, 0, 2, 0)")
 
 
 def test_trace_epsilon_one_branch():
@@ -139,7 +152,7 @@ def test_orbits_must_tile_their_class(pair):
     # D1 residue leaves the tampered D0
     s = build_system(*pair)
     class_of = list(s.class_of)
-    u0, u1 = s.members("D0")[0], s.members("D1")[0]
+    u0, u1 = s.classes["D0"][0], s.classes["D1"][0]
     class_of[u0], class_of[u1] = "D1", "D0"
     tampered = s._replace(class_of=tuple(class_of))
     ring, beta = ring_beta(s)
