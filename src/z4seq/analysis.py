@@ -17,11 +17,13 @@ once per 2-cyclotomic coset and carried round the coset by the Frobenius
 map (`frobenius_fill`).  Single values (rho, each DFT coefficient) are
 packed ints too; only output reads their digits (`GaloisRing.digits`).
 
-`analyze` never fills the DFT: since sigma is an automorphism, a coset's
-coefficients are all zero or all nonzero, so it counts the nonzero ones from
-one coefficient per coset, weighted by the coset's size (`dft_nonzero_count`).
-The same coefficients check the paper's theorem, class by class
-(`_theorem_holds`).
+One function evaluates the DFT: `coset_dft`, at the first index of each
+2-cyclotomic coset.  Since sigma is an automorphism, a coset's coefficients
+are all zero or all nonzero, so it also counts the nonzero ones, each
+weighted by its coset's size.  `analyze` and `lc --method dft` read only
+that count and those values, which also check the paper's theorem, class by
+class (`_theorem_holds`); `dft` carries them round their cosets into the
+full coefficient tuple.
 """
 
 import math
@@ -89,18 +91,29 @@ def frobenius_fill(ring: GaloisRing, n: int, us, values_at) -> list:
     """
     us = [u % n for u in us]
     cosets = orbits(n, us)
+    out = _walk_cosets(ring, zip(cosets, values_at([c[0] for c in cosets])))
+    return [out[u] for u in us]
+
+
+def _walk_cosets(ring: GaloisRing, pairs) -> dict:
+    """{u: values} from (coset, values at its first index) pairs, sigma per step."""
     out = {}
-    for coset, vals in zip(cosets, values_at([c[0] for c in cosets])):
+    for coset, vals in pairs:
         out[coset[0]] = vals
         for u in coset[1:]:
             vals = tuple(ring.sigma(v) for v in vals)
             out[u] = vals
-    return [out[u] for u in us]
+    return out
 
 
 def _class_rows(system: CyclotomicSystem, ring: GaloisRing, pows: list) -> list:
     """D_0 .. D_3 evaluated at the table's base, packed."""
     return [ring.sum([pows[u] for u in system.classes[f"D{i}"]]) for i in range(4)]
+
+
+def _rho(ring: GaloisRing, rows: list) -> int:
+    """Packed rho = sum_{i=1..3} i * D_i(beta) from the class rows D_0 .. D_3 at beta."""
+    return sum(i * d for i, d in enumerate(rows)) & ring.mask
 
 
 def _dft_at(seq: QuaternarySequence, ring: GaloisRing, pows: list, reps) -> list:
@@ -111,51 +124,36 @@ def _dft_at(seq: QuaternarySequence, ring: GaloisRing, pows: list, reps) -> list
     return [(a + 2 * b + 3 * c) & ring.mask for a, b, c in zip(s1, s2, s3)]
 
 
-class DefiningPolynomial(namedtuple("DefiningPolynomial", "ring beta coeffs")):
-    """Packed DFT coefficients rho_0..rho_{T-1} with their root of unity."""
-
-    __slots__ = ()
-
-
-def dft(seq: QuaternarySequence, ring: GaloisRing, beta: GrElement) -> DefiningPolynomial:
-    """Galois-ring DFT of one period; exact inversion needs T = 1 (mod 4)."""
-    T = seq.period
-    if T % 4 != 1:
-        raise PeriodNotCongruent1Mod4(f"period {T} = {T % 4} (mod 4)")
-    pows = power_table(beta, T)
-
-    def coefficients(reps):
-        return [(v,) for v in _dft_at(seq, ring, pows, reps)]
-
-    # rho_2i = sigma(rho_i): sigma fixes the digits and sends beta to beta^2
-    coeffs = tuple(v for (v,) in frobenius_fill(ring, T, range(T), coefficients))
-    return DefiningPolynomial(ring=ring, beta=beta, coeffs=coeffs)
-
-
-def _coset_dft(seq: QuaternarySequence, ring: GaloisRing, powers: list) -> tuple:
-    """(lc_by_count(dft(seq, ...)), {i: rho_i}) for i the first index of each coset.
+def coset_dft(seq: QuaternarySequence, ring: GaloisRing, powers: list) -> tuple:
+    """(count, [(coset, rho_i)]): the DFT at i, each 2-cyclotomic coset's first index.
 
     rho_2i = sigma(rho_i) and sigma is a ring automorphism, so the
-    coefficients of a coset are all zero or all nonzero; each nonzero one
-    found counts for its whole coset.  `powers` is `power_table(beta, T)`.
+    coefficients of a coset are all zero or all nonzero; count, the number
+    of nonzero coefficients, weights each nonzero rho_i by its coset's size.
+    Exact inversion needs T = 1 (mod 4); `powers` is `power_table(beta, T)`.
     """
     T = seq.period
     if T % 4 != 1:
         raise PeriodNotCongruent1Mod4(f"period {T} = {T % 4} (mod 4)")
     cosets = orbits(T, range(T))
-    values = _dft_at(seq, ring, powers, [c[0] for c in cosets])
-    return (sum(len(c) for c, v in zip(cosets, values) if v),
-            {c[0]: v for c, v in zip(cosets, values)})
+    pairs = list(zip(cosets, _dft_at(seq, ring, powers, [c[0] for c in cosets])))
+    return sum(len(c) for c, v in pairs if v), pairs
 
 
-def dft_nonzero_count(seq: QuaternarySequence, ring: GaloisRing, powers: list) -> int:
-    """lc_by_count(dft(seq, ...)), from one coefficient per 2-cyclotomic coset."""
-    return _coset_dft(seq, ring, powers)[0]
+def dft(seq: QuaternarySequence, ring: GaloisRing, beta: GrElement) -> tuple:
+    """Packed DFT coefficients rho_0 .. rho_(T-1) of one period against beta."""
+    T = seq.period
+    if T % 4 != 1:  # named before power_table finds beta of the wrong order
+        raise PeriodNotCongruent1Mod4(f"period {T} = {T % 4} (mod 4)")
+    _, pairs = coset_dft(seq, ring, power_table(beta, T))
+    # rho_2i = sigma(rho_i): sigma fixes the digits and sends beta to beta^2
+    out = _walk_cosets(ring, [(c, (v,)) for c, v in pairs])
+    return tuple(out[u][0] for u in range(T))
 
 
 def _theorem_holds(system: CyclotomicSystem, ring: GaloisRing, rho: int,
-                   at_cosets: dict) -> bool:
-    """The paper's theorem on the DFT coefficients {i: rho_i} of `_coset_dft`.
+                   at_cosets: list) -> bool:
+    """The paper's theorem on the (coset, rho_i) pairs of `coset_dft`.
 
     Each rho_i equals a*rho + b, (a, b) the entry of i's class in
     `cyclotomy.class_coefficients`.  The other indices follow from
@@ -163,8 +161,8 @@ def _theorem_holds(system: CyclotomicSystem, ring: GaloisRing, rho: int,
     R, P and Q, whose coefficients are in Z4.
     """
     table = class_coefficients(system)
-    for i, value in at_cosets.items():
-        a, b = table[system.class_of[i]]
+    for coset, value in at_cosets:
+        a, b = table[system.class_of[coset[0]]]
         if value != (a * rho + b) & ring.mask:
             return False
     return ring.sigma(rho) == (rho + 4 - system.two_class) & ring.mask
@@ -172,23 +170,20 @@ def _theorem_holds(system: CyclotomicSystem, ring: GaloisRing, rho: int,
 
 def rho_value(system: CyclotomicSystem, beta: GrElement, powers: list) -> int:
     """Packed rho = sum_{i=1..3} i * D_i(beta); `powers` is `power_table(beta, pq)`."""
-    ring = beta.ring
-    _, d1, d2, d3 = _class_rows(system, ring, powers)
-    return (d1 + 2 * d2 + 3 * d3) & ring.mask
+    return _rho(beta.ring, _class_rows(system, beta.ring, powers))
 
 
-def _inner_products(system: CyclotomicSystem, ring: GaloisRing, pows: list) -> list:
-    """4 x 4 packed: entry (i, j) is C_i . C_j^T + (q-1)/4."""
-    sums = _class_rows(system, ring, pows)
-    prods = [[ring.mul(a, b) for b in sums] for a in sums]
+def _inner_products(system: CyclotomicSystem, ring: GaloisRing, rows: list) -> list:
+    """4 x 4 packed: entry (i, j) is C_i . C_j^T + (q-1)/4; rows is `_class_rows`."""
+    prods = [[ring.mul(a, b) for b in rows] for a in rows]
     const = (system.q - 1) // 4 % 4
     return [[(sum(prods[(i + k) % 4][(j + k) % 4] for k in range(4)) + const) & ring.mask
              for j in range(4)] for i in range(4)]
 
 
-def lc_by_count(defpoly: DefiningPolynomial) -> int:
+def lc_by_count(coeffs: tuple) -> int:
     """Linear complexity as the number of nonzero DFT coefficients."""
-    return sum(1 for c in defpoly.coeffs if c)
+    return sum(1 for c in coeffs if c)
 
 
 class AnalysisReport(namedtuple("AnalysisReport", (
@@ -196,25 +191,10 @@ class AnalysisReport(namedtuple("AnalysisReport", (
         "agree ring_degree"))):
     """Cross-checked linear-complexity results for one (p, q); rho is its Z4 digits.
 
-    A tuple: JSON output goes through `to_dict`, never the record itself.
+    A tuple: JSON output goes through `_asdict`, never the record itself.
     """
 
     __slots__ = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "q": self.q,
-            "case": self.case,
-            "two_class": self.two_class,
-            "rho": list(self.rho),
-            "rho_in_z4": self.rho_in_z4,
-            "lc_formula": self.lc_formula,
-            "lc_dft": self.lc_dft,
-            "lc_reeds_sloane": self.lc_reeds_sloane,
-            "agree": self.agree,
-            "ring_degree": self.ring_degree,
-        }
 
 
 def analyze(system: CyclotomicSystem, r_max: int = R_MAX) -> AnalysisReport:
@@ -231,7 +211,7 @@ def analyze(system: CyclotomicSystem, r_max: int = R_MAX) -> AnalysisReport:
     pows = power_table(beta, system.pq)
     rho = rho_value(system, beta, pows)
     lc_formula = lc_by_theorem(system)
-    lc_dft, at_cosets = _coset_dft(seq, ring, pows)
+    lc_dft, at_cosets = coset_dft(seq, ring, pows)
     synth = reeds_sloane(seq.digits * 2)
     agree = (lc_formula == lc_dft == synth.length and synth.annihilates
              and _theorem_holds(system, ring, rho, at_cosets))
@@ -289,8 +269,8 @@ def verify_identities(system: CyclotomicSystem, ring: GaloisRing,
 
     sum_p = ring.sum([pows[k * p] for k in range(q)])
     sum_q = ring.sum([pows[k * q] for k in range(p)])
-    unit_sum = ring.sum(_class_rows(system, ring, pows))
-    checks["root-of-unity-sums"] = sum_p == 0 and sum_q == 0 and unit_sum == 1
+    rows = _class_rows(system, ring, pows)
+    checks["root-of-unity-sums"] = sum_p == 0 and sum_q == 0 and ring.sum(rows) == 1
 
     # D_i at beta^m is the sum of beta^(m*u) over u in D_i; at the prime-order
     # points m = kp and m = kq it is carried round each coset by sigma
@@ -316,9 +296,7 @@ def verify_identities(system: CyclotomicSystem, ring: GaloisRing,
     # -1 lies in D_t, t = (q-1)/2 mod 4: 0 in Case1, 2 in Case2
     t = (q - 1) // 2 % 4
     expected = [[int((i - j) % 4 == t) for j in range(4)] for i in range(4)]
-    checks["inner-products"] = _inner_products(system, ring, pows) == expected
-
-    in_z4 = is_constant(rho_value(system, beta, pows))
-    checks["rho-membership"] = in_z4 == (system.two_class == 0)
+    checks["inner-products"] = _inner_products(system, ring, rows) == expected
+    checks["rho-membership"] = is_constant(_rho(ring, rows)) == (system.two_class == 0)
 
     return checks

@@ -130,9 +130,9 @@ def cmd_lc(args) -> int:
 
         report = analysis.analyze(system, args.r_max)
         if args.format == "json":
-            text = _json_text(report.to_dict())
+            text = _json_text(report._asdict())
         elif args.format == "csv":
-            text = f"{_LC_CSV_HEADER}\n{_csv_row(report.to_dict(), _SWEEP_COLUMNS[:8])}\n"
+            text = f"{_LC_CSV_HEADER}\n{_csv_row(report._asdict(), _SWEEP_COLUMNS[:8])}\n"
         else:
             verdict = "AGREE" if report.agree else "DISAGREE"
             text = (f"{report.lc_formula} {report.lc_dft} "
@@ -147,7 +147,7 @@ def cmd_lc(args) -> int:
 
         ring, beta = analysis._ring_and_beta(system, args.r_max)
         pows = analysis.power_table(beta, system.pq)
-        value = analysis.dft_nonzero_count(sequence.generate(system), ring, pows)
+        value = analysis.coset_dft(sequence.generate(system), ring, pows)[0]
     else:  # reeds-sloane: argparse and the config check admit no other method
         from .lfsr import reeds_sloane
         value = reeds_sloane(sequence.generate(system).digits * 2).length
@@ -165,9 +165,9 @@ def cmd_defpoly(args) -> int:
 
     system = _system(args)
     ring, beta = analysis._ring_and_beta(system, args.r_max)
-    defpoly = analysis.dft(sequence.generate(system), ring, beta)
+    coeffs = analysis.dft(sequence.generate(system), ring, beta)
     rows = [(u, system.class_of[u], "".join(str(c) for c in ring.digits(coeff)))
-            for u, coeff in enumerate(defpoly.coeffs)]
+            for u, coeff in enumerate(coeffs)]
     if args.format == "json":
         text = _json_text(
             {"p": system.p, "q": system.q, "ring_degree": ring.r,

@@ -6,15 +6,15 @@ Each coefficient is its exponent's class entry a*rho + b in
 `analysis.dft` returns them.
 """
 
-from z4seq.analysis import DefiningPolynomial, power_table, rho_value
+from z4seq.analysis import power_table, rho_value
 from z4seq.cyclotomy import CyclotomicSystem, class_coefficients
 from z4seq.errors import PeriodNotCongruent1Mod4
 from z4seq.galois import GaloisRing, GrElement
 
 
 def defining_poly_formula(system: CyclotomicSystem, ring: GaloisRing,
-                          beta: GrElement) -> DefiningPolynomial:
-    """Closed-form defining polynomial: each class's coefficient a*rho + b.
+                          beta: GrElement) -> tuple:
+    """Closed-form defining polynomial coefficients: each class's a*rho + b.
 
     (a, b) is the class's entry in `cyclotomy.class_coefficients`.
     """
@@ -24,5 +24,4 @@ def defining_poly_formula(system: CyclotomicSystem, ring: GaloisRing,
     rho = rho_value(system, beta, power_table(beta, T))
     coeff = {label: (a * rho + b) & ring.mask
              for label, (a, b) in class_coefficients(system).items()}
-    coeffs = tuple(coeff[label] for label in system.class_of)
-    return DefiningPolynomial(ring=ring, beta=beta, coeffs=coeffs)
+    return tuple(coeff[label] for label in system.class_of)

@@ -47,9 +47,12 @@ MUTANTS = [
            "        out[coset[0]] = tuple(ring.sigma(v) for v in vals)\n",
            ["tests/test_analysis.py", "tests/test_cli.py"]),
     Mutant("coset-count-without-sizes", "src/z4seq/analysis.py",
-           "(sum(len(c) for c, v in zip(cosets, values) if v)",
-           "(sum(1 for c, v in zip(cosets, values) if v)",
+           "sum(len(c) for c, v in pairs if v)",
+           "sum(1 for c, v in pairs if v)",
            ["tests/test_analysis.py"]),
+    Mutant("dft-fill-walks-cosets-backwards", "src/z4seq/analysis.py",
+           "[(c, (v,)) for c, v in pairs]", "[(c[::-1], (v,)) for c, v in pairs]",
+           ["tests/test_analysis.py", "tests/test_ring_setup.py", "tests/test_cli.py"]),
     Mutant("taps-without-constant-term", "src/z4seq/galois.py",
            "[j for j in range(r) if f >> j & 1]",
            "[j for j in range(1, r) if f >> j & 1]",
@@ -122,6 +125,10 @@ MUTANTS = [
     Mutant("class-shift-forced-true", "src/z4seq/analysis.py",
            'checks["class-shift"] = all(', 'checks["class-shift"] = True or all(',
            ["tests/test_analysis.py"]),
+    Mutant("verify-rows-without-d3", "src/z4seq/analysis.py",
+           "    rows = _class_rows(system, ring, pows)\n",
+           "    rows = _class_rows(system, ring, pows)[:3] + [0]\n",
+           ["tests/test_analysis.py", "tests/test_cli.py"]),
     Mutant("reap-without-waitpid", "src/z4seq/_sweep.py",
            "_, status = os.waitpid(self.pid, 0)", "status = 0",
            ["tests/test_cli.py"]),

@@ -7,13 +7,13 @@ from formula_reference import defining_poly_formula
 from gr_reference import mul, one, root_power, scalar, unpack, zero
 from z4seq import analysis
 from z4seq.analysis import (
-    _coset_dft,
+    _class_rows,
     _inner_products,
     _theorem_holds,
     admissible_pairs,
     analyze,
+    coset_dft,
     dft,
-    dft_nonzero_count,
     lc_by_count,
     lc_by_theorem,
     power_sums,
@@ -38,12 +38,12 @@ def ring_beta(system):
     return ring, root_of_unity(ring, system.pq)
 
 
-def evaluate(poly, u, pows):
+def evaluate(ring, coeffs, u, pows):
     """G(beta^u) = sum_i rho_i beta^(iu), element by element."""
-    acc = zero(poly.ring)
-    for i, c in enumerate(poly.coeffs):
+    acc = zero(ring)
+    for i, c in enumerate(coeffs):
         if c:
-            acc = acc + mul(unpack(poly.ring, c), pows[i * u % len(poly.coeffs)])
+            acc = acc + mul(unpack(ring, c), pows[i * u % len(coeffs)])
     return acc
 
 
@@ -84,18 +84,18 @@ def test_dft_constant_sequence():
     beta = root_of_unity(ring, 65)
     for c in range(4):
         seq = QuaternarySequence(65, (c,) * 65)
-        poly = dft(seq, ring, beta)
-        assert unpack(ring, poly.coeffs[0]) == scalar(ring, c)
-        assert all(unpack(ring, poly.coeffs[i]) == zero(ring) for i in range(1, 65))
+        coeffs = dft(seq, ring, beta)
+        assert unpack(ring, coeffs[0]) == scalar(ring, c)
+        assert all(unpack(ring, coeffs[i]) == zero(ring) for i in range(1, 65))
 
 
 def test_dft_impulse():
     ring = make_ring(12)
     beta = root_of_unity(ring, 65)
     seq = QuaternarySequence(65, (1,) + (0,) * 64)
-    poly = dft(seq, ring, beta)
-    assert all(unpack(ring, c) == one(ring) for c in poly.coeffs)
-    assert lc_by_count(poly) == 65
+    coeffs = dft(seq, ring, beta)
+    assert all(unpack(ring, c) == one(ring) for c in coeffs)
+    assert lc_by_count(coeffs) == 65
 
 
 def test_dft_zero_and_counts():
@@ -107,8 +107,8 @@ def test_dft_zero_and_counts():
 def test_dft_coeff0_of_quaternary_5_13():
     s = build_system(5, 13)
     ring, beta = ring_beta(s)
-    poly = dft(generate(s), ring, beta)
-    assert unpack(ring, poly.coeffs[0]) == scalar(ring, 2)
+    coeffs = dft(generate(s), ring, beta)
+    assert unpack(ring, coeffs[0]) == scalar(ring, 2)
 
 
 def test_dft_rejects_bad_period():
@@ -117,6 +117,9 @@ def test_dft_rejects_bad_period():
     with pytest.raises(PeriodNotCongruent1Mod4):
         dft(QuaternarySequence(15, (1,) * 15), ring, beta)
     ring65 = make_ring(12)
+    # the period is checked before the table: beta has order 65, not 15
+    with pytest.raises(PeriodNotCongruent1Mod4):
+        dft(QuaternarySequence(15, (1,) * 15), ring65, root_of_unity(ring65, 65))
     order13 = root_power(root_of_unity(ring65, 65), 5)  # order 13, not 65
     with pytest.raises(PeriodMismatch):
         dft(QuaternarySequence(65, (1,) * 65), ring65, order13)
@@ -145,7 +148,7 @@ def test_coset_count_matches_full_dft(case):
     beta = root_of_unity(ring, T)
     pows = power_table(beta, T)
     seq = QuaternarySequence(T, tuple(digits))
-    assert dft_nonzero_count(seq, ring, pows) == lc_by_count(dft(seq, ring, beta))
+    assert coset_dft(seq, ring, pows)[0] == lc_by_count(dft(seq, ring, beta))
 
 
 def test_coset_count_on_paper_sequences():
@@ -156,15 +159,14 @@ def test_coset_count_on_paper_sequences():
         ring, beta = ring_beta(s)
         pows = power_table(beta, s.pq)
         seq = generate(s)
-        assert dft_nonzero_count(seq, ring, pows) == lc_by_count(dft(seq, ring, beta)), \
-            (p, q)
+        assert coset_dft(seq, ring, pows)[0] == lc_by_count(dft(seq, ring, beta)), (p, q)
 
 
 def test_coset_count_rejects_bad_period():
     ring = make_ring(4)
     pows = power_table(root_of_unity(ring, 15), 15)
     with pytest.raises(PeriodNotCongruent1Mod4):
-        dft_nonzero_count(QuaternarySequence(15, (1,) * 15), ring, pows)
+        coset_dft(QuaternarySequence(15, (1,) * 15), ring, pows)
 
 
 def test_reconstruction_exhaustive():
@@ -172,43 +174,42 @@ def test_reconstruction_exhaustive():
         s = build_system(*pair)
         ring, beta = ring_beta(s)
         seq = generate(s)
-        poly = dft(seq, ring, beta)
+        coeffs = dft(seq, ring, beta)
         pows = [unpack(ring, row) for row in power_table(beta, s.pq)]
         for u in range(s.pq):
-            assert evaluate(poly, u, pows) == scalar(ring, seq.digits[u])
+            assert evaluate(ring, coeffs, u, pows) == scalar(ring, seq.digits[u])
 
 
 def test_formula_equals_dft():
     for pair in [(5, 13), (13, 5), (5, 17), (17, 5)]:
         s = build_system(*pair)
         ring, beta = ring_beta(s)
-        assert defining_poly_formula(s, ring, beta).coeffs == \
-            dft(generate(s), ring, beta).coeffs, pair
+        assert defining_poly_formula(s, ring, beta) == dft(generate(s), ring, beta), pair
 
 
 def test_formula_structure():
     # Case1: zero on Q; nonzero count follows the rho membership split
     s = build_system(5, 17)
     ring, beta = ring_beta(s)
-    poly = defining_poly_formula(s, ring, beta)
+    coeffs = defining_poly_formula(s, ring, beta)
     for u in s.classes["Q"]:
-        assert unpack(ring, poly.coeffs[u]) == zero(ring)
+        assert unpack(ring, coeffs[u]) == zero(ring)
     in_z4 = is_constant(rho_value(s, beta, power_table(beta, s.pq)))
     zero_classes = [i for i in range(4)
-                    if unpack(ring, poly.coeffs[s.classes[f"D{i}"][0]]) == zero(ring)]
+                    if unpack(ring, coeffs[s.classes[f"D{i}"][0]]) == zero(ring)]
     if in_z4:
         assert len(zero_classes) == 1
-        assert lc_by_count(poly) == s.q + 3 * s.e
+        assert lc_by_count(coeffs) == s.q + 3 * s.e
     else:
         assert not zero_classes
-        assert lc_by_count(poly) == s.pq - s.p + 1
+        assert lc_by_count(coeffs) == s.pq - s.p + 1
 
     # Case2: coefficient 2 at exponent 0; every coefficient nonzero
     s = build_system(5, 13)
     ring, beta = ring_beta(s)
-    poly = defining_poly_formula(s, ring, beta)
-    assert unpack(ring, poly.coeffs[0]) == scalar(ring, 2)
-    assert lc_by_count(poly) == s.pq
+    coeffs = defining_poly_formula(s, ring, beta)
+    assert unpack(ring, coeffs[0]) == scalar(ring, 2)
+    assert lc_by_count(coeffs) == s.pq
 
 
 def test_inner_product_patterns():
@@ -216,7 +217,7 @@ def test_inner_product_patterns():
     for pair in [(5, 17), (5, 13), (17, 5), (5, 1321)]:
         s = build_system(*pair)
         ring, beta = ring_beta(s)
-        products = _inner_products(s, ring, power_table(beta, s.pq))
+        products = _inner_products(s, ring, _class_rows(s, ring, power_table(beta, s.pq)))
         for i in range(4):
             for j in range(4):
                 val = unpack(ring, products[i][j])
@@ -247,23 +248,23 @@ def test_lc_branch_two_in_d0():
     s = build_system(5, 113)
     ring = make_ring(28)
     beta = root_of_unity(ring, s.pq)
-    poly = dft(generate(s), ring, beta)
-    assert lc_by_count(poly) == 449 == lc_by_theorem(s)
-    assert defining_poly_formula(s, ring, beta).coeffs == poly.coeffs
+    coeffs = dft(generate(s), ring, beta)
+    assert lc_by_count(coeffs) == 449 == lc_by_theorem(s)
+    assert defining_poly_formula(s, ring, beta) == coeffs
 
 
 def test_analyze_agrees():
     rep = analyze(build_system(5, 13))
     assert rep.lc_formula == rep.lc_dft == rep.lc_reeds_sloane == 65
     assert rep.agree and rep.ring_degree == 12
-    assert _csv_row(rep.to_dict(), _SWEEP_COLUMNS[:8]) == "5,13,Case2,1,65,65,65,true"
+    assert _csv_row(rep._asdict(), _SWEEP_COLUMNS[:8]) == "5,13,Case2,1,65,65,65,true"
 
 
 def coset_values(s):
     """ring, rho and the DFT at each coset's first index, as `analyze` reads them."""
     ring, beta = ring_beta(s)
     pows = power_table(beta, s.pq)
-    return ring, rho_value(s, beta, pows), _coset_dft(generate(s), ring, pows)[1]
+    return ring, rho_value(s, beta, pows), coset_dft(generate(s), ring, pows)[1]
 
 
 def test_theorem_holds_on_paper_sequences():
@@ -279,8 +280,8 @@ def test_theorem_check_needs_the_frobenius_step(pair):
     s = build_system(*pair)
     ring, rho, at_cosets = coset_values(s)
     table = class_coefficients(s)
-    fake = {i: (a * ring.x + b) & ring.mask
-            for i in at_cosets for a, b in [table[s.class_of[i]]]}
+    fake = [(coset, (a * ring.x + b) & ring.mask)
+            for coset, _ in at_cosets for a, b in [table[s.class_of[coset[0]]]]]
     assert _theorem_holds(s, ring, rho, at_cosets)
     assert not _theorem_holds(s, ring, ring.x, fake)
 

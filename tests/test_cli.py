@@ -490,21 +490,38 @@ def test_slot_overflow_pair(capsys):
     assert code == 0 and out.endswith("result PASS\n")
 
 
-# SHA-256 of the json output of the numpy uint8 implementation: the bytes
-# carry every DFT coefficient (defpoly) and rho (lc)
+# SHA-256 of the output, keyed (command, format, p, q).  The json bytes come
+# from the numpy uint8 implementation and carry every DFT coefficient
+# (defpoly) and rho (lc); the defpoly text bytes, every coefficient string,
+# from the packed-int DFT filled round each coset by the Frobenius map
 GOLDEN = {
-    ("defpoly", "5", "13"): "8ea34a3bd240f523271b239ff280383acf54c41dcf703a3dfce2ac9560c4db98",
-    ("lc", "5", "13"): "5ad097ab84ce6632adbefedab8e9f43e725eb6fddf0fccf123e9b568f6fca57e",
-    ("defpoly", "5", "113"): "57a6c53bd08acef04d3f4fc1d79a7849c94dd3988be833a3240f31c825a3942a",
-    ("lc", "5", "113"): "a2d15fc125ee923221d0faa9021280542384bd2ba99fc128aa3920fb7061e2bb",
-    ("defpoly", "17", "29"): "a387e3d6935a738917c217ebef859be3c59d2187b65f03ae52416ec2d783ff29",
-    ("lc", "17", "29"): "e2bc8d11e2e871cc623dbf9f54a5dfd5b55a7f15099d1eae5fca601e89202a22",
+    ("defpoly", "json", "5", "13"): "8ea34a3bd240f523271b239ff280383acf54c41dcf703a3dfce2ac9560c4db98",
+    ("lc", "json", "5", "13"): "5ad097ab84ce6632adbefedab8e9f43e725eb6fddf0fccf123e9b568f6fca57e",
+    ("defpoly", "json", "5", "113"): "57a6c53bd08acef04d3f4fc1d79a7849c94dd3988be833a3240f31c825a3942a",
+    ("lc", "json", "5", "113"): "a2d15fc125ee923221d0faa9021280542384bd2ba99fc128aa3920fb7061e2bb",
+    ("defpoly", "json", "17", "29"): "a387e3d6935a738917c217ebef859be3c59d2187b65f03ae52416ec2d783ff29",
+    ("lc", "json", "17", "29"): "e2bc8d11e2e871cc623dbf9f54a5dfd5b55a7f15099d1eae5fca601e89202a22",
+    ("defpoly", "text", "5", "13"): "ef94274cc0e391bb18d69a8a3839c02b71b84b4573860b5843742c1d56daed85",
+    ("defpoly", "text", "5", "113"): "efb088cc4a885ee98e7e48bda8a28202b08774b1a03b5b8f075ac21a77c687cc",
 }
 
 
-@pytest.mark.parametrize("command, p, q", sorted(GOLDEN))
-def test_json_bytes_are_golden(capsys, command, p, q):
+def golden_cases(fmt):
+    return sorted((command, p, q) for command, f, p, q in GOLDEN if f == fmt)
+
+
+def assert_golden(capsys, command, fmt, p, q):
     code, out, _ = run(capsys, command, "--p", p, "--q", q, "--r-max", "64",
-                       "--format", "json")
+                       "--format", fmt)
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command, p, q]
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command, fmt, p, q]
+
+
+@pytest.mark.parametrize("command, p, q", golden_cases("json"))
+def test_json_bytes_are_golden(capsys, command, p, q):
+    assert_golden(capsys, command, "json", p, q)
+
+
+@pytest.mark.parametrize("command, p, q", golden_cases("text"))
+def test_text_bytes_are_golden(capsys, command, p, q):
+    assert_golden(capsys, command, "text", p, q)
