@@ -8,14 +8,15 @@ and the linear complexity equals the number of nonzero coefficients.  An
 LFSR-synthesis oracle cross-checks everything.
 
 Ring data is one list of packed ints (`galois.GaloisRing.pack`), the powers
-beta^0 .. beta^(T-1), checked to have order exactly T (`power_table`).  The
-DFT, the class sums, rho, the inner products and the identity suite are
-masked int sums over it, and a product with a ring value is one packed
-multiply.  Values indexed by u whose entry at 2u is the Frobenius image of
-the entry at u (the DFT coefficients, set sums of beta^(uw)) are computed
-once per 2-cyclotomic coset and carried round the coset by the Frobenius
-map (`frobenius_fill`).  Single values (rho, each DFT coefficient) are
-packed ints too; only output reads their digits (`GaloisRing.digits`).
+beta^0 .. beta^(T-1), checked to have order exactly T (`power_table`).  One
+evaluator reads it: `coset_sums` gives the set sums of beta^(uw) at the
+first index u of each 2-cyclotomic coset, and the DFT, the class rows
+behind rho and the inner products, the identity suite and the trace form
+are all weighted sums of its output.  A set sum at 2u is the Frobenius
+image of the one at u, so `walk_cosets` carries values round their
+cosets where every index is wanted.  A product with a ring value is one
+packed multiply; single values (rho, each DFT coefficient) are packed ints
+too, and only output reads their digits (`GaloisRing.digits`).
 
 One function evaluates the DFT: `coset_dft`, at the first index of each
 2-cyclotomic coset.  Since sigma is an automorphism, a coset's coefficients
@@ -57,12 +58,6 @@ def power_table(beta: GrElement, n: int) -> list:
     return pows
 
 
-def power_sums(ring: GaloisRing, pows: list, mults, members) -> list:
-    """Entry k: the packed sum of pows[mults[k] * w mod n] over w in members."""
-    n = len(pows)
-    return [ring.sum([pows[m * w % n] for w in members]) for m in mults]
-
-
 def orbits(n: int, us, step: int = 2) -> list:
     """The orbits of u -> step*u mod n through us, in the order first met.
 
@@ -82,20 +77,23 @@ def orbits(n: int, us, step: int = 2) -> list:
     return out
 
 
-def frobenius_fill(ring: GaloisRing, n: int, us, values_at) -> list:
-    """values_at(us), computed at one index per 2-cyclotomic coset mod n.
+def coset_sums(ring: GaloisRing, pows: list, us, sets) -> list:
+    """[(coset, sums)] for each 2-cyclotomic coset mod n = len(pows) through us.
 
-    values_at maps a list of indices to one tuple of packed ring values per
-    index, and must satisfy value(2u) = sigma(value(u)); each coset is
-    filled from its first index by stepping u -> 2u, applying sigma.
+    sums holds, for each index set S in sets, the packed sum of beta^(uw)
+    over w in S at the coset's first index u; at 2u each sum is sigma of the
+    one at u, which `walk_cosets` applies.  us lies in range(n).
     """
-    us = [u % n for u in us]
-    cosets = orbits(n, us)
-    out = _walk_cosets(ring, zip(cosets, values_at([c[0] for c in cosets])))
-    return [out[u] for u in us]
+    n = len(pows)
+    out = []
+    for coset in orbits(n, us):
+        u = coset[0]
+        out.append((coset, tuple(ring.sum([pows[u * w % n] for w in members])
+                                 for members in sets)))
+    return out
 
 
-def _walk_cosets(ring: GaloisRing, pairs) -> dict:
+def walk_cosets(ring: GaloisRing, pairs) -> dict:
     """{u: values} from (coset, values at its first index) pairs, sigma per step."""
     out = {}
     for coset, vals in pairs:
@@ -106,22 +104,15 @@ def _walk_cosets(ring: GaloisRing, pairs) -> dict:
     return out
 
 
-def _class_rows(system: CyclotomicSystem, ring: GaloisRing, pows: list) -> list:
+def _class_rows(system: CyclotomicSystem, ring: GaloisRing, pows: list) -> tuple:
     """D_0 .. D_3 evaluated at the table's base, packed."""
-    return [ring.sum([pows[u] for u in system.classes[f"D{i}"]]) for i in range(4)]
+    [(_, rows)] = coset_sums(ring, pows, [1], [system.classes[f"D{i}"] for i in range(4)])
+    return rows
 
 
-def _rho(ring: GaloisRing, rows: list) -> int:
+def _rho(ring: GaloisRing, rows: tuple) -> int:
     """Packed rho = sum_{i=1..3} i * D_i(beta) from the class rows D_0 .. D_3 at beta."""
     return sum(i * d for i, d in enumerate(rows)) & ring.mask
-
-
-def _dft_at(seq: QuaternarySequence, ring: GaloisRing, pows: list, reps) -> list:
-    """Packed rho_i = sum_u s_u beta^(-iu) for each i in reps; pows is the power table."""
-    groups = [[u for u, s in enumerate(seq.digits) if s == d] for d in (1, 2, 3)]
-    neg = [-i for i in reps]
-    s1, s2, s3 = (power_sums(ring, pows, neg, group) for group in groups)
-    return [(a + 2 * b + 3 * c) & ring.mask for a, b, c in zip(s1, s2, s3)]
 
 
 def coset_dft(seq: QuaternarySequence, ring: GaloisRing, powers: list) -> tuple:
@@ -135,8 +126,10 @@ def coset_dft(seq: QuaternarySequence, ring: GaloisRing, powers: list) -> tuple:
     T = seq.period
     if T % 4 != 1:
         raise PeriodNotCongruent1Mod4(f"period {T} = {T % 4} (mod 4)")
-    cosets = orbits(T, range(T))
-    pairs = list(zip(cosets, _dft_at(seq, ring, powers, [c[0] for c in cosets])))
+    # rho_i = S_1 + 2 S_2 + 3 S_3, S_d the sum of beta^(i(-u)) over the u with s_u = d
+    groups = [[-u % T for u, s in enumerate(seq.digits) if s == d] for d in (1, 2, 3)]
+    pairs = [(coset, (a + 2 * b + 3 * c) & ring.mask)
+             for coset, (a, b, c) in coset_sums(ring, powers, range(T), groups)]
     return sum(len(c) for c, v in pairs if v), pairs
 
 
@@ -147,7 +140,7 @@ def dft(seq: QuaternarySequence, ring: GaloisRing, beta: GrElement) -> tuple:
         raise PeriodNotCongruent1Mod4(f"period {T} = {T % 4} (mod 4)")
     _, pairs = coset_dft(seq, ring, power_table(beta, T))
     # rho_2i = sigma(rho_i): sigma fixes the digits and sends beta to beta^2
-    out = _walk_cosets(ring, [(c, (v,)) for c, v in pairs])
+    out = walk_cosets(ring, [(c, (v,)) for c, v in pairs])
     return tuple(out[u][0] for u in range(T))
 
 
@@ -173,7 +166,7 @@ def rho_value(system: CyclotomicSystem, beta: GrElement, powers: list) -> int:
     return _rho(beta.ring, _class_rows(system, beta.ring, powers))
 
 
-def _inner_products(system: CyclotomicSystem, ring: GaloisRing, rows: list) -> list:
+def _inner_products(system: CyclotomicSystem, ring: GaloisRing, rows: tuple) -> list:
     """4 x 4 packed: entry (i, j) is C_i . C_j^T + (q-1)/4; rows is `_class_rows`."""
     prods = [[ring.mul(a, b) for b in rows] for a in rows]
     const = (system.q - 1) // 4 % 4
@@ -267,23 +260,18 @@ def verify_identities(system: CyclotomicSystem, ring: GaloisRing,
         == d_sets[(i + j) % 4]
         for i in range(4) for j in range(4))
 
-    sum_p = ring.sum([pows[k * p] for k in range(q)])
-    sum_q = ring.sum([pows[k * q] for k in range(p)])
+    [(_, (sum_p, sum_q))] = coset_sums(ring, pows, [1], [range(0, n, p), range(0, n, q)])
     rows = _class_rows(system, ring, pows)
     checks["root-of-unity-sums"] = sum_p == 0 and sum_q == 0 and ring.sum(rows) == 1
 
-    # D_i at beta^m is the sum of beta^(m*u) over u in D_i; at the prime-order
-    # points m = kp and m = kq it is carried round each coset by sigma
-    classes = [system.classes[f"D{i}"] for i in range(4)]
-
-    def class_sums(reps):
-        return list(zip(*(power_sums(ring, pows, reps, members) for members in classes)))
-
+    # D_i at beta^m, m = kp and m = kq, at one m per coset: sigma is injective
+    # and fixes 0 and the Z4 target, so a coset's first value is one of them
+    # exactly when all its values are
     target = 3 * (q - 1) // 4 % 4
-    at_p = frobenius_fill(ring, n, [k * p for k in range(q)], class_sums)
-    at_q = frobenius_fill(ring, n, [k * q for k in range(1, p)], class_sums)
-    checks["class-sums"] = (all(v == 0 for vals in at_p for v in vals)
-                            and all(v == target for vals in at_q for v in vals))
+    at_p = coset_sums(ring, pows, range(0, n, p), d_sets)
+    at_q = coset_sums(ring, pows, range(q, n, q), d_sets)
+    checks["class-sums"] = (all(v == 0 for _, sums in at_p for v in sums)
+                            and all(v == target for _, sums in at_q for v in sums))
 
     ok = True
     for a in range(4):

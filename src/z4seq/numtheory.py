@@ -137,12 +137,10 @@ def mult_order(a: int, n: int) -> int:
     return k
 
 
-def is_primitive_root(g: int, p: int, factors=None) -> bool:
-    """True iff g generates the unit group mod prime p."""
+def is_primitive_root(g: int, p: int, factors) -> bool:
+    """True iff g generates the unit group mod prime p; factors: the primes of p - 1."""
     if g % p == 0:
         return False
-    if factors is None:
-        factors = factorize(p - 1)
     return all(pow(g, (p - 1) // f, p) != 1 for f in factors)
 
 

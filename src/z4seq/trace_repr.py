@@ -13,15 +13,16 @@ checked power table that `trace_params` builds (packed ints, see
 `galois.GaloisRing.pack`).  Each class carries its coefficient a*rho + b
 from `cyclotomy.class_coefficients` on the set sum of beta^(uw) over its
 orbits (R's orbit is {0}), so each digit is rho A(u) + B(u): A sums the
-set sums with the weights a, B with the Z4 weights b.  They are taken at
-one u per 2-cyclotomic coset and carried to 2u by the Frobenius map; rho,
-which the map does not fix, multiplies A afterwards, one packed product
+set sums with the weights a, B with the Z4 weights b.  `analysis.coset_sums`
+gives the set sums at one u per 2-cyclotomic coset; weighted into (A, B),
+they are carried to 2u by the Frobenius map (`analysis.walk_cosets`).
+rho, which the map does not fix, multiplies A afterwards, one packed product
 per u.
 """
 
 from collections import namedtuple
 
-from .analysis import frobenius_fill, orbits, power_sums, power_table, rho_value
+from .analysis import coset_sums, orbits, power_table, rho_value, walk_cosets
 from .cyclotomy import CASE1, CyclotomicSystem, case_two_class, class_coefficients
 from .errors import NonConstantResult, TraceFormulaPreconditionFailed
 from .galois import GaloisRing, GrElement, is_constant
@@ -91,21 +92,16 @@ def trace_params(system: CyclotomicSystem, ring: GaloisRing,
 def _trace_values(system: CyclotomicSystem, ring: GaloisRing, params: TraceParams,
                   us) -> list:
     """The trace form at each index u, packed and reduced."""
-    pows = params.powers
     orbit_sets = {"R": ((0,),), "P": params.q_orbits, "Q": params.p_orbits}
     orbit_sets.update((f"D{i}", orbs) for i, orbs in enumerate(params.d_orbits))
     table = class_coefficients(system)
     sets = [_flat(orbit_sets[label]) for label in table]
     weights = tuple(zip(*table.values()))  # the a of each class, then the b
-
-    def set_sums(reps):
-        """(A, B) at each index of reps."""
-        rows = zip(*(power_sums(ring, pows, reps, members) for members in sets))
-        return [tuple(sum(w * v for w, v in zip(column, row)) & ring.mask
-                      for column in weights) for row in rows]
-
-    return [(ring.mul(params.rho, a) + b) & ring.mask
-            for a, b in frobenius_fill(ring, len(pows), us, set_sums)]
+    out = walk_cosets(ring, [
+        (coset, tuple(sum(w * v for w, v in zip(column, sums)) & ring.mask
+                      for column in weights))
+        for coset, sums in coset_sums(ring, params.powers, us, sets)])
+    return [(ring.mul(params.rho, a) + b) & ring.mask for a, b in (out[u] for u in us)]
 
 
 def check_trace_repr(system: CyclotomicSystem, ring: GaloisRing, beta: GrElement,

@@ -127,8 +127,18 @@ MUTANTS = [
            ["tests/test_analysis.py"]),
     Mutant("verify-rows-without-d3", "src/z4seq/analysis.py",
            "    rows = _class_rows(system, ring, pows)\n",
-           "    rows = _class_rows(system, ring, pows)[:3] + [0]\n",
+           "    rows = _class_rows(system, ring, pows)[:3] + (0,)\n",
            ["tests/test_analysis.py", "tests/test_cli.py"]),
+    Mutant("coset-sums-at-last-index", "src/z4seq/analysis.py",
+           "        u = coset[0]\n", "        u = coset[-1]\n",
+           ["tests/test_analysis.py"]),
+    Mutant("class-sums-at-zero", "src/z4seq/analysis.py",
+           "range(q, n, q)", "range(0, n, q)",
+           ["tests/test_analysis.py"]),
+    Mutant("class-rows-rotated", "src/z4seq/analysis.py",
+           '[1], [system.classes[f"D{i}"] for i in range(4)]',
+           '[1], [system.classes[f"D{(i + 1) % 4}"] for i in range(4)]',
+           ["tests/test_analysis.py", "tests/test_trace_repr.py"]),
     Mutant("reap-without-waitpid", "src/z4seq/_sweep.py",
            "_, status = os.waitpid(self.pid, 0)", "status = 0",
            ["tests/test_cli.py"]),

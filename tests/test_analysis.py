@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -13,10 +14,10 @@ from z4seq.analysis import (
     admissible_pairs,
     analyze,
     coset_dft,
+    coset_sums,
     dft,
     lc_by_count,
     lc_by_theorem,
-    power_sums,
     power_table,
     rho_value,
     verify_identities,
@@ -49,7 +50,8 @@ def evaluate(ring, coeffs, u, pows):
 
 def class_sum(system, i, ring, pows, m=1):
     """D_i evaluated at gamma = base^m of the table: sum of gamma^u over u in D_i."""
-    return unpack(ring, power_sums(ring, pows, [m], system.classes[f"D{i}"])[0])
+    [(_, (value,))] = coset_sums(ring, pows, [m], [system.classes[f"D{i}"]])
+    return unpack(ring, value)
 
 
 def test_class_sum_at_one_and_subgroup_points():
@@ -77,6 +79,52 @@ def test_root_of_unity_sums():
                zero(ring)) == zero(ring)
     units = sum((class_sum(s, i, ring, pows) for i in range(4)), zero(ring))
     assert units == one(ring)
+
+
+@functools.cache
+def tables(T):
+    """(ring, power table, reference powers) for period T, kept across examples.
+
+    The reference powers of beta come from `gr_reference` products alone.
+    """
+    ring = make_ring(mult_order(2, T))
+    beta = root_of_unity(ring, T)
+    base = unpack(ring, beta.value)
+    ref = [one(ring)]
+    for _ in range(T - 1):
+        ref.append(mul(ref[-1], base))
+    return ring, power_table(beta, T), ref
+
+
+@st.composite
+def sums_case(draw):
+    """A period T and, in range(T), index sets and the indices us to evaluate at."""
+    T = draw(st.sampled_from((65, 85, 221)))
+    index = st.integers(0, T - 1)
+    sets = draw(st.lists(st.lists(index, max_size=12), min_size=1, max_size=3))
+    return T, sets, draw(st.lists(index, min_size=1, max_size=5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sums_case())
+def test_coset_sums_contract(case):
+    T, sets, us = case
+    ring, pows, ref = tables(T)
+    out = coset_sums(ring, pows, us, sets)
+    met = [u for coset, _ in out for u in coset]
+    # each coset is a whole orbit of u -> 2u, led by an index of us; together
+    # they are disjoint and cover us
+    for coset, _ in out:
+        assert coset[0] in us
+        assert [2 * u % T for u in coset] == [*coset[1:], coset[0]]
+    assert len(met) == len(set(met)) and set(us) <= set(met)
+    for coset, sums in out:
+        u = coset[0]
+        assert len(sums) == len(sets)
+        for members, value in zip(sets, sums):
+            assert unpack(ring, value) == sum((ref[u * w % T] for w in members), zero(ring))
+            assert unpack(ring, ring.sigma(value)) == \
+                sum((ref[2 * u * w % T] for w in members), zero(ring))
 
 
 def test_dft_constant_sequence():

@@ -1,9 +1,10 @@
 """Every mutant of `tests/mutants.py` still applies to the tree it breaks.
 
 The catalogue itself runs outside the quick suite; this only checks that
-each entry's old string occurs exactly once in its file and that its test
-files exist, so an edit that strands a mutant fails here at once, and that
-the runner ends a pytest run that outlasts its time limit.
+each entry's old string occurs exactly once in its file, that its test
+files exist and that the mutated file still compiles, so an edit that
+strands or breaks a mutant fails here at once, and that the runner ends a
+pytest run that outlasts its time limit.
 """
 
 import time
@@ -21,8 +22,13 @@ def test_mutant_names_are_unique():
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=[m.name for m in MUTANTS])
 def test_mutant_old_string_occurs_once(mutant):
-    assert (ROOT / mutant.path).read_text().count(mutant.old) == 1
+    text = (ROOT / mutant.path).read_text()
+    assert text.count(mutant.old) == 1
     assert mutant.tests and all((ROOT / t).is_file() for t in mutant.tests)
+    # the mutated file still compiles, so the catalogue run reports a kill
+    # or a survival, never a syntax error
+    assert mutant.new != mutant.old
+    compile(text.replace(mutant.old, mutant.new), mutant.path, "exec")
 
 
 def ended(pid):
