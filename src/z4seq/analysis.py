@@ -217,7 +217,7 @@ def analyze(system: CyclotomicSystem, r_max: int = R_MAX) -> AnalysisReport:
 
 def admissible_pairs(p_max: int, q_max: int, r_max: int = R_MAX,
                      pq_max: int | None = None) -> list:
-    """Ordered pairs (p, q), p != q, gcd(p-1, q-1) = 4, ord_2(pq) <= r_max."""
+    """Pairs (p, q) in increasing order: p != q, gcd(p-1, q-1) = 4, ord_2(pq) <= r_max."""
     ps = [v for v in range(5, p_max + 1) if is_prime(v)]
     qs = [v for v in range(5, q_max + 1) if is_prime(v)]
     out = []
@@ -230,7 +230,7 @@ def admissible_pairs(p_max: int, q_max: int, r_max: int = R_MAX,
             if mult_order(2, p * q) > r_max:
                 continue
             out.append((p, q))
-    return sorted(out)
+    return out
 
 
 def verify_identities(system: CyclotomicSystem, ring: GaloisRing,

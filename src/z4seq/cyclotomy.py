@@ -54,11 +54,8 @@ class CyclotomicSystem(namedtuple("CyclotomicSystem", "p q e g h case class_of")
 
     @cached_property
     def two_class(self) -> int:
-        """Index i of the class D_i containing 2."""
-        lab = self.class_of[2 % self.pq]
-        if lab not in D_LABELS:
-            raise InternalCaseError(f"2 classified as {lab}")
-        return int(lab[1])
+        """Index i of the class D_i containing 2, a unit as pq is odd."""
+        return int(self.class_of[2][1])
 
     def summary(self) -> dict:
         return {
@@ -84,16 +81,8 @@ def build_system(p: int, q: int) -> CyclotomicSystem:
         raise GcdNotFour(f"gcd({p - 1}, {q - 1}) = {math.gcd(p - 1, q - 1)}, need 4")
 
     n = p * q
-    if n % 4 != 1:
-        raise Z4SeqError(f"internal: pq = {n} not 1 mod 4")  # unreachable given gcd=4
-
-    if q % 8 == 1 and p % 8 == 5:
-        case = CASE1
-    elif q % 8 == 5 and p % 4 == 1:
-        case = CASE2
-    else:
-        raise Z4SeqError(f"internal: ({p}, {q}) fits neither admissible case")
-
+    # gcd(p-1, q-1) = 4 puts p, q at 1 (mod 4) and not both at 1 (mod 8)
+    case = CASE1 if q % 8 == 1 else CASE2
     g = common_primitive_root(p, q)
     h = crt_pair(g, p, 1, q)
     e = (p - 1) * (q - 1) // 4

@@ -1,10 +1,10 @@
 """The Galois ring GR(4, 4^r): construction, packed arithmetic, roots of unity.
 
-Elements are length-r coefficient vectors over Z4 reduced modulo a monic
-basic irreducible polynomial.  The modulus is the Graeffe lift
-h(x^2) = (-1)^r f(x) f(-x) (mod 4) of the lexicographically smallest
-primitive binary polynomial f of degree r, so the residue class of x
-generates the Teichmuller group G1 of order 2^r - 1.
+Elements are length-r Z4 coefficient vectors reduced modulo a monic basic
+irreducible polynomial: the Graeffe lift h(y) = (-1)^r (E(y)^2 - y O(y)^2)
+(mod 4), so h(x^2) = (-1)^r f(x) f(-x), of the lexicographically smallest
+primitive binary f = E(x^2) + x O(x^2) of degree r.  So the residue class of
+x generates the Teichmuller group G1 of order 2^r - 1.
 
 The search for f runs on int bitmasks: odd-weight candidates only, squaring
 by spreading bits and folding back by f's tap list (built once per
@@ -115,16 +115,15 @@ def _smallest_primitive_binary(r: int) -> int:
 
 
 def _graeffe_lift(f_mask: int, r: int) -> tuple:
-    """Monic degree-r h over Z4 with h(x^2) = (-1)^r f(x) f(-x), an even polynomial."""
-    f = [(f_mask >> i) & 1 for i in range(r + 1)]
-    fneg = [c if i % 2 == 0 else (-c) % 4 for i, c in enumerate(f)]
-    prod = [0] * (2 * r + 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(fneg):
-                prod[i + j] = (prod[i + j] + a * b) % 4
-    sign = 1 if r % 2 == 0 else -1
-    return tuple(sign * prod[2 * k] % 4 for k in range(r + 1))
+    """Monic degree-r h over Z4 with h(x^2) = (-1)^r f(x) f(-x), an even polynomial.
+
+    With f = E(x^2) + x O(x^2), h(y) = (-1)^r (E(y)^2 - y O(y)^2), -1 = 3 mod 4;
+    E and O square as packed ints, each slot at most 6r + 12 <= 0xFFFF.
+    """
+    f = [f_mask >> i & 1 for i in range(r + 1)]
+    even, odd = GaloisRing.pack(f[::2]), GaloisRing.pack(f[1::2])
+    h = (even * even + 3 * (odd * odd << SLOT_BITS)) * (3 if r % 2 else 1)
+    return tuple(c & 3 for c in h.to_bytes(2 * r + 2, "little")[::2])
 
 
 class GrElement(namedtuple("GrElement", "ring value")):

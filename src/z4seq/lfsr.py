@@ -11,20 +11,21 @@ earlier one, shifted by x^(k - k*), whose discrepancy at its own step k* has
 each valuation only the earlier polynomial with the smallest L - k* is kept,
 from either level, and the correction is taken only if it gives a shorter
 register than raising L to k + 1.  Level 1 never yields the answer; it is a
-source of corrections for even discrepancies.
+source of corrections for even discrepancies.  A stored polynomial, of
+length L* at its step k* < k, is shifted by k - k* >= 1, so c_0 = 1 stays,
+and the result has degree at most max(L, k - k* + L*), the new L.
 
 A Z4 vector (a connection polynomial, or the digit window of one step) is
 held as two bit planes, Python ints lo and hi whose bit j is bit 0 and bit 1
-of entry j, plus its length.  A discrepancy is then three popcounts
-(a.s = |a0&s0| + 2(|a0&s1| + |a1&s0|) mod 4), the window of step k is the
-reversed sequence's planes shifted right, a subtraction is two xors and a
-borrow, and x^shift is a left shift.  Both levels' registers are held in
-plain variables and both discrepancies are computed inline, so a step where
-both are zero does nothing more; a correction scans the stored polynomials
-in the order they were first stored and takes one only if it is strictly
-shorter, so a tie keeps the earlier one.  The algorithm is still O(N^2), in
-word-parallel bit operations: about 3 ms for the 1130 digits of (5,113) on
-a 2-vCPU machine.
+of entry j.  A discrepancy is then three popcounts (a.s = |a0&s0| +
+2(|a0&s1| + |a1&s0|) mod 4), the window of step k is the reversed sequence's
+planes shifted right, a subtraction is two xors and a borrow, and x^shift is
+a left shift.  Both levels' registers are held in plain variables and both
+discrepancies are computed inline, so a step where both are zero does
+nothing more; a correction scans the stored polynomials in the order they
+were first stored and takes one only if it is strictly shorter, so a tie
+keeps the earlier one.  The algorithm is still O(N^2), in word-parallel bit
+operations: about 3 ms for the 1130 digits of (5,113) on a 2-vCPU machine.
 
 span_min_length is the independent oracle.  A recurrence of order L on the
 *periodic* sequence s of period T says that s lies in the Z4-span of its
@@ -50,7 +51,7 @@ from collections import namedtuple
 class LfsrResult(namedtuple("LfsrResult", "length connection annihilates")):
     """Shortest register found: digits obey sum(c_j s_{k-j}) = 0 for k >= length.
 
-    connection is c_0..c_L over Z4, c_0 a unit.
+    connection is c_0..c_L over Z4: length + 1 entries, c_0 = 1 (module docstring).
     """
 
     __slots__ = ()
@@ -95,24 +96,24 @@ def reeds_sloane(digits) -> LfsrResult:
     seq = [int(d) % 4 for d in digits]
     N = len(seq)
     s0, s1 = _planes(seq[::-1])  # bit i is s_(N-1-i)
-    stored = {}  # d % 2 -> (L - k, lo, hi, length, d, k) of an earlier discrepancy d
+    stored = {}  # d % 2 -> (L - k, lo, hi, d, k) of an earlier discrepancy d
 
-    def corrected(L, a0, a1, n, d, k):
-        """(L, lo, hi, length) of a level's register after discrepancy d at step k."""
-        bestL, c0, c1, cn = k + 1, a0, a1, n  # raising L to k + 1 needs no correction
-        for gap, b0, b1, bn, db, kb in stored.values():
+    def corrected(L, a0, a1, d, k):
+        """(L, lo, hi) of a level's register after discrepancy d at step k."""
+        bestL, c0, c1 = k + 1, a0, a1  # raising L to k + 1 needs no correction
+        for gap, b0, b1, db, kb in stored.values():
             cand = max(L, k + gap)
             # b cancels d when its valuation is no larger; units are self-inverse
             if (db & 1 or not d & 1) and cand < bestL:
                 b0, b1 = _scale(d * db & 3 if db & 1 else 1, b0, b1)
                 shift = k - kb
                 c0, c1 = _sub(a0, a1, b0 << shift, b1 << shift)
-                bestL, cn = cand, max(n, shift + bn)
-        return bestL, c0, c1, cn
+                bestL = cand
+        return bestL, c0, c1
 
-    # level eta: L_eta, then the connection's planes lo, hi and its length
-    L0, lo0, hi0, n0 = 0, 1, 0, 1
-    L1, lo1, hi1, n1 = 0, 0, 1, 1
+    # level eta: L_eta, then the connection's planes lo, hi
+    L0, lo0, hi0 = 0, 1, 0
+    L1, lo1, hi1 = 0, 0, 1
     for k in range(N):
         w0, w1 = s0 >> (N - 1 - k), s1 >> (N - 1 - k)  # s_k, s_(k-1), ..., s_0
         d0 = ((lo0 & w0).bit_count()
@@ -121,18 +122,17 @@ def reeds_sloane(digits) -> LfsrResult:
               + 2 * ((lo1 & w1).bit_count() + (hi1 & w0).bit_count())) & 3
         if not (d0 or d1):
             continue
-        new0 = corrected(L0, lo0, hi0, n0, d0, k) if d0 else (L0, lo0, hi0, n0)
-        new1 = corrected(L1, lo1, hi1, n1, d1, k) if d1 else (L1, lo1, hi1, n1)
+        new0 = corrected(L0, lo0, hi0, d0, k) if d0 else (L0, lo0, hi0)
+        new1 = corrected(L1, lo1, hi1, d1, k) if d1 else (L1, lo1, hi1)
         # both corrections read the entries stored before this step
         if d0 and (d0 & 1 not in stored or L0 - k < stored[d0 & 1][0]):
-            stored[d0 & 1] = (L0 - k, lo0, hi0, n0, d0, k)
+            stored[d0 & 1] = (L0 - k, lo0, hi0, d0, k)
         if d1 and (d1 & 1 not in stored or L1 - k < stored[d1 & 1][0]):
-            stored[d1 & 1] = (L1 - k, lo1, hi1, n1, d1, k)
-        (L0, lo0, hi0, n0), (L1, lo1, hi1, n1) = new0, new1
-    c0, c1 = _scale(lo0 & 1 | (hi0 & 1) << 1, lo0, hi0)  # make c_0 = 1
-    ok = all(_dot(c0, c1, s0 >> (N - 1 - i), s1 >> (N - 1 - i)) == 0
+            stored[d1 & 1] = (L1 - k, lo1, hi1, d1, k)
+        (L0, lo0, hi0), (L1, lo1, hi1) = new0, new1
+    ok = all(_dot(lo0, hi0, s0 >> (N - 1 - i), s1 >> (N - 1 - i)) == 0
              for i in range(L0, N))
-    return LfsrResult(length=L0, connection=tuple(_digits(c0, c1, max(n0, L0 + 1))),
+    return LfsrResult(length=L0, connection=tuple(_digits(lo0, hi0, L0 + 1)),
                       annihilates=ok)
 
 

@@ -98,11 +98,9 @@ def factorize(n: int) -> dict[int, int]:
         i = (i + 1) % 8
     if n == 1:
         return factors
-    stack = [n]
+    stack = [n]  # Pollard-Brent splits m as 1 < f < m, so no entry is 1
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             factors[m] = factors.get(m, 0) + 1
             continue

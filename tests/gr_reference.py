@@ -10,7 +10,8 @@ by long division by the modulus itself, so it shares no code with the
 library's reduction.  `unpack` reads a packed int slot by slot with shifts,
 apart from `GaloisRing.digits`.  On it rest the preliminaries of the Galois
 ring (Wan 2003): the Teichmuller decomposition a = a1 + 2*a2, the Frobenius
-power maps and the trace over GR(4, 4^s).
+power maps and the trace over GR(4, 4^s).  `graeffe_lift` builds the
+library's modulus from the full product f(x) f(-x), term by term.
 """
 
 from z4seq.galois import SLOT_BITS, GrElement
@@ -124,6 +125,19 @@ def power(a: Element, e: int) -> Element:
         a = mul(a, a)
         e >>= 1
     return result
+
+
+def graeffe_lift(f_mask: int, r: int) -> tuple:
+    """Monic degree-r h with h(x^2) = (-1)^r f(x) f(-x) (mod 4), by the list product."""
+    f = [(f_mask >> i) & 1 for i in range(r + 1)]
+    fneg = [c if i % 2 == 0 else (-c) % 4 for i, c in enumerate(f)]
+    prod = [0] * (2 * r + 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(fneg):
+                prod[i + j] = (prod[i + j] + a * b) % 4
+    sign = 1 if r % 2 == 0 else -1
+    return tuple(sign * prod[2 * k] % 4 for k in range(r + 1))
 
 
 def root_power(beta: GrElement, m: int) -> GrElement:

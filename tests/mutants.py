@@ -3,17 +3,18 @@
     python3 tests/mutants.py           # every mutant
     python3 tests/mutants.py NAME ...  # the named ones
 
-The runner copies src/, tests/ and pyproject.toml to a temporary directory
-and first runs the union of the entries' test files there unmutated.  Then,
-one entry at a time, it replaces the entry's old string, which must occur
-exactly once in its file, with the new one and runs pytest on the entry's
-test files.  A mutant is killed when pytest reports failing tests (exit
-status 1); any other status, a syntax error for one, counts as a broken
-entry, and so does a run that outlasts `PYTEST_TIMEOUT_S`, reported as
-`timed out`.  Each run is its own process group, killed whole when it ends,
-so no process a mutant lets loose outlives it.  The exit status is 0 only
-if the unmutated run passes, every old string matches exactly once and
-every mutant is killed.  Stdlib only; pytest does not collect this file.
+The runner copies src/, tests/, bench/ (whose stage script some tests run)
+and pyproject.toml to a temporary directory and first runs the union of the
+entries' test files there unmutated.  Then, one entry at a time, it replaces
+the entry's old string, which must occur exactly once in its file, with the
+new one and runs pytest on the entry's test files.  A mutant is killed when
+pytest reports failing tests (exit status 1); any other status, a syntax
+error for one, counts as a broken entry, and so does a run that outlasts
+`PYTEST_TIMEOUT_S`, reported as `timed out`.  Each run is its own process
+group, killed whole when it ends, so no process a mutant lets loose outlives
+it.  The exit status is 0 only if the unmutated run passes, every old string
+matches exactly once and every mutant is killed.  Stdlib only; pytest does
+not collect this file.
 """
 
 import os
@@ -158,7 +159,7 @@ MUTANTS = [
            "    return v < 4", "    return True",
            ["tests/test_galois.py"]),
     Mutant("digits-read-high-bytes", "src/z4seq/galois.py",
-           '"little")[::2])', '"little")[1::2])',
+           'v.to_bytes(2 * self.r, "little")[::2])', 'v.to_bytes(2 * self.r, "little")[1::2])',
            ["tests/test_packed.py"]),
     Mutant("theorem-frobenius-step-dropped", "src/z4seq/analysis.py",
            "return ring.sigma(rho) == (rho + 4 - system.two_class) & ring.mask",
@@ -168,6 +169,102 @@ MUTANTS = [
            "if value != (a * rho + b) & ring.mask:",
            "if value != (a * (rho + 1) + b) & ring.mask:",
            ["tests/test_analysis.py"]),
+    Mutant("case-rule-reads-p", "src/z4seq/cyclotomy.py",
+           "case = CASE1 if q % 8 == 1 else CASE2", "case = CASE1 if p % 8 == 1 else CASE2",
+           ["tests/test_cyclotomy.py"]),
+    Mutant("connection-one-short", "src/z4seq/lfsr.py",
+           "_digits(lo0, hi0, L0 + 1)", "_digits(lo0, hi0, L0)",
+           ["tests/test_lfsr.py"]),
+    Mutant("graeffe-odd-part-sign", "src/z4seq/galois.py",
+           "3 * (odd * odd << SLOT_BITS)", "(odd * odd << SLOT_BITS)",
+           ["tests/test_ring_setup.py"]),
+    # the rest were hand-made mutants of earlier changes, moved here from prose
+    Mutant("sieve-at-step-r", "src/z4seq/galois.py",
+           "if k < r and (k in stops", "if (k in stops",
+           ["tests/test_ring_setup.py"]),
+    Mutant("xpow-without-shift", "src/z4seq/galois.py",
+           "            a <<= 1\n", "",
+           ["tests/test_ring_setup.py"]),
+    Mutant("rabin-final-check-dropped", "src/z4seq/galois.py",
+           "    return a == 2\n", "    return True\n",
+           ["tests/test_ring_setup.py"]),
+    Mutant("sum-masked-only-at-end", "src/z4seq/galois.py",
+           "            total = (total + sum(part)) & self.mask\n"
+           "            if len(part) < SUM_CHUNK:\n"
+           "                return total\n",
+           "            total = total + sum(part)\n"
+           "            if len(part) < SUM_CHUNK:\n"
+           "                return total & self.mask\n",
+           ["tests/test_packed.py"]),
+    Mutant("mul-without-slot-mask", "src/z4seq/galois.py",
+           "return self.reduce((a * b) & self._mask2)", "return self.reduce(a * b)",
+           ["tests/test_packed.py"]),
+    Mutant("barrett-quotient-without-slot-mask", "src/z4seq/galois.py",
+           "q = (((c >> self._high) * self._mu) & self._mask2) >> self._qshift",
+           "q = ((c >> self._high) * self._mu) >> self._qshift",
+           ["tests/test_packed.py"]),
+    Mutant("barrett-quotient-slot-low", "src/z4seq/galois.py",
+           "SLOT_BITS * max(r - 2, 0)", "SLOT_BITS * max(r - 3, 0)",
+           ["tests/test_packed.py"]),
+    Mutant("is-constant-ignores-slot-1", "src/z4seq/galois.py",
+           "    return v < 4", "    return v < 1 << 2 * SLOT_BITS",
+           ["tests/test_galois.py"]),
+    Mutant("discrepancy-cross-term-dropped", "src/z4seq/lfsr.py",
+           "(lo0 & w1).bit_count() + (hi0 & w0).bit_count()", "(lo0 & w1).bit_count()",
+           ["tests/test_lfsr.py"]),
+    Mutant("dot-cross-term-dropped", "src/z4seq/lfsr.py",
+           "(a0 & s1).bit_count() + (a1 & s0).bit_count()", "(a0 & s1).bit_count()",
+           ["tests/test_lfsr.py"]),
+    Mutant("scale-three-as-one", "src/z4seq/lfsr.py",
+           "return b0, (b1 ^ b0 if t == 3 else b1)", "return b0, b1",
+           ["tests/test_lfsr.py"]),
+    Mutant("reeds-sloane-valuation-check-dropped", "src/z4seq/lfsr.py",
+           "if (db & 1 or not d & 1) and cand < bestL:", "if cand < bestL:",
+           ["tests/test_lfsr.py"]),
+    Mutant("reeds-sloane-one-level-only", "src/z4seq/lfsr.py",
+           "new1 = corrected(L1, lo1, hi1, d1, k) if d1 else (L1, lo1, hi1)",
+           "new1 = (L1, lo1, hi1)",
+           ["tests/test_lfsr.py"]),
+    Mutant("annihilation-check-starts-early", "src/z4seq/lfsr.py",
+           "for i in range(L0, N))", "for i in range(L0 - 1, N))",
+           ["tests/test_lfsr.py"]),
+    Mutant("power-table-order-check-dropped", "src/z4seq/analysis.py",
+           "        if pows[n // d] == 1:\n", "        if False:\n",
+           ["tests/test_ring_arrays.py"]),
+    Mutant("fill-without-frobenius-step", "src/z4seq/analysis.py",
+           "            vals = tuple(ring.sigma(v) for v in vals)\n", "",
+           ["tests/test_analysis.py"]),
+    Mutant("root-of-unity-sums-forced-true", "src/z4seq/analysis.py",
+           'checks["root-of-unity-sums"] = sum_p', 'checks["root-of-unity-sums"] = True or sum_p',
+           ["tests/test_analysis.py"]),
+    Mutant("class-sums-forced-true", "src/z4seq/analysis.py",
+           'checks["class-sums"] = (all(', 'checks["class-sums"] = True or (all(',
+           ["tests/test_analysis.py"]),
+    Mutant("inner-products-forced-true", "src/z4seq/analysis.py",
+           'checks["inner-products"] = _inner_products(',
+           'checks["inner-products"] = True or _inner_products(',
+           ["tests/test_analysis.py"]),
+    Mutant("lc-by-count-renamed", "src/z4seq/analysis.py",
+           "def lc_by_count(", "def lc_by_nonzero_count(",
+           ["tests/test_surface.py"]),
+    Mutant("removed-name-re-exported", "src/z4seq/__init__.py",
+           '"lc_by_count", "power_table"', '"lc_by_count", "dft_nonzero_count", "power_table"',
+           ["tests/test_surface.py"]),
+    Mutant("getattr-without-submodule-branch", "src/z4seq/__init__.py",
+           "    if name in _SUBMODULES:\n"
+           '        return importlib.import_module(f"{__name__}.{name}")\n',
+           "",
+           ["tests/test_imports.py"]),
+    Mutant("eager-analysis-import-in-cli", "src/z4seq/cli.py",
+           "from . import cyclotomy, sequence\n", "from . import analysis, cyclotomy, sequence\n",
+           ["tests/test_imports.py"]),
+    Mutant("library-imports-the-cli", "src/z4seq/galois.py",
+           "from .numtheory import R_MAX, factorize\n",
+           "from .numtheory import R_MAX, factorize\nfrom .cli import main  # noqa: F401\n",
+           ["tests/test_imports.py"]),
+    Mutant("lazy-numpy-planted", "src/z4seq/galois.py",
+           "    if r < 1:\n", "    from numpy import int64  # noqa: F401\n    if r < 1:\n",
+           ["tests/test_imports.py"]),
 ]
 
 
@@ -199,7 +296,7 @@ def main(names) -> int:
     bad = 0
     with tempfile.TemporaryDirectory(prefix="z4seq-mutants-") as tmp:
         root = Path(tmp)
-        for part in ("src", "tests"):
+        for part in ("src", "tests", "bench"):
             shutil.copytree(ROOT / part, root / part,
                             ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
         shutil.copy(ROOT / "pyproject.toml", root)

@@ -490,38 +490,332 @@ def test_slot_overflow_pair(capsys):
     assert code == 0 and out.endswith("result PASS\n")
 
 
-# SHA-256 of the output, keyed (command, format, p, q).  The json bytes come
-# from the numpy uint8 implementation and carry every DFT coefficient
-# (defpoly) and rho (lc); the defpoly text bytes, every coefficient string,
-# from the packed-int DFT filled round each coset by the Frobenius map
+# SHA-256 of stdout, keyed by the argv after `z4seq`; every call exits 0 with
+# an empty stderr.  The lc and defpoly json bytes at (5,13), (5,113) and
+# (17,29) come from the numpy uint8 implementation and carry every DFT
+# coefficient (defpoly) and rho (lc); the defpoly text bytes, every
+# coefficient string, from the packed-int DFT filled round each coset by the
+# Frobenius map.  The rest were recorded before the Reeds-Sloane length
+# bookkeeping, the admissible-case raises and the list-product Graeffe lift
+# left the library.
 GOLDEN = {
-    ("defpoly", "json", "5", "13"): "8ea34a3bd240f523271b239ff280383acf54c41dcf703a3dfce2ac9560c4db98",
-    ("lc", "json", "5", "13"): "5ad097ab84ce6632adbefedab8e9f43e725eb6fddf0fccf123e9b568f6fca57e",
-    ("defpoly", "json", "5", "113"): "57a6c53bd08acef04d3f4fc1d79a7849c94dd3988be833a3240f31c825a3942a",
-    ("lc", "json", "5", "113"): "a2d15fc125ee923221d0faa9021280542384bd2ba99fc128aa3920fb7061e2bb",
-    ("defpoly", "json", "17", "29"): "a387e3d6935a738917c217ebef859be3c59d2187b65f03ae52416ec2d783ff29",
-    ("lc", "json", "17", "29"): "e2bc8d11e2e871cc623dbf9f54a5dfd5b55a7f15099d1eae5fca601e89202a22",
-    ("defpoly", "text", "5", "13"): "ef94274cc0e391bb18d69a8a3839c02b71b84b4573860b5843742c1d56daed85",
-    ("defpoly", "text", "5", "113"): "efb088cc4a885ee98e7e48bda8a28202b08774b1a03b5b8f075ac21a77c687cc",
+    "lc --p 5 --q 13 --method formula --format text":
+        "979b894f2d91bf199766571d58024f020d1a44a417da5f48e1fa1cdf554a14f5",
+    "lc --p 5 --q 13 --method formula --format json":
+        "dd4befbaf6af35fdde17334f9e3019706719ab64b7d507d70600492ddb938ea1",
+    "lc --p 5 --q 13 --method formula --format csv":
+        "979b894f2d91bf199766571d58024f020d1a44a417da5f48e1fa1cdf554a14f5",
+    "lc --p 5 --q 13 --method dft --format text":
+        "979b894f2d91bf199766571d58024f020d1a44a417da5f48e1fa1cdf554a14f5",
+    "lc --p 5 --q 13 --method dft --format json":
+        "a7a97b64d2ffa7cdfed560beddc4a711e5e0af3a1acbf0548e01cfde82384ce8",
+    "lc --p 5 --q 13 --method dft --format csv":
+        "979b894f2d91bf199766571d58024f020d1a44a417da5f48e1fa1cdf554a14f5",
+    "lc --p 5 --q 13 --method reeds-sloane --format text":
+        "979b894f2d91bf199766571d58024f020d1a44a417da5f48e1fa1cdf554a14f5",
+    "lc --p 5 --q 13 --method reeds-sloane --format json":
+        "72f35ee7babac3f918b916c2fc67dca429d5d55e4f1c628aabffeb1248b74d2b",
+    "lc --p 5 --q 13 --method reeds-sloane --format csv":
+        "979b894f2d91bf199766571d58024f020d1a44a417da5f48e1fa1cdf554a14f5",
+    "lc --p 5 --q 13 --method all --format text":
+        "dd8dd63d8995cc6fdba66480f378b55aa3ed76ce179d51ef09261b831648ca3c",
+    "lc --p 5 --q 13 --method all --format json":
+        "5ad097ab84ce6632adbefedab8e9f43e725eb6fddf0fccf123e9b568f6fca57e",
+    "lc --p 5 --q 13 --method all --format csv":
+        "9be088e38e7b369a6a0e4c383730ab4c94009e09d5fce41f9977504fb6b358c0",
+    "defpoly --p 5 --q 13 --format text":
+        "ef94274cc0e391bb18d69a8a3839c02b71b84b4573860b5843742c1d56daed85",
+    "defpoly --p 5 --q 13 --format json":
+        "8ea34a3bd240f523271b239ff280383acf54c41dcf703a3dfce2ac9560c4db98",
+    "defpoly --p 5 --q 13 --format csv":
+        "ef94274cc0e391bb18d69a8a3839c02b71b84b4573860b5843742c1d56daed85",
+    "verify --p 5 --q 13":
+        "136786eecd6d347a1618ea9f4b6628a4ee6d83383a9eb3d3d6e5e356f621f512",
+    "trace --p 5 --q 13":
+        "c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431",
+    "lc --p 13 --q 5 --method formula --format text":
+        "979b894f2d91bf199766571d58024f020d1a44a417da5f48e1fa1cdf554a14f5",
+    "lc --p 13 --q 5 --method formula --format json":
+        "c5efc884d4b5960581880597d6f6dc279f120d479a7aae1de17a1fba5b48356b",
+    "lc --p 13 --q 5 --method formula --format csv":
+        "979b894f2d91bf199766571d58024f020d1a44a417da5f48e1fa1cdf554a14f5",
+    "lc --p 13 --q 5 --method dft --format text":
+        "979b894f2d91bf199766571d58024f020d1a44a417da5f48e1fa1cdf554a14f5",
+    "lc --p 13 --q 5 --method dft --format json":
+        "4579a11d416291f7644aebe0eb29d9faf1520b16c457b81528a28b99b210d4ca",
+    "lc --p 13 --q 5 --method dft --format csv":
+        "979b894f2d91bf199766571d58024f020d1a44a417da5f48e1fa1cdf554a14f5",
+    "lc --p 13 --q 5 --method reeds-sloane --format text":
+        "979b894f2d91bf199766571d58024f020d1a44a417da5f48e1fa1cdf554a14f5",
+    "lc --p 13 --q 5 --method reeds-sloane --format json":
+        "d8862b8e032decd6580efde4f687c59a03cc40de7947e64e3dd25006c1b913e2",
+    "lc --p 13 --q 5 --method reeds-sloane --format csv":
+        "979b894f2d91bf199766571d58024f020d1a44a417da5f48e1fa1cdf554a14f5",
+    "lc --p 13 --q 5 --method all --format text":
+        "dd8dd63d8995cc6fdba66480f378b55aa3ed76ce179d51ef09261b831648ca3c",
+    "lc --p 13 --q 5 --method all --format json":
+        "a140c2ee0f76dc3217b2f6b51d84051eb57426b22a6aa2febca491ad5495dcee",
+    "lc --p 13 --q 5 --method all --format csv":
+        "752dd6ba5b0f31ef239af401ea84f33bbea15351e7d02afae7967cc0d7ef2016",
+    "defpoly --p 13 --q 5 --format text":
+        "f67e089e66fe746d7e7a26b93d119a93f72d8cd874528f1c16b32abcf4458c92",
+    "defpoly --p 13 --q 5 --format json":
+        "a276e925eed435a147e7be922ad8575a5644b8f4dbb8182b720f260e75a2f55a",
+    "defpoly --p 13 --q 5 --format csv":
+        "f67e089e66fe746d7e7a26b93d119a93f72d8cd874528f1c16b32abcf4458c92",
+    "verify --p 13 --q 5":
+        "136786eecd6d347a1618ea9f4b6628a4ee6d83383a9eb3d3d6e5e356f621f512",
+    "trace --p 13 --q 5":
+        "c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431",
+    "lc --p 13 --q 17 --method formula --format text":
+        "b4954200c4fde0dc36bd14fb64c23faca965ac900b036bf71ef9c1590b0d56ed",
+    "lc --p 13 --q 17 --method formula --format json":
+        "bfa7991f6db0f514628ec0a508cbbb3cd51a0085a0d99683f437bae1dcf1595e",
+    "lc --p 13 --q 17 --method formula --format csv":
+        "b4954200c4fde0dc36bd14fb64c23faca965ac900b036bf71ef9c1590b0d56ed",
+    "lc --p 13 --q 17 --method dft --format text":
+        "b4954200c4fde0dc36bd14fb64c23faca965ac900b036bf71ef9c1590b0d56ed",
+    "lc --p 13 --q 17 --method dft --format json":
+        "2df57d8ddc71475a038caace179496edee61d78dde0c48c480bd2f8ac8c898e5",
+    "lc --p 13 --q 17 --method dft --format csv":
+        "b4954200c4fde0dc36bd14fb64c23faca965ac900b036bf71ef9c1590b0d56ed",
+    "lc --p 13 --q 17 --method reeds-sloane --format text":
+        "b4954200c4fde0dc36bd14fb64c23faca965ac900b036bf71ef9c1590b0d56ed",
+    "lc --p 13 --q 17 --method reeds-sloane --format json":
+        "e9dbf364260e1e9994922186ac4886e5246c705f63503b3b357d2237ec90e4fa",
+    "lc --p 13 --q 17 --method reeds-sloane --format csv":
+        "b4954200c4fde0dc36bd14fb64c23faca965ac900b036bf71ef9c1590b0d56ed",
+    "lc --p 13 --q 17 --method all --format text":
+        "b827abe1739c7bbf0b6b2f7563c027f0dd43158250cc8e3b8efceee56b7b0dcc",
+    "lc --p 13 --q 17 --method all --format json":
+        "3246e9ac7a87fbf27c797269448891c5eecb265d08ae27d0b24eb11d67a35feb",
+    "lc --p 13 --q 17 --method all --format csv":
+        "027adee7cc1e4d95152834338e6ab1c770c401011851792ba9449799c85edab3",
+    "defpoly --p 13 --q 17 --format text":
+        "98b8f52ac25e247597d1bf6e978524c22e722a0bf0310fc3aaf7e60dec04250e",
+    "defpoly --p 13 --q 17 --format json":
+        "25ce85bf34814258bb6076183cbe8c81d417938416054bee89d77a1e31539145",
+    "defpoly --p 13 --q 17 --format csv":
+        "98b8f52ac25e247597d1bf6e978524c22e722a0bf0310fc3aaf7e60dec04250e",
+    "verify --p 13 --q 17":
+        "136786eecd6d347a1618ea9f4b6628a4ee6d83383a9eb3d3d6e5e356f621f512",
+    "trace --p 13 --q 17":
+        "c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431",
+    "lc --p 5 --q 29 --method formula --format text":
+        "bec4c0b05bdca335d3f6f76051d1054cb36e2dd3f3b963d4222cf221059dea8b",
+    "lc --p 5 --q 29 --method formula --format json":
+        "cc4dcc1d8cf7e8daf55336c30f32b587a772595c45df7a7d464a2acd30d6c3f4",
+    "lc --p 5 --q 29 --method formula --format csv":
+        "bec4c0b05bdca335d3f6f76051d1054cb36e2dd3f3b963d4222cf221059dea8b",
+    "lc --p 5 --q 29 --method dft --format text":
+        "bec4c0b05bdca335d3f6f76051d1054cb36e2dd3f3b963d4222cf221059dea8b",
+    "lc --p 5 --q 29 --method dft --format json":
+        "e824a06ba06fd37d3661a1771bc242855711113c168017b8e0017514ba1fc1f1",
+    "lc --p 5 --q 29 --method dft --format csv":
+        "bec4c0b05bdca335d3f6f76051d1054cb36e2dd3f3b963d4222cf221059dea8b",
+    "lc --p 5 --q 29 --method reeds-sloane --format text":
+        "bec4c0b05bdca335d3f6f76051d1054cb36e2dd3f3b963d4222cf221059dea8b",
+    "lc --p 5 --q 29 --method reeds-sloane --format json":
+        "2c3bc3745f5d51f09ad28a802c9f03caf8ad3420f30457881b5d95ff54438076",
+    "lc --p 5 --q 29 --method reeds-sloane --format csv":
+        "bec4c0b05bdca335d3f6f76051d1054cb36e2dd3f3b963d4222cf221059dea8b",
+    "lc --p 5 --q 29 --method all --format text":
+        "420cce0b94626b88df5d4ba6310ebe3c919e9565ed064c7beda4f33905d5da0a",
+    "lc --p 5 --q 29 --method all --format json":
+        "d11480ef143b8abd5b68de00e1c8d80ef8e5db365cfd3faf02bbd35c559fa5d8",
+    "lc --p 5 --q 29 --method all --format csv":
+        "f666146f529507a0f43d947d3aee52b74cf5d0984269f277bf2c13c4b982126d",
+    "defpoly --p 5 --q 29 --format text":
+        "7a132f121298e2260b48b5ca3e7535852575d727ffe63f97465149b5d6f7ec78",
+    "defpoly --p 5 --q 29 --format json":
+        "1876a7c5b917096c78c7935826db0c07f5192548cd7a8fe87a6c44d09b58fbd8",
+    "defpoly --p 5 --q 29 --format csv":
+        "7a132f121298e2260b48b5ca3e7535852575d727ffe63f97465149b5d6f7ec78",
+    "verify --p 5 --q 29":
+        "136786eecd6d347a1618ea9f4b6628a4ee6d83383a9eb3d3d6e5e356f621f512",
+    "trace --p 5 --q 29":
+        "c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431",
+    "lc --p 37 --q 5 --method formula --format text":
+        "4a6082659f35a2809c92fdf5707625c448b72cdf0a4e0c55a68c722bc8136947",
+    "lc --p 37 --q 5 --method formula --format json":
+        "f3cf00542ba2a22895c2fdc8b7b8a1ca3a8cbc3bac9289bb5b965f0079975728",
+    "lc --p 37 --q 5 --method formula --format csv":
+        "4a6082659f35a2809c92fdf5707625c448b72cdf0a4e0c55a68c722bc8136947",
+    "lc --p 37 --q 5 --method dft --format text":
+        "4a6082659f35a2809c92fdf5707625c448b72cdf0a4e0c55a68c722bc8136947",
+    "lc --p 37 --q 5 --method dft --format json":
+        "a49b6660aac7e07f300f6d445ed9409f2168a153f46c916e827d07c745c2d3e3",
+    "lc --p 37 --q 5 --method dft --format csv":
+        "4a6082659f35a2809c92fdf5707625c448b72cdf0a4e0c55a68c722bc8136947",
+    "lc --p 37 --q 5 --method reeds-sloane --format text":
+        "4a6082659f35a2809c92fdf5707625c448b72cdf0a4e0c55a68c722bc8136947",
+    "lc --p 37 --q 5 --method reeds-sloane --format json":
+        "c62bc7a24652b79bbb296113b42e61b5d58a1ed53eb1d47304c3a19f3f389001",
+    "lc --p 37 --q 5 --method reeds-sloane --format csv":
+        "4a6082659f35a2809c92fdf5707625c448b72cdf0a4e0c55a68c722bc8136947",
+    "lc --p 37 --q 5 --method all --format text":
+        "ef9707399dda6e64c6187d50a6d95d32396b930685d1c696ea4970d719967fd9",
+    "lc --p 37 --q 5 --method all --format json":
+        "5afd48a413039700e653ea0dd232c9e1b4825ff67a4bc0c7b52f42ac9bd0df38",
+    "lc --p 37 --q 5 --method all --format csv":
+        "1e85daca63d890358b45faf41f8c8bec98e2c35e4cb8f2b2655eba4e844fe272",
+    "defpoly --p 37 --q 5 --format text":
+        "1984c3d2b0fbfba0315488f667d62bdc27b733dfa619b79e337a55d00e9d8dd4",
+    "defpoly --p 37 --q 5 --format json":
+        "6abbb367e77889685150156d2aa1a23b0b602a88daeca1a9c23374f9ece427db",
+    "defpoly --p 37 --q 5 --format csv":
+        "1984c3d2b0fbfba0315488f667d62bdc27b733dfa619b79e337a55d00e9d8dd4",
+    "verify --p 37 --q 5":
+        "136786eecd6d347a1618ea9f4b6628a4ee6d83383a9eb3d3d6e5e356f621f512",
+    "trace --p 37 --q 5":
+        "c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431",
+    "lc --p 5 --q 113 --method formula --format text":
+        "e3eebf5db7f62a8a42bdea11ff52c2e05664e676fb96fe668d51a960f7e6165e",
+    "lc --p 5 --q 113 --method formula --format json":
+        "81b01e467ce85f7b8b596aad88ab35d52043d7b6a543b70cdcac64896d8a8407",
+    "lc --p 5 --q 113 --method formula --format csv":
+        "e3eebf5db7f62a8a42bdea11ff52c2e05664e676fb96fe668d51a960f7e6165e",
+    "lc --p 5 --q 113 --method dft --format text":
+        "e3eebf5db7f62a8a42bdea11ff52c2e05664e676fb96fe668d51a960f7e6165e",
+    "lc --p 5 --q 113 --method dft --format json":
+        "eb55dcd1826883f19abf2bc6d0b14268784698ae66a1e6e3f948264ea430cd6b",
+    "lc --p 5 --q 113 --method dft --format csv":
+        "e3eebf5db7f62a8a42bdea11ff52c2e05664e676fb96fe668d51a960f7e6165e",
+    "lc --p 5 --q 113 --method reeds-sloane --format text":
+        "e3eebf5db7f62a8a42bdea11ff52c2e05664e676fb96fe668d51a960f7e6165e",
+    "lc --p 5 --q 113 --method reeds-sloane --format json":
+        "a8ad545b3b531af012e7f49e771bbb68acfa0de06a3c527a80c876f4e98157a5",
+    "lc --p 5 --q 113 --method reeds-sloane --format csv":
+        "e3eebf5db7f62a8a42bdea11ff52c2e05664e676fb96fe668d51a960f7e6165e",
+    "lc --p 5 --q 113 --method all --format text":
+        "a8162a5678f7784f85a412626e71ae348efe46515386c5dde0ffcfac21f0661e",
+    "lc --p 5 --q 113 --method all --format json":
+        "a2d15fc125ee923221d0faa9021280542384bd2ba99fc128aa3920fb7061e2bb",
+    "lc --p 5 --q 113 --method all --format csv":
+        "bb3f0f91b31727b0fb46f459ef13461a32f6f11426f6573a815e816963c4b839",
+    "defpoly --p 5 --q 113 --format text":
+        "efb088cc4a885ee98e7e48bda8a28202b08774b1a03b5b8f075ac21a77c687cc",
+    "defpoly --p 5 --q 113 --format json":
+        "57a6c53bd08acef04d3f4fc1d79a7849c94dd3988be833a3240f31c825a3942a",
+    "defpoly --p 5 --q 113 --format csv":
+        "efb088cc4a885ee98e7e48bda8a28202b08774b1a03b5b8f075ac21a77c687cc",
+    "verify --p 5 --q 113":
+        "136786eecd6d347a1618ea9f4b6628a4ee6d83383a9eb3d3d6e5e356f621f512",
+    "trace --p 5 --q 113":
+        "c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431",
+    "lc --p 5 --q 73 --method formula --format text":
+        "e1b731715e45909f0522043acc90cb457dd31a8736186c058cc3fd6271878326",
+    "lc --p 5 --q 73 --method formula --format json":
+        "45368ba6ca80e5f543ed245c3afcaa5b44c5762792570f7a8214164a0bd659b9",
+    "lc --p 5 --q 73 --method formula --format csv":
+        "e1b731715e45909f0522043acc90cb457dd31a8736186c058cc3fd6271878326",
+    "lc --p 5 --q 73 --method dft --format text":
+        "e1b731715e45909f0522043acc90cb457dd31a8736186c058cc3fd6271878326",
+    "lc --p 5 --q 73 --method dft --format json":
+        "30ec96813fa47097d08bdfebf8f717054976ca722b437ee983e4f61646df1041",
+    "lc --p 5 --q 73 --method dft --format csv":
+        "e1b731715e45909f0522043acc90cb457dd31a8736186c058cc3fd6271878326",
+    "lc --p 5 --q 73 --method reeds-sloane --format text":
+        "e1b731715e45909f0522043acc90cb457dd31a8736186c058cc3fd6271878326",
+    "lc --p 5 --q 73 --method reeds-sloane --format json":
+        "6d522b96e28591c24ec68d63167dbc756a3835353e13e2daa71ea9e7635b7b9f",
+    "lc --p 5 --q 73 --method reeds-sloane --format csv":
+        "e1b731715e45909f0522043acc90cb457dd31a8736186c058cc3fd6271878326",
+    "lc --p 5 --q 73 --method all --format text":
+        "e7e94cc757b76a7853da1446782a98f108211a404cf0cd153541b87ad56656ae",
+    "lc --p 5 --q 73 --method all --format json":
+        "cc126a97152c8b2856ec0c78e0ba84f003637275d6b41b451ca7e54b0088b5a2",
+    "lc --p 5 --q 73 --method all --format csv":
+        "fb74ee5f0978878761833faaf69edbb23e88c66ca9dd57dced8d048b1dba047e",
+    "defpoly --p 5 --q 73 --format text":
+        "27eb7355427f60800dbd38c734e42f24d9187de440e540f167ef986a98257148",
+    "defpoly --p 5 --q 73 --format json":
+        "26d4bad74c7c8b6a7ce5686f78fabdaa59d8e3a70daef2e60e223e15f7278bc0",
+    "defpoly --p 5 --q 73 --format csv":
+        "27eb7355427f60800dbd38c734e42f24d9187de440e540f167ef986a98257148",
+    "verify --p 5 --q 73":
+        "136786eecd6d347a1618ea9f4b6628a4ee6d83383a9eb3d3d6e5e356f621f512",
+    "trace --p 5 --q 73":
+        "c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431",
+    "lc --p 17 --q 29 --method formula --format text":
+        "d4055e6d5eadf6706ccf773327b59b1de9db8c5024908a9c18af27a0009706f4",
+    "lc --p 17 --q 29 --method formula --format json":
+        "8442ea41a059f2c2ac32e4d96aba3abe0d1863f2ad4f2c748690cb1751b56863",
+    "lc --p 17 --q 29 --method formula --format csv":
+        "d4055e6d5eadf6706ccf773327b59b1de9db8c5024908a9c18af27a0009706f4",
+    "lc --p 17 --q 29 --method dft --format text":
+        "d4055e6d5eadf6706ccf773327b59b1de9db8c5024908a9c18af27a0009706f4",
+    "lc --p 17 --q 29 --method dft --format json":
+        "0296205b4983a44fad9b824f6c7c854c82e35e829138506d78a3d805653ccdda",
+    "lc --p 17 --q 29 --method dft --format csv":
+        "d4055e6d5eadf6706ccf773327b59b1de9db8c5024908a9c18af27a0009706f4",
+    "lc --p 17 --q 29 --method reeds-sloane --format text":
+        "d4055e6d5eadf6706ccf773327b59b1de9db8c5024908a9c18af27a0009706f4",
+    "lc --p 17 --q 29 --method reeds-sloane --format json":
+        "aa1a1ce79fcf7db3cec42c592430b75e07631e769595cec343893129ff860b6b",
+    "lc --p 17 --q 29 --method reeds-sloane --format csv":
+        "d4055e6d5eadf6706ccf773327b59b1de9db8c5024908a9c18af27a0009706f4",
+    "lc --p 17 --q 29 --method all --format text":
+        "197ea7c12c932782ddf4a74b8ab0a519cb2a5a08cb9f16f896adab5416d0c644",
+    "lc --p 17 --q 29 --method all --format json":
+        "e2bc8d11e2e871cc623dbf9f54a5dfd5b55a7f15099d1eae5fca601e89202a22",
+    "lc --p 17 --q 29 --method all --format csv":
+        "10ea125ff7fc679da53fbedaadb462da0e99e0ba705eb1cad79b090c2978908f",
+    "defpoly --p 17 --q 29 --format text":
+        "fa327588a44c52d2c2ae43a926eccc815de720cb424fcf12eca36eb3721c76c2",
+    "defpoly --p 17 --q 29 --format json":
+        "a387e3d6935a738917c217ebef859be3c59d2187b65f03ae52416ec2d783ff29",
+    "defpoly --p 17 --q 29 --format csv":
+        "fa327588a44c52d2c2ae43a926eccc815de720cb424fcf12eca36eb3721c76c2",
+    "verify --p 17 --q 29":
+        "136786eecd6d347a1618ea9f4b6628a4ee6d83383a9eb3d3d6e5e356f621f512",
+    "trace --p 17 --q 29":
+        "c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431",
+    "sweep --p-max 40 --q-max 40 --r-max 64 --workers 1 --format csv":
+        "1e23a2e8d0ce7d3e93d8b1a3522bc17439ab3747d268a282f7924dafcd3784a7",
+    "sweep --p-max 40 --q-max 40 --r-max 64 --workers 1 --format json":
+        "a693bcf15381281f36fdd5533dd20b77fc8503ce9635ec13f0fad726c843032f",
+    "sweep --p-max 40 --q-max 40 --r-max 64 --workers 1 --format text":
+        "a36b4f1920a8faef75e9d61cfad12ce5ab22e5cbb07d1a6e12c7015472222698",
 }
+DFT_PAIRS = [("5", "13"), ("5", "113"), ("17", "29")]  # the first pinned DFT bytes
+
+
+def golden_key(command, fmt, p, q):
+    method = " --method all" if command == "lc" else ""
+    return f"{command} --p {p} --q {q}{method} --format {fmt}"
 
 
 def golden_cases(fmt):
-    return sorted((command, p, q) for command, f, p, q in GOLDEN if f == fmt)
+    commands = ("defpoly", "lc") if fmt == "json" else ("defpoly",)
+    return sorted((command, p, q) for command in commands for p, q in DFT_PAIRS)
 
 
-def assert_golden(capsys, command, fmt, p, q):
-    code, out, _ = run(capsys, command, "--p", p, "--q", q, "--r-max", "64",
-                       "--format", fmt)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command, fmt, p, q]
+def assert_golden(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]
 
 
 @pytest.mark.parametrize("command, p, q", golden_cases("json"))
 def test_json_bytes_are_golden(capsys, command, p, q):
-    assert_golden(capsys, command, "json", p, q)
+    assert_golden(capsys, golden_key(command, "json", p, q))
 
 
 @pytest.mark.parametrize("command, p, q", golden_cases("text"))
 def test_text_bytes_are_golden(capsys, command, p, q):
-    assert_golden(capsys, command, "text", p, q)
+    assert_golden(capsys, golden_key(command, "text", p, q))
+
+
+DFT_KEYS = {golden_key(c, f, p, q) for f in ("json", "text") for c, p, q in golden_cases(f)}
+
+
+@pytest.mark.parametrize("argv", [a for a in GOLDEN if a not in DFT_KEYS])
+def test_cli_bytes_are_golden(capsys, argv):
+    assert_golden(capsys, argv)
+
+
+def test_degree_cap_error_bytes(capsys):
+    code, out, err = run(capsys, "lc", "--p", "5", "--q", "2113", "--r-max", "30")
+    assert (code, out) == (2, "")
+    assert err == "ERROR DegreeTooLarge: extension degree 44 exceeds cap 30\n"

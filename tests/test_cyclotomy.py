@@ -58,6 +58,15 @@ def test_index_labels_equal_the_enumeration():
         assert s.class_of == enumerated_classes(p, q, s.g, s.h), (p, q)
 
 
+def test_case_is_the_papers_two_condition_rule():
+    # Case1: q = 1 (mod 8) and p = 5 (mod 8); Case2: q = 5 (mod 8) and p = 1 (mod 4)
+    for p, q in admissible_pairs(5000, 5000, r_max=10**6, pq_max=5000):
+        case1 = q % 8 == 1 and p % 8 == 5
+        case2 = q % 8 == 5 and p % 4 == 1
+        assert case1 != case2, (p, q)
+        assert build_system(p, q).case == (CASE1 if case1 else CASE2), (p, q)
+
+
 def test_rejections():
     with pytest.raises(GcdNotFour):
         build_system(3, 13)

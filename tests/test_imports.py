@@ -105,6 +105,8 @@ def test_commands_load_only_what_they_run(argv, code, stdout):
     assert got == code, errors
     assert not modules & NEVER, modules & NEVER
     assert "json" not in modules  # text and CSV output
+    if argv[0] in ("system", "gen", "--help"):  # no ring, no DFT
+        assert not modules & {"z4seq.analysis", "z4seq.galois"}
     if argv[0] in ("verify", "trace", "defpoly"):
         assert "z4seq.lfsr" not in modules
     if argv[0] == "lc":

@@ -95,14 +95,18 @@ def test_finite_impulse():
     assert res.length == 1 and res.annihilates
 
 
+def assert_connection_shape(res):
+    """c_0 = 1 and length + 1 entries, with no normalisation after the recurrence."""
+    assert len(res.connection) == res.length + 1
+    assert res.connection[0] == 1
+    assert res.annihilates
+
+
 def test_connection_shape():
     rng = random.Random(2)
     for _ in range(30):
         seq = [rng.randrange(4) for _ in range(rng.randrange(1, 24))]
-        res = reeds_sloane(seq)
-        assert len(res.connection) == res.length + 1
-        assert res.connection[0] % 2 == 1
-        assert res.annihilates
+        assert_connection_shape(reeds_sloane(seq))
 
 
 def test_register_replays_sequence():
@@ -184,6 +188,17 @@ def z4_inputs(min_len, max_len):
     return st.one_of(st.lists(DIGIT, min_size=min_len, max_size=max_len),
                      st.lists(EVEN, min_size=min_len, max_size=max_len),
                      perturbed_even_tap_outputs(max_len))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(z4_inputs(0, 120))
+def test_connection_shape_hypothesis(digits):
+    assert_connection_shape(reeds_sloane(digits))
+
+
+def test_connection_shape_on_paper_sequences():
+    for pair in admissible_pairs(200, 200, r_max=1000, pq_max=1000):
+        assert_connection_shape(reeds_sloane(generate(build_system(*pair)).digits * 2))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

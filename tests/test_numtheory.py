@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from z4seq import numtheory
 from z4seq.errors import NotCoprime
 from z4seq.numtheory import (
     common_primitive_root,
@@ -141,6 +142,18 @@ def test_factorize_reconstructs():
 def test_factorize_mersenne():
     assert factorize(2**12 - 1) == {3: 2, 5: 1, 7: 1, 13: 1}
     assert set(factorize(2**28 - 1)) == {3, 5, 29, 43, 113, 127}
+
+
+def test_factorize_splits_by_pollard_brent(monkeypatch):
+    # 2^59 - 1 and 2^67 - 1 have no factor below the trial-division bound of
+    # 10^5, so Pollard-Brent splits them; 2^83 - 1 leaves a prime cofactor
+    split = numtheory._pollard_brent
+    calls = []
+    monkeypatch.setattr(numtheory, "_pollard_brent", lambda n: calls.append(n) or split(n))
+    assert factorize(2**59 - 1) == {179951: 1, 3203431780337: 1}
+    assert factorize(2**67 - 1) == {193707721: 1, 761838257287: 1}
+    assert factorize(2**83 - 1) == {167: 1, 57912614113275649087721: 1}
+    assert calls == [2**59 - 1, 2**67 - 1]
 
 
 def test_euler_phi_small():

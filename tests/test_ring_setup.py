@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gr_reference import element, frobenius, mul, one, power, unpack
+from gr_reference import element, frobenius, graeffe_lift, mul, one, power, unpack
 from z4seq import galois
 from z4seq.analysis import dft, power_table
 from z4seq.cyclotomy import build_system
@@ -69,6 +69,17 @@ def reference_primitive(r):
 def test_primitive_search_matches_reference():
     for r in range(1, 65):
         assert galois._smallest_primitive_binary(r) == reference_primitive(r), r
+
+
+def test_graeffe_lift_matches_list_product():
+    rng = random.Random(26)
+    for r in range(1, 301):  # random odd-weight f
+        f = (1 << r) | rng.getrandbits(r) | 1
+        if r > 1 and bin(f).count("1") % 2 == 0:
+            f ^= 2
+        assert galois._graeffe_lift(f, r) == graeffe_lift(f, r), (r, f)
+    for r in (63, 64, 300):  # all ones: the squares fill the slots most
+        assert galois._graeffe_lift((2 << r) - 1, r) == graeffe_lift((2 << r) - 1, r), r
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
