@@ -2,11 +2,11 @@
 
 Construction of the residue-class systems modulo pq, sequence generation,
 Galois-ring GR(4, 4^r) arithmetic, defining polynomials via the ring DFT,
-closed-form and oracle linear complexity, and trace-form verification.
+closed-form and synthesized linear complexity, and trace-form verification.
 
 Exported names and the stage submodules load on first access (PEP 562).
-Ring arithmetic is on packed Python ints and the oracle of `lfsr` on bit
-planes, so the package needs the standard library alone.
+Ring arithmetic is on packed Python ints and the register synthesis of
+`lfsr` on bit planes, so the package needs the standard library alone.
 """
 
 import importlib
@@ -20,7 +20,7 @@ _EXPORTS = {
                   "count_solutions", "lc_by_theorem"),
     "galois": ("GaloisRing", "GrElement", "is_constant", "make_ring",
                "root_of_unity"),
-    "lfsr": ("LfsrResult", "reeds_sloane", "span_min_length"),
+    "lfsr": ("LfsrResult", "reeds_sloane"),
     "numtheory": ("R_MAX", "common_primitive_root", "crt_pair", "euler_phi",
                   "factorize", "is_prime", "mult_order"),
     "sequence": ("QuaternarySequence", "generate", "to_csv", "to_text"),

@@ -82,6 +82,8 @@ def trace_params(system: CyclotomicSystem, ring: GaloisRing,
     d_orbits = tuple(_tiling_orbits(system, f"D{i}", step) for i in range(4))
     q_orbits = _tiling_orbits(system, "P", 2)
     p_orbits = _tiling_orbits(system, "Q", 2)
+    if epsilon is None:
+        case_two_class(system)  # Case1 checked it for epsilon above
 
     pows = power_table(beta, n)
     return TraceParams(ell=ell, ell_p=ell_p, ell_q=ell_q, epsilon=epsilon,

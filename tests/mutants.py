@@ -15,6 +15,9 @@ group, killed whole when it ends, so no process a mutant lets loose outlives
 it.  The exit status is 0 only if the unmutated run passes, every old string
 matches exactly once and every mutant is killed.  Stdlib only; pytest does
 not collect this file.
+
+Three entries break the span oracle `tests/span_reference.py`, not the
+library: the tests check it against the SNF reference and the closed form.
 """
 
 import os
@@ -61,16 +64,16 @@ MUTANTS = [
     Mutant("reeds-sloane-tie-takes-later", "src/z4seq/lfsr.py",
            "cand < bestL", "cand <= bestL",
            ["tests/test_lfsr.py"]),
-    Mutant("span-even-half-dropped", "src/z4seq/lfsr.py",
+    Mutant("span-even-half-dropped", "tests/span_reference.py",
            "            else:  # g = 2 * g1\n"
            "                half = g1\n",
            "            else:  # g = 2 * g1\n"
            "                half = 0\n",
            ["tests/test_lfsr.py"]),
-    Mutant("span-pivot-half-dropped", "src/z4seq/lfsr.py",
+    Mutant("span-pivot-half-dropped", "tests/span_reference.py",
            "                half = g0\n", "                half = 0\n",
            ["tests/test_lfsr.py"]),
-    Mutant("span-reduction-without-borrow", "src/z4seq/lfsr.py",
+    Mutant("span-reduction-without-borrow", "tests/span_reference.py",
            "lo, hi = _sub(lo, hi, *v)", "lo, hi = lo ^ v[0], hi ^ v[1]",
            ["tests/test_lfsr.py"]),
     Mutant("config-overrides-flags", "src/z4seq/cli.py",
@@ -90,6 +93,11 @@ MUTANTS = [
     Mutant("case-rule-case2-half-dropped", "src/z4seq/cyclotomy.py",
            "if (i % 2 == 0) != (system.case == CASE1):",
            "if i % 2 and system.case == CASE1:",
+           ["tests/test_trace_repr.py"]),
+    Mutant("trace-params-case2-rule-dropped", "src/z4seq/trace_repr.py",
+           "    if epsilon is None:\n"
+           "        case_two_class(system)  # Case1 checked it for epsilon above\n",
+           "",
            ["tests/test_trace_repr.py"]),
     Mutant("no-flush-before-fork", "src/z4seq/_sweep.py",
            "    sys.stdout.flush()  # so the children's copies of the buffers are empty\n"

@@ -1,9 +1,10 @@
-"""Smith-reduction oracle over Z4: the reference `lfsr.span_min_length` is checked against.
+"""Smith-reduction oracle over Z4: the reference the span oracle is checked against.
 
-For each length L ascending, snf_min_length builds the Toeplitz system that an
+The span oracle is `span_min_length` in `tests/span_reference.py`.  For each
+length L ascending, snf_min_length builds the Toeplitz system that an
 order-L recurrence on the *periodic* sequence must satisfy and decides its
 solvability by Smith diagonalization over Z4 (solvable_z4).  It shares no
-linear algebra with the library's span oracle or with Reeds-Sloane.  It is
+linear algebra with the span oracle or with Reeds-Sloane.  It is
 numpy code, one system per length, so it is capped at period 128.
 """
 

@@ -1,6 +1,7 @@
 """The import graph: each CLI call loads only the modules its command runs.
 
-No library module imports numpy, the span oracle of `lfsr` included, and
+No library module imports numpy, nor does the span oracle of
+`tests/span_reference.py`, which shares the library's bit-plane helpers, and
 no call loads `dataclasses` (which pulls in `inspect`), `typing` or
 `random`; `json` loads only where JSON is written, `lfsr` only where a
 register is synthesized, `trace_repr` only for `trace` and the sweep's rows
@@ -25,6 +26,7 @@ import z4seq
 
 SRC = str(Path(z4seq.__file__).resolve().parents[1])
 STAGES = Path(__file__).resolve().parents[1] / "bench" / "stages.py"
+TESTS = Path(__file__).resolve().parent
 
 # Runs the CLI's main on argv and reports, as the last stderr line, the exit
 # code and every module imported by then.
@@ -148,8 +150,9 @@ def test_json_loads_only_for_json_output(argv, digest):
 
 
 def test_span_oracle_runs_without_numpy():
-    done = run_fresh("-S", "-c", "import sys; from z4seq import lfsr; "
-                                 "print(lfsr.span_min_length([1, 0, 0, 0, 0]), "
+    done = run_fresh("-S", "-c", f"import sys; sys.path.insert(0, {str(TESTS)!r}); "
+                                 "from span_reference import span_min_length; "
+                                 "print(span_min_length([1, 0, 0, 0, 0]), "
                                  "'numpy' in sys.modules)")
     assert done.returncode == 0, done.stderr
     assert done.stdout == "5 False\n"

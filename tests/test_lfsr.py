@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from snf_reference import OracleTooLarge, snf_min_length, solvable_z4
+from span_reference import span_min_length
 from z4seq.analysis import admissible_pairs, lc_by_theorem
 from z4seq.cyclotomy import build_system
-from z4seq.lfsr import (LfsrResult, _digits, _dot, _planes, _scale, _sub,
-                        reeds_sloane, span_min_length)
+from z4seq.lfsr import LfsrResult, _digits, _dot, _planes, _scale, _sub, reeds_sloane
 from z4seq.sequence import generate
 
 

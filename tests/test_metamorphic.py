@@ -10,8 +10,9 @@ changes only rho_0:
 - LC(2s) <= LC(s) and LC(s + t) <= LC(s) + LC(t).
 
 They need no second route, so they hold each route to account where no
-oracle reaches: Reeds-Sloane on two periods, the span oracle, and the count
-of nonzero DFT coefficients (`coset_dft`, which needs T = 1 mod 4).
+oracle reaches: Reeds-Sloane on two periods, the span oracle of
+`tests/span_reference.py`, and the count of nonzero DFT coefficients
+(`coset_dft`, which needs T = 1 mod 4).
 """
 
 import math
@@ -20,10 +21,11 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from span_reference import span_min_length
 from z4seq.analysis import admissible_pairs, coset_dft, power_table
 from z4seq.cyclotomy import build_system, lc_by_theorem
 from z4seq.galois import make_ring, root_of_unity
-from z4seq.lfsr import reeds_sloane, span_min_length
+from z4seq.lfsr import reeds_sloane
 from z4seq.numtheory import mult_order
 from z4seq.sequence import QuaternarySequence, generate
 

@@ -1,5 +1,6 @@
 """The public surface: package exports, and the stage script of the benchmark."""
 
+import ast
 import importlib.util
 import json
 import sys
@@ -17,6 +18,7 @@ from z4seq.trace_repr import trace_params
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 STAGES = BENCH / "stages.py"
+LIBRARY = Path(z4seq.__file__).resolve().parent
 
 
 def test_exports_resolve_once():
@@ -28,7 +30,7 @@ def test_exports_resolve_once():
 def test_star_import_binds_every_export():
     namespace = {}
     exec("from z4seq import *", namespace)
-    assert len(z4seq.__all__) == 36
+    assert len(z4seq.__all__) == 35
     for name in z4seq.__all__:
         assert namespace[name] is getattr(z4seq, name), name
 
@@ -51,6 +53,35 @@ def test_stage_modules_resolve_to_the_imported_modules():
     assert z4seq.lc_by_theorem is z4seq.cyclotomy.lc_by_theorem
     assert z4seq.analysis.lc_by_theorem is z4seq.cyclotomy.lc_by_theorem
     assert z4seq.R_MAX == z4seq.galois.R_MAX == z4seq.numtheory.R_MAX == 64
+
+
+def code_names(path):
+    """Every name the code of one file reads: names, attributes and imports.
+
+    String constants and docstrings are not code, so `__init__._EXPORTS`
+    alone keeps no name alive.
+    """
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_every_library_definition_serves_the_library_or_the_benchmark():
+    # a function or class that only tests call belongs in tests/, as the
+    # span and SNF oracles do
+    used = set().union(*map(code_names, [*LIBRARY.glob("*.py"), *BENCH.glob("*.py")]))
+    unused = [f"{path.name}:{node.name}" for path in sorted(LIBRARY.glob("*.py"))
+              for node in ast.parse(path.read_text(encoding="utf-8")).body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and not (node.name.startswith("__") and node.name.endswith("__"))
+              and node.name not in used]
+    assert unused == []
 
 
 def test_record_contract(monkeypatch):

@@ -197,6 +197,10 @@ def test_case_and_class_of_two_must_agree():
     with pytest.raises(InternalCaseError, match="Case1 system with 2 in D1"):
         trace_params(wrong, ring, beta)
 
-    wrong = rotate_d_classes(build_system(5, 13))
+    s = build_system(5, 13)
+    ring, beta = ring_beta(s)
+    wrong = rotate_d_classes(s)
     with pytest.raises(InternalCaseError, match="Case2 system with 2 in D2"):
         lc_by_theorem(wrong)
+    with pytest.raises(InternalCaseError, match="Case2 system with 2 in D2"):
+        trace_params(wrong, ring, beta)
