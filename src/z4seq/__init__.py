@@ -14,8 +14,8 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "analysis": ("AnalysisReport", "admissible_pairs", "analyze", "dft",
-                 "lc_by_count", "power_table", "rho_value", "verify_identities"),
+    "analysis": ("admissible_pairs", "analyze", "dft", "lc_by_count", "power_table",
+                 "rho_value", "verify_identities"),
     "cyclotomy": ("CASE1", "CASE2", "CyclotomicSystem", "build_system",
                   "count_solutions", "lc_by_theorem"),
     "galois": ("GaloisRing", "GrElement", "is_constant", "make_ring",

@@ -27,7 +27,7 @@ def _row(pair, r_max):
     p, q = pair
     started = time.perf_counter()
     try:
-        row = analysis.analyze(cyclotomy.build_system(p, q), r_max)._asdict()
+        row = analysis.analyze(cyclotomy.build_system(p, q), r_max)
         row["error"] = ""
     except Exception as exc:  # a failing pair is a row, never a lost sweep
         row = {"p": p, "q": q, "error": f"{type(exc).__name__}: {exc}"}

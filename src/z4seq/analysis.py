@@ -28,7 +28,6 @@ full coefficient tuple.
 """
 
 import math
-from collections import namedtuple
 
 from .cyclotomy import (CyclotomicSystem, class_coefficients, count_solutions,
                         lc_by_theorem)
@@ -121,11 +120,10 @@ def coset_dft(seq: QuaternarySequence, ring: GaloisRing, powers: list) -> tuple:
     rho_2i = sigma(rho_i) and sigma is a ring automorphism, so the
     coefficients of a coset are all zero or all nonzero; count, the number
     of nonzero coefficients, weights each nonzero rho_i by its coset's size.
-    Exact inversion needs T = 1 (mod 4); `powers` is `power_table(beta, T)`.
+    Any odd T, a unit in Z4, will do (`root_of_unity` rejects even T); only
+    `dft`'s exact inversion needs T = 1 (mod 4).  `powers` is `power_table(beta, T)`.
     """
     T = seq.period
-    if T % 4 != 1:
-        raise PeriodNotCongruent1Mod4(f"period {T} = {T % 4} (mod 4)")
     # rho_i = S_1 + 2 S_2 + 3 S_3, S_d the sum of beta^(i(-u)) over the u with s_u = d
     groups = [[-u % T for u, s in enumerate(seq.digits) if s == d] for d in (1, 2, 3)]
     pairs = [(coset, (a + 2 * b + 3 * c) & ring.mask)
@@ -179,23 +177,13 @@ def lc_by_count(coeffs: tuple) -> int:
     return sum(1 for c in coeffs if c)
 
 
-class AnalysisReport(namedtuple("AnalysisReport", (
-        "p q case two_class rho rho_in_z4 lc_formula lc_dft lc_reeds_sloane "
-        "agree ring_degree"))):
-    """Cross-checked linear-complexity results for one (p, q); rho is its Z4 digits.
-
-    A tuple: JSON output goes through `_asdict`, never the record itself.
-    """
-
-    __slots__ = ()
-
-
-def analyze(system: CyclotomicSystem, r_max: int = R_MAX) -> AnalysisReport:
+def analyze(system: CyclotomicSystem, r_max: int = R_MAX) -> dict:
     """Full pipeline: formula vs DFT count vs Reeds-Sloane on two periods.
 
-    The routes agree when the three lengths are equal, the synthesized
-    register passes its own annihilation check and the DFT coefficients the
-    count reads obey the paper's theorem (`_theorem_holds`).
+    Returns one row, a dict in output key order; rho is its Z4 digits.  The
+    routes agree when the three lengths are equal, the synthesized register
+    passes its own annihilation check and the DFT coefficients the count
+    reads obey the paper's theorem (`_theorem_holds`).
     """
     from .lfsr import reeds_sloane  # here, so verify, trace and defpoly never load lfsr
 
@@ -208,11 +196,10 @@ def analyze(system: CyclotomicSystem, r_max: int = R_MAX) -> AnalysisReport:
     synth = reeds_sloane(seq.digits * 2)
     agree = (lc_formula == lc_dft == synth.length and synth.annihilates
              and _theorem_holds(system, ring, rho, at_cosets))
-    return AnalysisReport(
-        p=system.p, q=system.q, case=system.case, two_class=system.two_class,
-        rho=ring.digits(rho), rho_in_z4=is_constant(rho), lc_formula=lc_formula,
-        lc_dft=lc_dft, lc_reeds_sloane=synth.length, agree=agree, ring_degree=ring.r,
-    )
+    return {"p": system.p, "q": system.q, "case": system.case,
+            "two_class": system.two_class, "rho": ring.digits(rho),
+            "rho_in_z4": is_constant(rho), "lc_formula": lc_formula, "lc_dft": lc_dft,
+            "lc_reeds_sloane": synth.length, "agree": agree, "ring_degree": ring.r}
 
 
 def admissible_pairs(p_max: int, q_max: int, r_max: int = R_MAX,
@@ -276,9 +263,9 @@ def verify_identities(system: CyclotomicSystem, ring: GaloisRing,
     ok = True
     for a in range(4):
         hits = (a + (q - 1) // 2) % 4 == 0
-        ok = ok and count_solutions(system, a, "p") == (q - 1) // 4
-        ok = ok and count_solutions(system, a, "q") == ((p - 1) if hits else 0)
-        ok = ok and count_solutions(system, a, "pq") == (1 if hits else 0)
+        ok = ok and count_solutions(system, a, p) == (q - 1) // 4
+        ok = ok and count_solutions(system, a, q) == ((p - 1) if hits else 0)
+        ok = ok and count_solutions(system, a, n) == (1 if hits else 0)
     checks["solution-counts"] = ok
 
     # -1 lies in D_t, t = (q-1)/2 mod 4: 0 in Case1, 2 in Case2

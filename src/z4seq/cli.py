@@ -1,8 +1,9 @@
 """Command-line front end: single-pair commands, identity checks, sweeps.
 
 Exit codes: 0 all requested checks passed, 1 a check failed (disagreement,
-trace mismatch, failed identity), 2 domain or usage error.  Errors print one
-machine-parseable line `ERROR <Code>: <message>` on stderr.
+a register failing its own check, trace mismatch, failed identity), 2
+domain or usage error.  Errors print one machine-parseable line
+`ERROR <Code>: <message>` on stderr.
 
 Every command runs on the standard library and imports only what it runs:
 the class data and the sequence are integer arithmetic, the ring modules
@@ -128,18 +129,19 @@ def cmd_lc(args) -> int:
     if method == "all":
         from . import analysis
 
-        report = analysis.analyze(system, args.r_max)
+        row = analysis.analyze(system, args.r_max)
         if args.format == "json":
-            text = _json_text(report._asdict())
+            text = _json_text(row)
         elif args.format == "csv":
-            text = f"{_LC_CSV_HEADER}\n{_csv_row(report._asdict(), _SWEEP_COLUMNS[:8])}\n"
+            text = f"{_LC_CSV_HEADER}\n{_csv_row(row, _SWEEP_COLUMNS[:8])}\n"
         else:
-            verdict = "AGREE" if report.agree else "DISAGREE"
-            text = (f"{report.lc_formula} {report.lc_dft} "
-                    f"{report.lc_reeds_sloane} {verdict}\n")
+            verdict = "AGREE" if row["agree"] else "DISAGREE"
+            text = (f"{row['lc_formula']} {row['lc_dft']} "
+                    f"{row['lc_reeds_sloane']} {verdict}\n")
         _emit(text, args.out)
-        return 0 if report.agree else 1
+        return 0 if row["agree"] else 1
 
+    ok = True  # False only for a register that fails its own check
     if method == "formula":
         value = cyclotomy.lc_by_theorem(system)
     elif method == "dft":
@@ -150,14 +152,15 @@ def cmd_lc(args) -> int:
         value = analysis.coset_dft(sequence.generate(system), ring, pows)[0]
     else:  # reeds-sloane: argparse and the config check admit no other method
         from .lfsr import reeds_sloane
-        value = reeds_sloane(sequence.generate(system).digits * 2).length
+        synth = reeds_sloane(sequence.generate(system).digits * 2)
+        value, ok = synth.length, synth.annihilates
     if args.format == "json":
         text = _json_text({"p": system.p, "q": system.q, "method": method, "value": value},
                           indent=None)
     else:
         text = f"{value}\n"
     _emit(text, args.out)
-    return 0
+    return 0 if ok else 1
 
 
 def cmd_defpoly(args) -> int:

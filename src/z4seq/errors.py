@@ -21,10 +21,6 @@ class NotCoprime(Z4SeqError):
     """Multiplicative order requested for a non-unit."""
 
 
-class NoCommonRoot(Z4SeqError):
-    """Common primitive root search exhausted (internal error for valid input)."""
-
-
 class DegreeTooLarge(Z4SeqError):
     """Requested Galois-ring extension degree exceeds the configured cap."""
 

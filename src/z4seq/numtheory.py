@@ -8,7 +8,7 @@ of 64.  Above it, it is a strong probable-prime test to twelve fixed bases.
 
 import math
 
-from .errors import NoCommonRoot, NotCoprime
+from .errors import NotCoprime
 
 # Default cap on the Galois-ring degree ord_2(pq).  It lives here so the CLI
 # can state it before any ring code is loaded.
@@ -143,13 +143,11 @@ def is_primitive_root(g: int, p: int, factors) -> bool:
 
 
 def common_primitive_root(p: int, q: int) -> int:
-    """Smallest g that is a primitive root modulo both p and q."""
+    """Smallest g that is a primitive root modulo both p and q; by CRT one is below pq."""
     fp = factorize(p - 1)
     fq = factorize(q - 1)
-    for g in range(2, p * q):
-        if is_primitive_root(g, p, fp) and is_primitive_root(g, q, fq):
-            return g
-    raise NoCommonRoot(f"no common primitive root below pq for ({p}, {q})")
+    return next(g for g in range(2, p * q)
+                if is_primitive_root(g, p, fp) and is_primitive_root(g, q, fq))
 
 
 def crt_pair(a: int, p: int, b: int, q: int) -> int:

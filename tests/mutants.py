@@ -252,6 +252,15 @@ MUTANTS = [
            'checks["inner-products"] = _inner_products(',
            'checks["inner-products"] = True or _inner_products(',
            ["tests/test_analysis.py"]),
+    Mutant("agree-without-theorem-check", "src/z4seq/analysis.py",
+           "    agree = (lc_formula == lc_dft == synth.length and synth.annihilates\n"
+           "             and _theorem_holds(system, ring, rho, at_cosets))\n",
+           "    agree = lc_formula == lc_dft == synth.length and synth.annihilates\n",
+           ["tests/test_analysis.py"]),
+    Mutant("reeds-sloane-method-ignores-check", "src/z4seq/cli.py",
+           "        value, ok = synth.length, synth.annihilates\n",
+           "        value = synth.length\n",
+           ["tests/test_cli.py"]),
     Mutant("lc-by-count-renamed", "src/z4seq/analysis.py",
            "def lc_by_count(", "def lc_by_nonzero_count(",
            ["tests/test_surface.py"]),

@@ -30,6 +30,7 @@ from z4seq.errors import (
     PeriodNotCongruent1Mod4,
 )
 from z4seq.galois import is_constant, make_ring, root_of_unity
+from z4seq.lfsr import reeds_sloane
 from z4seq.numtheory import mult_order
 from z4seq.sequence import QuaternarySequence, generate
 
@@ -174,9 +175,9 @@ def test_dft_rejects_bad_period():
 
 
 @st.composite
-def periodic_digits(draw):
-    """A period T = 1 (mod 4) and T digits: uniform, in 2*Z4, one spike, or all zero."""
-    T = draw(st.sampled_from((65, 85, 145, 185, 221)))
+def periodic_digits(draw, periods=(65, 85, 145, 185, 221)):
+    """A period T from periods and T digits: uniform, in 2*Z4, one spike, or all zero."""
+    T = draw(st.sampled_from(periods))
     kind = draw(st.sampled_from(("uniform", "even", "spike", "zero")))
     if kind == "uniform":
         return T, draw(st.lists(st.integers(0, 3), min_size=T, max_size=T))
@@ -210,11 +211,17 @@ def test_coset_count_on_paper_sequences():
         assert coset_dft(seq, ring, pows)[0] == lc_by_count(dft(seq, ring, beta)), (p, q)
 
 
-def test_coset_count_rejects_bad_period():
-    ring = make_ring(4)
-    pows = power_table(root_of_unity(ring, 15), 15)
-    with pytest.raises(PeriodNotCongruent1Mod4):
-        coset_dft(QuaternarySequence(15, (1,) * 15), ring, pows)
+@settings(max_examples=80, deadline=None)
+@given(periodic_digits(tuple(range(3, 80, 4))))
+def test_coset_count_is_the_lc_on_periods_three_mod_4(case):
+    # T = 3 (mod 4) is a unit in Z4 too: the count needs no exact inversion,
+    # only dft does.  The cap is r itself: ord_2(67) = 66 is above the default cap
+    T, digits = case
+    r = mult_order(2, T)
+    ring = make_ring(r, r)
+    pows = power_table(root_of_unity(ring, T), T)
+    count, _ = coset_dft(QuaternarySequence(T, tuple(digits)), ring, pows)
+    assert count == reeds_sloane(digits * 2).length
 
 
 def test_reconstruction_exhaustive():
@@ -303,9 +310,12 @@ def test_lc_branch_two_in_d0():
 
 def test_analyze_agrees():
     rep = analyze(build_system(5, 13))
-    assert rep.lc_formula == rep.lc_dft == rep.lc_reeds_sloane == 65
-    assert rep.agree and rep.ring_degree == 12
-    assert _csv_row(rep._asdict(), _SWEEP_COLUMNS[:8]) == "5,13,Case2,1,65,65,65,true"
+    assert rep["lc_formula"] == rep["lc_dft"] == rep["lc_reeds_sloane"] == 65
+    assert rep["agree"] and rep["ring_degree"] == 12
+    assert _csv_row(rep, _SWEEP_COLUMNS[:8]) == "5,13,Case2,1,65,65,65,true"
+    # the keys in output order: the JSON row and the sweep columns read them
+    assert list(rep) == ["p", "q", "case", "two_class", "rho", "rho_in_z4", "lc_formula",
+                         "lc_dft", "lc_reeds_sloane", "agree", "ring_degree"]
 
 
 def coset_values(s):
@@ -354,7 +364,8 @@ def test_q_coefficient_forced_to_zero_is_a_disagreement(monkeypatch, capsys):
     assert len(pairs) == 13
     for pair in pairs:
         rep = analyze(build_system(*pair))
-        assert rep.lc_formula == rep.lc_dft == rep.lc_reeds_sloane and not rep.agree, pair
+        assert rep["lc_formula"] == rep["lc_dft"] == rep["lc_reeds_sloane"], pair
+        assert not rep["agree"], pair
     assert main(["lc", "--p", "5", "--q", "13"]) == 1
     assert capsys.readouterr().out == "65 65 65 DISAGREE\n"
 
@@ -419,6 +430,25 @@ def swap_residues(system, u, v):
     labels = list(system.class_of)
     labels[u], labels[v] = labels[v], labels[u]
     return system._replace(class_of=tuple(labels))
+
+
+@pytest.mark.parametrize("pair", [(5, 13), (13, 5), (5, 29), (17, 5)])
+def test_residue_swap_is_seen_by_the_theorem_check_alone(pair):
+    # In Case2 every coefficient is nonzero, and it stays so when one D0
+    # residue trades labels with one D1 residue; with 2 left in place the
+    # closed form stays pq too.  The digits change, the three lengths do not:
+    # only the coefficient check (`_theorem_holds`) sees the swap
+    s = build_system(*pair)
+    assert s.case == CASE2
+    rng = random.Random(s.pq)
+    partners = [w for w in s.classes["D1"] if w != 2]
+    for u in s.classes["D0"]:  # 2 is in D1 or D3 in Case2
+        v = rng.choice(partners)
+        swapped = swap_residues(s, u, v)
+        assert generate(swapped).digits != generate(s).digits
+        rep = analyze(swapped)
+        assert rep["lc_formula"] == rep["lc_dft"] == rep["lc_reeds_sloane"] == s.pq, (u, v)
+        assert not rep["agree"], (u, v)
 
 
 def test_verify_identities_can_fail():

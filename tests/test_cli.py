@@ -459,6 +459,13 @@ def test_register_failing_its_check_disagrees(monkeypatch, capsys):
     monkeypatch.setattr(lfsr, "reeds_sloane", reeds_sloane)
     code, out, _ = run(capsys, "lc", "--p", "5", "--q", "13", "--method", "all")
     assert code == 1 and out == "65 65 65 DISAGREE\n"
+    # the single method prints the same length, and fails the same way
+    code, out, _ = run(capsys, "lc", "--p", "5", "--q", "13", "--method", "reeds-sloane")
+    assert code == 1 and out == "65\n"
+    code, out, _ = run(capsys, "lc", "--p", "5", "--q", "13", "--method", "reeds-sloane",
+                       "--format", "json")
+    assert code == 1
+    assert out == '{"p": 5, "q": 13, "method": "reeds-sloane", "value": 65}\n'
     code, out, _ = run(capsys, "sweep", "--p-max", "13", "--q-max", "13",
                        "--workers", "1")
     rows = [line.split(",") for line in out.strip().splitlines()[1:-1]]

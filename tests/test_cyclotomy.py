@@ -158,15 +158,9 @@ def test_count_solutions_closed_forms():
         s = build_system(p, q)
         for a in range(4):
             hits = (a + (q - 1) // 2) % 4 == 0
-            assert count_solutions(s, a, "p") == (q - 1) // 4
-            assert count_solutions(s, a, "q") == ((p - 1) if hits else 0)
-            assert count_solutions(s, a, "pq") == (1 if hits else 0)
-
-
-def test_count_solutions_rejects_bad_modulus():
-    s = build_system(5, 13)
-    with pytest.raises(ValueError):
-        count_solutions(s, 0, "r")
+            assert count_solutions(s, a, p) == (q - 1) // 4
+            assert count_solutions(s, a, q) == ((p - 1) if hits else 0)
+            assert count_solutions(s, a, p * q) == (1 if hits else 0)
 
 
 def test_summary_keys():

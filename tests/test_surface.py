@@ -30,7 +30,7 @@ def test_exports_resolve_once():
 def test_star_import_binds_every_export():
     namespace = {}
     exec("from z4seq import *", namespace)
-    assert len(z4seq.__all__) == 35
+    assert len(z4seq.__all__) == 34
     for name in z4seq.__all__:
         assert namespace[name] is getattr(z4seq, name), name
 
