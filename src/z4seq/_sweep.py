@@ -6,6 +6,13 @@ a pair's index (4 bytes) to its task pipe, and the child writes the row back
 and gets the next index as soon as it returns a row, so the load balances
 itself.  The parent waits on the result pipes with `select`.
 
+Each child pins itself to one CPU of the parent's affinity mask before it
+reads a task: worker i takes the i-th CPU of the sorted mask, round robin
+when there are more workers than CPUs.  Left to the scheduler, the
+children often shared one CPU, and two of them were slower than one
+process.  The pin is advisory: a child whose `sched_setaffinity` fails runs
+unpinned.  The parent is never pinned.
+
 The z4seq command line starts no threads, so forking it is safe (a program
 that calls `cli.main` while other threads run should sweep with `--workers
 1`), and the children inherit every module loaded here, `lfsr` included.  A
@@ -87,13 +94,18 @@ class _Worker:
         return f"worker exited with status {code}"
 
 
-def _fork(pairs, r_max, pool):
+def _fork(pairs, r_max, pool, cpu):
     task_read, task_write = os.pipe()
     result_read, result_write = os.pipe()
     pid = os.fork()
     if pid == 0:
         status = 1
         try:
+            if cpu is not None:
+                try:
+                    os.sched_setaffinity(0, {cpu})
+                except OSError:  # advisory: an unpinned child still runs its pairs
+                    pass
             os.close(task_write)
             os.close(result_read)
             for sibling in pool:  # else a sibling's copy would hide its end-of-file
@@ -121,11 +133,13 @@ def _forked(pairs, r_max, workers):
     exit path; closing the generator early kills them first."""
     sys.stdout.flush()  # so the children's copies of the buffers are empty
     sys.stderr.flush()
+    cpus = (sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity")
+            else [None])
     pool = []
     finished = False
     try:
-        for _ in range(workers):
-            pool.append(_fork(pairs, r_max, pool))
+        for i in range(workers):
+            pool.append(_fork(pairs, r_max, pool, cpus[i % len(cpus)]))
         busy = {}  # result fd -> (worker, index of the pair it holds)
         done = {}  # index -> row not yet yielded
         sent = 0

@@ -114,6 +114,12 @@ MUTANTS = [
     Mutant("dead-child-pair-not-lost", "src/z4seq/_sweep.py",
            "done[held] = _lost(pairs[held], worker.reap())", "worker.reap()",
            ["tests/test_cli.py"]),
+    Mutant("worker-not-pinned", "src/z4seq/_sweep.py",
+           "os.sched_setaffinity(0, {cpu})", "pass",
+           ["tests/test_cli.py"]),
+    Mutant("workers-share-first-cpu", "src/z4seq/_sweep.py",
+           "cpus[i % len(cpus)]", "cpus[0]",
+           ["tests/test_cli.py"]),
     Mutant("table-r-coefficient-zero", "src/z4seq/cyclotomy.py",
            '"R": (0, 2)', '"R": (0, 0)',
            ["tests/test_analysis.py", "tests/test_trace_repr.py"]),

@@ -283,6 +283,49 @@ def test_worker_print_reaches_stdout(monkeypatch, tmp_path):
                              "note 5,13", "note 5,17"]
 
 
+@pytest.mark.parametrize("workers", [2, 3])
+def test_workers_pin_one_cpu_each(monkeypatch, tmp_path, workers):
+    mask = os.sched_getaffinity(0)
+    real = analysis.analyze
+
+    def analyze(system, r_max):
+        print(os.getpid(), *sorted(os.sched_getaffinity(0)))
+        return real(system, r_max)
+
+    monkeypatch.setattr(analysis, "analyze", analyze)
+    argv = [*SMALL_SWEEP, "--workers", str(workers), "--out", str(tmp_path / "sweep.csv")]
+    stdout = tmp_path / "stdout"
+    # a block-buffered stdout, as in test_worker_print_reaches_stdout
+    with open(stdout, "w", encoding="utf-8") as fh, monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", fh)
+        assert main(argv) == 0
+    assert_no_child_left()
+    pins = {}
+    for line in stdout.read_text().splitlines():
+        pid, *cpus = map(int, line.split())
+        pins.setdefault(pid, set()).add(tuple(cpus))
+    # each worker is fed a pair before any gets a second, so all report
+    assert len(pins) == workers
+    assert all(len(reported) == 1 for reported in pins.values())
+    # one CPU each, the first CPUs of the mask, round robin past its end
+    assert {cpus for reported in pins.values() for cpus in reported} == {
+        (cpu,) for cpu in sorted(mask)[:workers]}
+    assert os.sched_getaffinity(0) == mask
+
+
+def test_failed_pin_loses_no_row(monkeypatch, capsys):
+    _, serial, _ = run(capsys, *SMALL_SWEEP, "--workers", "1")
+
+    def refuse(pid, cpus):
+        raise OSError(22, "Invalid argument")
+
+    monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+    code, out, err = run(capsys, *SMALL_SWEEP, "--workers", "2")
+    assert_no_child_left()
+    assert code == 0 and not err and out == serial
+    assert "WorkerLost" not in out
+
+
 @pytest.mark.parametrize("cpus, pooled", [({0}, []), ({0, 1, 2}, [3])])
 def test_default_workers_follow_affinity(monkeypatch, capsys, cpus, pooled):
     seen = []
