@@ -6,19 +6,20 @@ domain or usage error.  Errors print one machine-parseable line
 `ERROR <Code>: <message>` on stderr.
 
 Every command runs on the standard library and imports only what it runs:
-the class data and the sequence are integer arithmetic, the ring modules
+the class data are integer arithmetic, and `sequence`, the ring modules
 (`galois`, `analysis`, `trace_repr`), whose arithmetic is on packed ints,
-and `lfsr` are imported by the commands that use them, the sweep's rows and
-worker pool `_sweep` only by `sweep`, and `json` only on the branches that
-write JSON.
+and `lfsr` are imported by the commands that use them (`system` loads none
+of them), the sweep's rows and worker pool `_sweep` only by `sweep`, and
+`json` only on the branches that write JSON.
 """
 
 import argparse
+import atexit
 import contextlib
-import gc
+import os
 import sys
 
-from . import cyclotomy, sequence
+from . import cyclotomy
 from .errors import TraceFormulaPreconditionFailed, Z4SeqError
 from .numtheory import R_MAX
 
@@ -74,14 +75,24 @@ def _write(stream, text: str) -> None:
     An unbuffered binary layer (PYTHONUNBUFFERED) may take only part of a
     write, as when a pipe's reader closes; the text layer would drop the
     tail unseen, so each write's count is checked and the rest written
-    again, which raises BrokenPipeError once the reader is gone.
+    again, which raises BrokenPipeError once the reader is gone.  A buffered
+    layer keeps the bytes the gone reader did not take, and the flush at
+    exit would fail on them again; so before the error goes on, the stream's
+    descriptor is pointed at `os.devnull`, as the `signal` docs do on
+    SIGPIPE.
     """
-    stream.flush()
-    data = memoryview(text.encode(stream.encoding, stream.errors))
-    while data:
-        written = stream.buffer.write(data)
-        data = data[written:]
-    stream.buffer.flush()
+    try:
+        stream.flush()
+        data = memoryview(text.encode(stream.encoding, stream.errors))
+        while data:
+            written = stream.buffer.write(data)
+            data = data[written:]
+        stream.buffer.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+        raise
 
 
 def _emit(text: str, out_path):
@@ -117,6 +128,8 @@ def cmd_system(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from . import sequence
+
     seq = sequence.generate(_system(args))
     text = sequence.to_csv(seq) if args.format == "csv" else sequence.to_text(seq)
     _emit(text, args.out)
@@ -141,6 +154,8 @@ def cmd_lc(args) -> int:
         _emit(text, args.out)
         return 0 if row["agree"] else 1
 
+    from . import sequence
+
     ok = True  # False only for a register that fails its own check
     if method == "formula":
         value = cyclotomy.lc_by_theorem(system)
@@ -164,7 +179,7 @@ def cmd_lc(args) -> int:
 
 
 def cmd_defpoly(args) -> int:
-    from . import analysis
+    from . import analysis, sequence
 
     system = _system(args)
     ring, beta = analysis._ring_and_beta(system, args.r_max)
@@ -354,18 +369,30 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    """The process's way out: `main`, then exit with its status.
+    """The process's way out: `main`, then end the process with its status.
 
-    Freezing the collector on every way out, `SystemExit` from argparse
-    included, moves each live object to the permanent generation, so the
-    interpreter's shutdown collections skip them instead of walking the
-    whole heap once more; atexit handlers, stream flushes and file closes
-    still run.  `main` leaves the collector as it is for in-process callers.
+    The status is `main`'s, or that of argparse's `SystemExit` (`--help`, a
+    usage error).  The atexit handlers run and both standard streams are
+    flushed, as in an interpreter exit, and then `os._exit` ends the process
+    without tearing the interpreter down: no shutdown collections and no
+    module teardown follow the last write.  `main` has closed every file it
+    opened and reaped the sweep's workers by then.  If a flush fails, the
+    interpreter's own exit takes over, with its status and message for an
+    unwritable stream; an exception `main` lets out, KeyboardInterrupt
+    included, ends the process as usual.  In-process callers of `main` see
+    none of this.
     """
     try:
-        sys.exit(main())
-    finally:
-        gc.freeze()
+        status = main()
+    except SystemExit as exc:
+        status = exc.code
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:  # --help into a closed pipe (OSError), no stdout (None)
+        sys.exit(status)
+    os._exit(status)
 
 
 if __name__ == "__main__":

@@ -157,8 +157,17 @@ MUTANTS = [
     Mutant("reap-without-waitpid", "src/z4seq/_sweep.py",
            "_, status = os.waitpid(self.pid, 0)", "status = 0",
            ["tests/test_cli.py"]),
-    Mutant("exit-without-freeze", "src/z4seq/cli.py",
-           "    finally:\n        gc.freeze()\n", "    finally:\n        pass\n",
+    Mutant("exit-skips-flush", "src/z4seq/cli.py",
+           "        sys.stdout.flush()\n        sys.stderr.flush()\n", "        pass\n",
+           ["tests/test_exit.py"]),
+    Mutant("exit-drops-status", "src/z4seq/cli.py",
+           "    os._exit(status)\n", "    os._exit(0)\n",
+           ["tests/test_exit.py"]),
+    Mutant("exit-skips-atexit", "src/z4seq/cli.py",
+           "    atexit._run_exitfuncs()\n", "",
+           ["tests/test_exit.py"]),
+    Mutant("broken-pipe-keeps-stdout", "src/z4seq/cli.py",
+           "os.dup2(devnull, stream.fileno())", "pass",
            ["tests/test_exit.py"]),
     Mutant("index-table-mod-p", "src/z4seq/cyclotomy.py",
            "x = x * g % q", "x = x * g % p",
@@ -279,7 +288,7 @@ MUTANTS = [
            "",
            ["tests/test_imports.py"]),
     Mutant("eager-analysis-import-in-cli", "src/z4seq/cli.py",
-           "from . import cyclotomy, sequence\n", "from . import analysis, cyclotomy, sequence\n",
+           "from . import cyclotomy\n", "from . import analysis, cyclotomy\n",
            ["tests/test_imports.py"]),
     Mutant("library-imports-the-cli", "src/z4seq/galois.py",
            "from .numtheory import R_MAX, factorize\n",

@@ -3,9 +3,10 @@
 No library module imports numpy, nor does the span oracle of
 `tests/span_reference.py`, which shares the library's bit-plane helpers, and
 no call loads `dataclasses` (which pulls in `inspect`), `typing` or
-`random`; `json` loads only where JSON is written, `lfsr` only where a
-register is synthesized, `trace_repr` only for `trace` and the sweep's rows
-`_sweep` only for `sweep`, whose pool loads no thread, queue or process-pool
+`random`; `system` loads neither `sequence` nor a ring module, `json`
+loads only where JSON is written, `lfsr` only where a register is
+synthesized, `trace_repr` only for `trace` and the sweep's rows `_sweep`
+only for `sweep`, whose pool loads no thread, queue or process-pool
 machinery.  No library module imports the CLI.  Each case runs in a fresh
 interpreter, since this test process has long since imported all of them;
 the CLI probes run it with `-S`, so that no site hook can import a module
@@ -109,6 +110,9 @@ def test_commands_load_only_what_they_run(argv, code, stdout):
     assert "json" not in modules  # text and CSV output
     if argv[0] in ("system", "gen", "--help"):  # no ring, no DFT
         assert not modules & {"z4seq.analysis", "z4seq.galois"}
+    if argv[0] == "system":  # the class data alone: no sequence, no ring module
+        assert {m for m in modules if m.startswith("z4seq.")} == {
+            "z4seq.cli", "z4seq.cyclotomy", "z4seq.errors", "z4seq.numtheory"}
     if argv[0] in ("verify", "trace", "defpoly"):
         assert "z4seq.lfsr" not in modules
     if argv[0] == "lc":
