@@ -42,6 +42,14 @@ def _row(pair, r_max):
     return row
 
 
+def _flush(*streams):
+    """Flush each stream the process has: a standard stream whose descriptor
+    was closed when the process started is None."""
+    for stream in streams:
+        if stream is not None:
+            stream.flush()
+
+
 def _lost(pair, reason):
     p, q = pair
     return {"p": p, "q": q, "error": f"WorkerLost: {reason}"}
@@ -117,7 +125,7 @@ def _fork(pairs, r_max, pool, cpu):
                 while data := os.read(task_read, 4):
                     marshal.dump(_row(pairs[int.from_bytes(data, "little")], r_max), out)
                     out.flush()
-            sys.stdout.flush()  # os._exit skips the flush of a normal exit
+            _flush(sys.stdout)  # os._exit skips the flush of a normal exit
             status = 0
         except BaseException:  # reported, not raised: the child must not unwind
             sys.excepthook(*sys.exc_info())
@@ -131,8 +139,7 @@ def _fork(pairs, r_max, pool, cpu):
 def _forked(pairs, r_max, workers):
     """The rows from `workers` children.  Every child is waited for on every
     exit path; closing the generator early kills them first."""
-    sys.stdout.flush()  # so the children's copies of the buffers are empty
-    sys.stderr.flush()
+    _flush(sys.stdout, sys.stderr)  # so the children's copies of the buffers are empty
     cpus = (sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity")
             else [None])
     pool = []

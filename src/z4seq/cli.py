@@ -79,8 +79,14 @@ def _write(stream, text: str) -> None:
     layer keeps the bytes the gone reader did not take, and the flush at
     exit would fail on them again; so before the error goes on, the stream's
     descriptor is pointed at `os.devnull`, as the `signal` docs do on
-    SIGPIPE.
+    SIGPIPE.  A process started with stdout closed has `sys.stdout` None;
+    writing to it raises OSError(EBADF), as writing to a closed descriptor
+    would.
     """
+    if stream is None:
+        import errno  # only this branch reads it
+
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
     try:
         stream.flush()
         data = memoryview(text.encode(stream.encoding, stream.errors))

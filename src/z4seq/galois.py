@@ -6,11 +6,11 @@ irreducible polynomial: the Graeffe lift h(y) = (-1)^r (E(y)^2 - y O(y)^2)
 primitive binary f = E(x^2) + x O(x^2) of degree r.  So the residue class of
 x generates the Teichmuller group G1 of order 2^r - 1.
 
-The search for f runs on int bitmasks: odd-weight candidates only, squaring
-by spreading bits and folding back by f's tap list (built once per
-candidate), one chain of squarings of x for Rabin's test (with a gcd
-sieve at its first steps), and the order test x^((2^r - 1)/d) != 1 by
-squaring and shifting.  Ring values are packed Python ints, one 16-bit slot
+The search for f runs on int bitmasks: a gcd sieve against x^(2^k) - x,
+k = 4, 5, 6, drops f with a factor of degree <= 6, and the order of x
+alone proves the rest primitive, so irreducible too: x^(2^r - 1) = 1 and
+x^((2^r - 1)/d) != 1, by squaring (spreading bits, folded back by f's
+taps) and shifting.  Ring values are packed Python ints, one 16-bit slot
 per Z4 coefficient (`GaloisRing.pack`, read back by `GaloisRing.digits`): a
 product is one int multiply, a slot mask for mod 4 and a Barrett reduction
 by the modulus (two more multiplies against the precomputed
@@ -41,33 +41,21 @@ def _bin_gcd(a: int, b: int) -> int:
     return a
 
 
-def _bin_taps(f: int, r: int) -> list:
-    """The exponents j < r of the terms of f, f of degree r: x^r = sum x^j mod f."""
-    return [j for j in range(r) if f >> j & 1]
-
-
-def _bin_reduce(a: int, taps: list, r: int) -> int:
-    """a mod f, f of degree r with `_bin_taps(f, r)`: the part above x^r is folded back."""
-    mask = (1 << r) - 1
-    while a >> r:
-        high = a >> r
-        a &= mask
-        for j in taps:
-            a ^= high << j
-    return a
-
-
-def _bin_square(a: int, taps: list, r: int) -> int:
-    """a^2 mod f: squaring over GF(2) spreads bit i to bit 2i."""
-    return _bin_reduce(int(bin(a)[2:], 4), taps, r)
-
-
 def _bin_xpow(e: int, f: int, r: int) -> int:
-    """x^e mod f, left to right: square per bit, shift (times x) per set bit."""
-    taps = _bin_taps(f, r)
+    """x^e mod f, f of degree r, left to right: square per bit, times x per set bit.
+
+    Squaring over GF(2) spreads bit i to bit 2i; the part above x^r is folded
+    back by f's taps, as x^r = sum x^j mod f over the terms x^j, j < r, of f.
+    """
+    taps = [j for j in range(r) if f >> j & 1]
+    low = (1 << r) - 1
     a = 1
     for bit in bin(e)[2:]:
-        a = _bin_square(a, taps, r)
+        a = int(bin(a)[2:], 4)
+        while high := a >> r:
+            a &= low
+            for j in taps:
+                a ^= high << j
         if bit == "1":
             a <<= 1
             if a >> r:
@@ -75,41 +63,25 @@ def _bin_xpow(e: int, f: int, r: int) -> int:
     return a
 
 
-# Sieve depth: an irreducible f of degree r > k is coprime to x^(2^k) - x.
-_SIEVE_DEPTH = 6
-
-
-def _bin_is_irreducible(f: int, r: int) -> bool:
-    """Rabin's irreducibility test over GF(2) on one chain of squarings of x.
-
-    Step k of the chain is x^(2^k) mod f.  Rabin needs x^(2^r) = x and
-    gcd(f, x^(2^(r/d)) - x) = 1 for each prime d | r; the gcd is also taken
-    at every step k <= _SIEVE_DEPTH below r, which rejects most reducible f
-    early and never an irreducible one.
-    """
-    stops = {r // d for d in factorize(r)}
-    taps = _bin_taps(f, r)
-    a = 2  # x
-    for k in range(1, r + 1):
-        a = _bin_square(a, taps, r)
-        if k < r and (k in stops or k <= _SIEVE_DEPTH) and _bin_gcd(f, a ^ 2) != 1:
-            return False
-    return a == 2
-
-
 def _smallest_primitive_binary(r: int) -> int:
-    """Lexicographically smallest primitive binary polynomial of degree r."""
-    if r == 1:
-        return 0b11  # x + 1
+    """Lexicographically smallest primitive binary polynomial of degree r.
+
+    With f(0) = 1, f is primitive exactly when x has order 2^r - 1 mod f:
+    x^(2^r - 1) = 1 and x^((2^r - 1)/d) != 1 for each prime d | 2^r - 1.
+    Then the powers of x are 2^r - 1 distinct units, every nonzero residue,
+    so GF(2)[x]/(f) is a field.  For r > 6 a gcd sieve first drops f with a
+    factor of degree <= 6: each such factor divides x^(2^k) - x for one of
+    k = 4, 5, 6, and no irreducible of degree r > 6 divides any of them.
+    """
     order = (1 << r) - 1
     prime_divisors = list(factorize(order))
+    sieve = [(1 << (1 << k)) | 2 for k in (4, 5, 6)] if r > 6 else []  # x^(2^k) - x
     for mask in range(1, 1 << r, 2):  # constant term must be 1
         f = (1 << r) | mask
-        if bin(f).count("1") % 2 == 0:
-            continue  # f(1) = 0, so x + 1 divides f
-        if not _bin_is_irreducible(f, r):
+        if any(_bin_gcd(f, s) != 1 for s in sieve):
             continue
-        if all(_bin_xpow(order // d, f, r) != 1 for d in prime_divisors):
+        if _bin_xpow(order, f, r) == 1 and all(
+                _bin_xpow(order // d, f, r) != 1 for d in prime_divisors):
             return f
     raise Z4SeqError(f"internal: no primitive binary polynomial of degree {r}")
 

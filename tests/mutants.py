@@ -100,15 +100,14 @@ MUTANTS = [
            "",
            ["tests/test_trace_repr.py"]),
     Mutant("no-flush-before-fork", "src/z4seq/_sweep.py",
-           "    sys.stdout.flush()  # so the children's copies of the buffers are empty\n"
-           "    sys.stderr.flush()\n",
+           "    _flush(sys.stdout, sys.stderr)  # so the children's copies of the buffers are empty\n",
            "",
            ["tests/test_cli.py"]),
     Mutant("child-exits-by-sys-exit", "src/z4seq/_sweep.py",
            "os._exit(status)", "sys.exit(status)",
            ["tests/test_cli.py"]),
     Mutant("child-stdout-not-flushed", "src/z4seq/_sweep.py",
-           "            sys.stdout.flush()  # os._exit skips the flush of a normal exit\n",
+           "            _flush(sys.stdout)  # os._exit skips the flush of a normal exit\n",
            "",
            ["tests/test_cli.py"]),
     Mutant("dead-child-pair-not-lost", "src/z4seq/_sweep.py",
@@ -201,15 +200,22 @@ MUTANTS = [
     Mutant("graeffe-odd-part-sign", "src/z4seq/galois.py",
            "3 * (odd * odd << SLOT_BITS)", "(odd * odd << SLOT_BITS)",
            ["tests/test_ring_setup.py"]),
-    # the rest were hand-made mutants of earlier changes, moved here from prose
-    Mutant("sieve-at-step-r", "src/z4seq/galois.py",
-           "if k < r and (k in stops", "if (k in stops",
+    Mutant("sieve-below-degree-7", "src/z4seq/galois.py",
+           "for k in (4, 5, 6)] if r > 6 else []", "for k in (4, 5, 6)]",
            ["tests/test_ring_setup.py"]),
+    Mutant("order-test-without-full-order", "src/z4seq/galois.py",
+           "if _bin_xpow(order, f, r) == 1 and all(", "if all(",
+           ["tests/test_ring_setup.py"]),
+    Mutant("missing-stdout-not-an-oserror", "src/z4seq/cli.py",
+           "    if stream is None:\n", "    if False:\n",
+           ["tests/test_exit.py"]),
+    Mutant("missing-stream-flushed", "src/z4seq/_sweep.py",
+           "        if stream is not None:\n            stream.flush()\n",
+           "        stream.flush()\n",
+           ["tests/test_exit.py"]),
+    # the rest were hand-made mutants of earlier changes, moved here from prose
     Mutant("xpow-without-shift", "src/z4seq/galois.py",
            "            a <<= 1\n", "",
-           ["tests/test_ring_setup.py"]),
-    Mutant("rabin-final-check-dropped", "src/z4seq/galois.py",
-           "    return a == 2\n", "    return True\n",
            ["tests/test_ring_setup.py"]),
     Mutant("sum-masked-only-at-end", "src/z4seq/galois.py",
            "            total = (total + sum(part)) & self.mask\n"

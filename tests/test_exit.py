@@ -7,7 +7,9 @@ as those of `main()` in-process, with stdout buffered or not.  Where the
 flush fails, the interpreter's own exit takes over: `--help` into a closed
 pipe keeps the status and message of an interpreter exit.  Output into a
 pipe whose reader has gone exits 2 with one `ERROR BrokenPipeError` line,
-buffered or not.
+buffered or not.  A call started with stdout closed (`sys.stdout` None)
+exits 2 with one `ERROR OSError` line for EBADF, and a pooled sweep into
+`--out` still writes the whole file.
 """
 
 import json
@@ -183,3 +185,40 @@ def test_unbuffered_gen_into_a_reader_that_stops_after_one_byte():
     # an unbuffered stdout takes part of the write before the reader closes;
     # the tail must not be dropped with exit 0
     assert gen_into_a_reader_that_stops_after_one_byte(unbuffered=True) == (2, BROKEN_PIPE)
+
+
+def with_stdout_closed(argv):
+    """(exit code, stderr) of a call started with file descriptor 1 closed."""
+    with run_module(*argv, stderr=subprocess.PIPE,
+                    preexec_fn=lambda: os.close(1)) as proc:
+        _, stderr = proc.communicate(timeout=120)
+    return proc.returncode, stderr
+
+
+SWEEP = ("sweep", "--p-max", "17", "--q-max", "17", "--r-max", "24")
+BAD_FD = b"ERROR OSError: [Errno 9] Bad file descriptor\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("system", *PAIR),
+    ("gen", *PAIR),
+    ("lc", *PAIR),
+    ("defpoly", *PAIR),
+    ("trace", *PAIR),
+    ("verify", *PAIR),
+    (*SWEEP, "--workers", "2"),
+    (*SWEEP, "--workers", "2", "--format", "json"),
+], ids=["system", "gen", "lc", "defpoly", "trace", "verify", "sweep-csv",
+        "pooled-sweep-json"])
+def test_output_with_stdout_closed(argv):
+    # the JSON sweep writes only after its pool has run all its pairs
+    assert with_stdout_closed(argv) == (2, BAD_FD)
+
+
+def test_pooled_sweep_into_a_file_with_stdout_closed(tmp_path, capsys):
+    expected = tmp_path / "main.csv"
+    assert run_main(capsys, [*SWEEP, "--out", str(expected)]) == (0, "", "")
+    for workers in ("1", "2"):
+        out = tmp_path / f"workers-{workers}.csv"
+        assert with_stdout_closed((*SWEEP, "--workers", workers, "--out", str(out))) == (0, b"")
+        assert out.read_bytes() == expected.read_bytes(), workers

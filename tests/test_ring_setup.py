@@ -66,6 +66,60 @@ def reference_primitive(r):
     raise AssertionError(r)
 
 
+def reference_irreducible(f, r):
+    """Rabin's test on f of degree r: x^(2^r) = x, gcd(f, x^(2^(r/d)) - x) = 1 for d | r."""
+    if reference_powmod(2, 1 << r, f) != 2:
+        return False
+    return all(reference_gcd(f, reference_powmod(2, 1 << (r // d), f) ^ 2) == 1
+               for d in factorize(r))
+
+
+def reference_product(a, b):
+    """a * b over GF(2), one bit of a at a time."""
+    res = 0
+    while a:
+        if a & 1:
+            res ^= b
+        a >>= 1
+        b <<= 1
+    return res
+
+
+def sieve_survivors(r, monkeypatch):
+    """The f of degree r that the primitive search's gcd sieve lets through.
+
+    Each one reaches the order test, made to fail here, so the search runs
+    through every candidate and ends without a primitive f.
+    """
+    reached = set()
+
+    def failing_xpow(e, f, r):
+        reached.add(f)
+        return 0
+
+    monkeypatch.setattr(galois, "_bin_xpow", failing_xpow)
+    with pytest.raises(Z4SeqError, match="no primitive binary polynomial"):
+        galois._smallest_primitive_binary(r)
+    return reached
+
+
+def test_sieve_drops_exactly_the_f_with_a_factor_of_degree_at_most_6(monkeypatch):
+    # the irreducible g of degree 1..6: no h of lower positive degree divides g
+    small = [g for g in range(2, 1 << 7)
+             if all(reference_gcd(g, h) != h for h in range(2, 1 << (g.bit_length() - 1)))]
+    assert len(small) == 2 + 1 + 2 + 3 + 6 + 9
+    for r in range(7, 13):
+        odd = range((1 << r) | 1, 2 << r, 2)
+        kept = {f for f in odd if all(reference_gcd(f, g) == 1 for g in small)}
+        assert sieve_survivors(r, monkeypatch) == kept, r
+        assert kept >= {f for f in odd if reference_irreducible(f, r)}, r
+    # a product of two irreducibles of degree 7 has no small factor: only
+    # the order test rejects it
+    sevens = [g for g in range(1 << 7, 1 << 8) if reference_irreducible(g, 7)]
+    products = {reference_product(g, h) for g in sevens for h in sevens}
+    assert products <= sieve_survivors(14, monkeypatch)
+
+
 def test_primitive_search_matches_reference():
     for r in range(1, 65):
         assert galois._smallest_primitive_binary(r) == reference_primitive(r), r
