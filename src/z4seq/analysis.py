@@ -29,8 +29,8 @@ full coefficient tuple.
 
 import math
 
-from .cyclotomy import (CyclotomicSystem, class_coefficients, count_solutions,
-                        lc_by_theorem)
+from .cyclotomy import (D_LABELS, LABELS, CyclotomicSystem, class_coefficients,
+                        count_solutions, lc_by_theorem)
 from .errors import PeriodMismatch, PeriodNotCongruent1Mod4
 from .galois import GaloisRing, GrElement, is_constant, make_ring, root_of_unity
 from .numtheory import R_MAX, factorize, is_prime, mult_order
@@ -105,7 +105,7 @@ def walk_cosets(ring: GaloisRing, pairs) -> dict:
 
 def _class_rows(system: CyclotomicSystem, ring: GaloisRing, pows: list) -> tuple:
     """D_0 .. D_3 evaluated at the table's base, packed."""
-    [(_, rows)] = coset_sums(ring, pows, [1], [system.classes[f"D{i}"] for i in range(4)])
+    [(_, rows)] = coset_sums(ring, pows, [1], [system.classes[lab] for lab in D_LABELS])
     return rows
 
 
@@ -232,18 +232,18 @@ def verify_identities(system: CyclotomicSystem, ring: GaloisRing,
     pows = power_table(beta, n)
     checks = {}
 
-    sizes = {lab: len(system.classes[lab]) for lab in ("D0", "D1", "D2", "D3", "P", "Q", "R")}
+    sizes = {lab: len(system.classes[lab]) for lab in LABELS}
     checks["partition"] = (
-        all(sizes[f"D{i}"] == system.e for i in range(4))
+        all(sizes[lab] == system.e for lab in D_LABELS)
         and sizes["P"] == q - 1 and sizes["Q"] == p - 1 and sizes["R"] == 1
         and sum(sizes.values()) == n
-        and system.class_of[pow(system.h, 4, n)] == "D0"
+        and system.class_of[pow(system.h, 4, n)] == D_LABELS[0]
     )
 
     # D_j[0] * D_i == D_(i+j) for all 16 (i, j)
-    d_sets = [frozenset(system.classes[f"D{i}"]) for i in range(4)]
+    d_sets = [frozenset(system.classes[lab]) for lab in D_LABELS]
     checks["class-shift"] = all(
-        frozenset(system.classes[f"D{j}"][0] * v % n for v in d_sets[i])
+        frozenset(system.classes[D_LABELS[j]][0] * v % n for v in d_sets[i])
         == d_sets[(i + j) % 4]
         for i in range(4) for j in range(4))
 

@@ -1,9 +1,10 @@
 """Command-line front end: single-pair commands, identity checks, sweeps.
 
-Exit codes: 0 all requested checks passed, 1 a check failed (disagreement,
-a register failing its own check, trace mismatch, failed identity), 2
-domain or usage error.  Errors print one machine-parseable line
-`ERROR <Code>: <message>` on stderr.
+Exit codes: 0 all checks passed, 1 a check failed (disagreement, a register
+failing its own check, trace mismatch, failed identity), 2 domain or usage
+error or a failed write of any output (all of it, argparse's help and usage
+too, goes through `_write`).  Errors print one machine-parseable line
+`ERROR <Code>: <message>` on stderr, where stderr can take it.
 
 Every command runs on the standard library and imports only what it runs:
 the class data are integer arithmetic, and `sequence`, the ring modules
@@ -76,12 +77,11 @@ def _write(stream, text: str) -> None:
     write, as when a pipe's reader closes; the text layer would drop the
     tail unseen, so each write's count is checked and the rest written
     again, which raises BrokenPipeError once the reader is gone.  A buffered
-    layer keeps the bytes the gone reader did not take, and the flush at
-    exit would fail on them again; so before the error goes on, the stream's
-    descriptor is pointed at `os.devnull`, as the `signal` docs do on
-    SIGPIPE.  A process started with stdout closed has `sys.stdout` None;
-    writing to it raises OSError(EBADF), as writing to a closed descriptor
-    would.
+    layer keeps the bytes a failed write left (gone reader, full device),
+    and the flush at exit would fail on them again; so before any OSError
+    goes on, the stream's descriptor is pointed at `os.devnull`, as the
+    `signal` docs do on SIGPIPE.  `sys.stdout` is None in a process started
+    with stdout closed; writing to it raises OSError(EBADF).
     """
     if stream is None:
         import errno  # only this branch reads it
@@ -94,7 +94,7 @@ def _write(stream, text: str) -> None:
             written = stream.buffer.write(data)
             data = data[written:]
         stream.buffer.flush()
-    except BrokenPipeError:
+    except OSError:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, stream.fileno())
         os.close(devnull)
@@ -212,18 +212,14 @@ def cmd_trace(args) -> int:
 
     system = _system(args)
     ring, beta = analysis._ring_and_beta(system, args.r_max)
-    out = args.out
     try:
         params = trace_repr.trace_params(system, ring, beta)
     except TraceFormulaPreconditionFailed as exc:
-        _emit(f"PRECONDITION-FAILED {exc}\n", out)
+        _emit(f"PRECONDITION-FAILED {exc}\n", args.out)
         return 1
     ok, first = trace_repr.check_trace_repr(system, ring, beta, params)
-    if ok:
-        _emit("PASS\n", out)
-        return 0
-    _emit(f"FAIL first_mismatch={first}\n", out)
-    return 1
+    _emit("PASS\n" if ok else f"FAIL first_mismatch={first}\n", args.out)
+    return 0 if ok else 1
 
 
 def cmd_verify(args) -> int:
@@ -232,11 +228,10 @@ def cmd_verify(args) -> int:
     system = _system(args)
     ring, beta = analysis._ring_and_beta(system, args.r_max)
     checks = analysis.verify_identities(system, ring, beta)
-    lines = [f"{name} {'PASS' if ok else 'FAIL'}" for name, ok in checks.items()]
-    all_ok = all(checks.values())
-    lines.append(f"result {'PASS' if all_ok else 'FAIL'}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0 if all_ok else 1
+    checks["result"] = all(checks.values())
+    _emit("".join(f"{name} {'PASS' if ok else 'FAIL'}\n" for name, ok in checks.items()),
+          args.out)
+    return 0 if checks["result"] else 1
 
 
 _SWEEP_COLUMNS = ("p", "q", "case", "two_class", "lc_formula", "lc_dft",
@@ -245,10 +240,16 @@ _SWEEP_COLUMNS = ("p", "q", "case", "two_class", "lc_formula", "lc_dft",
 _LC_CSV_HEADER = "p,q,case,two_class,lc_formula,lc_dft,lc_rs,agree"
 
 
-def _csv_row(row, columns) -> str:
-    """The row's values under `columns`, comma-joined; booleans lower-case."""
+def _fields(row, columns) -> list:
+    """The row's values under `columns` as text; booleans lower-case."""
     vals = [str(row.get(col, "")) for col in columns]
-    return ",".join(v.lower() if v in ("True", "False") else v for v in vals)
+    return [v.lower() if v in ("True", "False") else v for v in vals]
+
+
+def _csv_row(row, columns) -> str:
+    """The fields comma-joined, each holding , " or a line break quoted as by `csv.writer`."""
+    return ",".join('"' + v.replace('"', '""') + '"' if any(c in v for c in ',"\r\n')
+                    else v for v in _fields(row, columns))
 
 
 def cmd_sweep(args) -> int:
@@ -264,20 +265,16 @@ def cmd_sweep(args) -> int:
     with contextlib.ExitStack() as stack:
         sink = (stack.enter_context(open(out_path, "w", encoding="utf-8"))
                 if out_path else sys.stdout)
-
-        def flush(text):
-            _write(sink, text)
-
         if fmt == "csv":
-            flush(",".join(columns) + "\n")
+            _write(sink, ",".join(columns) + "\n")
         # rows come in pair order: deterministic output, progressive flush
         for row in stack.enter_context(contextlib.closing(
                 _sweep.rows(pairs, r_max, args.workers))):
             rows.append(row)
             if fmt == "csv":
-                flush(_csv_row(row, columns) + "\n")
+                _write(sink, _csv_row(row, columns) + "\n")
             elif fmt == "text":
-                flush(_csv_row(row, columns).replace(",", "\t") + "\n")
+                _write(sink, "\t".join(_fields(row, columns)) + "\n")
 
         summary = {"pairs": len(rows),
                    "agree": sum(r.get("agree") is True for r in rows),
@@ -285,19 +282,27 @@ def cmd_sweep(args) -> int:
                    "errors": sum(bool(r.get("error")) for r in rows)}
         counts = " ".join(f"{key}={n}" for key, n in summary.items()) + "\n"
         if fmt == "csv":
-            flush("# " + counts)
+            _write(sink, "# " + counts)
         elif fmt == "json":
             if not timings:
                 for r in rows:
                     r.pop("seconds", None)
-            flush(_json_text({"rows": rows, "summary": summary}))
+            _write(sink, _json_text({"rows": rows, "summary": summary}))
         else:
-            flush(counts)
+            _write(sink, counts)
     return 0 if summary["disagree"] == summary["errors"] == 0 else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, its help and usage written by `_write`: argparse's own drops an OSError."""
+
+    def _print_message(self, message, file=None):
+        if message:  # as in argparse, a missing stdout (None) falls back to stderr
+            _write(file or sys.stderr, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="z4seq",
         description="Quaternary sequences over Z4 from order-four generalized "
                     "cyclotomy: generation, defining polynomials, linear "
@@ -364,13 +369,14 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.config:
             args = _apply_config(parser, args, argv)
         return _COMMANDS[args.command](args)
     except (Z4SeqError, ValueError, OSError) as exc:
-        print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
+        with contextlib.suppress(OSError):  # no stderr to take it: the status tells
+            _write(sys.stderr, f"ERROR {type(exc).__name__}: {exc}\n")
         return 2
 
 
@@ -378,26 +384,22 @@ def entry() -> None:
     """The process's way out: `main`, then end the process with its status.
 
     The status is `main`'s, or that of argparse's `SystemExit` (`--help`, a
-    usage error).  The atexit handlers run and both standard streams are
-    flushed, as in an interpreter exit, and then `os._exit` ends the process
-    without tearing the interpreter down: no shutdown collections and no
-    module teardown follow the last write.  `main` has closed every file it
-    opened and reaped the sweep's workers by then.  If a flush fails, the
-    interpreter's own exit takes over, with its status and message for an
-    unwritable stream; an exception `main` lets out, KeyboardInterrupt
-    included, ends the process as usual.  In-process callers of `main` see
-    none of this.
+    usage error).  The atexit handlers run and each standard stream the
+    process has is flushed, as in an interpreter exit; then `os._exit` ends
+    the process with no interpreter teardown after the last write.  By then
+    `main` has closed its files and reaped the sweep's workers, and `_write`
+    has left no bytes of a failed write to flush.  An exception `main` lets
+    out, KeyboardInterrupt included, ends the process as usual.  In-process
+    callers of `main` see none of this.
     """
     try:
         status = main()
     except SystemExit as exc:
         status = exc.code
     atexit._run_exitfuncs()
-    try:
-        sys.stdout.flush()
-        sys.stderr.flush()
-    except Exception:  # --help into a closed pipe (OSError), no stdout (None)
-        sys.exit(status)
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
     os._exit(status)
 
 

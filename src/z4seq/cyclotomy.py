@@ -55,7 +55,7 @@ class CyclotomicSystem(namedtuple("CyclotomicSystem", "p q e g h case class_of")
     @cached_property
     def two_class(self) -> int:
         """Index i of the class D_i containing 2, a unit as pq is odd."""
-        return int(self.class_of[2][1])
+        return D_LABELS.index(self.class_of[2])
 
     def summary(self) -> dict:
         return {

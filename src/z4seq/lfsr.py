@@ -17,15 +17,15 @@ and the result has degree at most max(L, k - k* + L*), the new L.
 
 A Z4 vector (a connection polynomial, or the digit window of one step) is
 held as two bit planes, Python ints lo and hi whose bit j is bit 0 and bit 1
-of entry j.  A discrepancy is then three popcounts (a.s = |a0&s0| +
+of entry j.  A discrepancy is then `_dot`, three popcounts (a.s = |a0&s0| +
 2(|a0&s1| + |a1&s0|) mod 4), the window of step k is the reversed sequence's
 planes shifted right, a subtraction is two xors and a borrow, and x^shift is
-a left shift.  Both levels' registers are held in plain variables and both
-discrepancies are computed inline, so a step where both are zero does
-nothing more; a correction scans the stored polynomials in the order they
-were first stored and takes one only if it is strictly shorter, so a tie
-keeps the earlier one.  The algorithm is still O(N^2), in word-parallel bit
-operations: about 3 ms for the 1130 digits of (5,113) on a 2-vCPU machine.
+a left shift.  Both levels' registers are held in plain variables, so a step
+where both discrepancies are zero does nothing more; a correction scans the
+stored polynomials in the order they were first stored and takes one only if
+it is strictly shorter, so a tie keeps the earlier one.  The algorithm is
+still O(N^2), in word-parallel bit operations: about 3 ms for the 1130
+digits of (5,113) on a 2-vCPU machine.
 """
 
 from collections import namedtuple
@@ -99,10 +99,7 @@ def reeds_sloane(digits) -> LfsrResult:
     L1, lo1, hi1 = 0, 0, 1
     for k in range(N):
         w0, w1 = s0 >> (N - 1 - k), s1 >> (N - 1 - k)  # s_k, s_(k-1), ..., s_0
-        d0 = ((lo0 & w0).bit_count()
-              + 2 * ((lo0 & w1).bit_count() + (hi0 & w0).bit_count())) & 3
-        d1 = ((lo1 & w0).bit_count()
-              + 2 * ((lo1 & w1).bit_count() + (hi1 & w0).bit_count())) & 3
+        d0, d1 = _dot(lo0, hi0, w0, w1), _dot(lo1, hi1, w0, w1)
         if not (d0 or d1):
             continue
         new0 = corrected(L0, lo0, hi0, d0, k) if d0 else (L0, lo0, hi0)

@@ -23,7 +23,7 @@ per u.
 from collections import namedtuple
 
 from .analysis import coset_sums, orbits, power_table, rho_value, walk_cosets
-from .cyclotomy import CASE1, CyclotomicSystem, case_two_class, class_coefficients
+from .cyclotomy import CASE1, D_LABELS, CyclotomicSystem, case_two_class, class_coefficients
 from .errors import NonConstantResult, TraceFormulaPreconditionFailed
 from .galois import GaloisRing, GrElement, is_constant
 from .numtheory import mult_order
@@ -79,7 +79,7 @@ def trace_params(system: CyclotomicSystem, ring: GaloisRing,
         raise TraceFormulaPreconditionFailed(
             f"inner trace needs {eps_eff} | ell, but ell = {ell}")
     step = pow(2, eps_eff, n)
-    d_orbits = tuple(_tiling_orbits(system, f"D{i}", step) for i in range(4))
+    d_orbits = tuple(_tiling_orbits(system, lab, step) for lab in D_LABELS)
     q_orbits = _tiling_orbits(system, "P", 2)
     p_orbits = _tiling_orbits(system, "Q", 2)
     if epsilon is None:
@@ -95,7 +95,7 @@ def _trace_values(system: CyclotomicSystem, ring: GaloisRing, params: TraceParam
                   us) -> list:
     """The trace form at each index u, packed and reduced."""
     orbit_sets = {"R": ((0,),), "P": params.q_orbits, "Q": params.p_orbits}
-    orbit_sets.update((f"D{i}", orbs) for i, orbs in enumerate(params.d_orbits))
+    orbit_sets.update(zip(D_LABELS, params.d_orbits))
     table = class_coefficients(system)
     sets = [_flat(orbit_sets[label]) for label in table]
     weights = tuple(zip(*table.values()))  # the a of each class, then the b

@@ -12,15 +12,28 @@ to an even 2u with u in level 2.  Pivots are not scaled: subtracting a
 level-1 vector clears the bit 0 of its odd pivot entry whatever that entry
 is, and a remainder only has to stay in its coset of the span.  The
 remainder of s is kept from one L to the next, so it is reduced further
-only when a new pivot meets its top bit.  The oracle shares the bit-plane
-helpers `_planes` and `_sub` of `z4seq.lfsr` but no linear algebra with
-Reeds-Sloane, has no period cap and is O(T^2) operations on T-bit ints:
-about 40 ms for the 565 digits of (5,113) on a 2-vCPU machine.  It needs
-the standard library alone; `tests/snf_reference.py` is the numpy
-reference it is checked against.
+only when a new pivot meets its top bit.  The oracle shares no code with
+`z4seq`, its bit-plane conversion and subtraction included, has no period
+cap and is O(T^2) operations on T-bit ints: about 40 ms for the 565 digits
+of (5,113) on a 2-vCPU machine.  It needs the standard library alone;
+`tests/snf_reference.py` is the numpy reference it is checked against.
 """
 
-from z4seq.lfsr import _planes, _sub
+
+def _to_planes(digits):
+    """(lo, hi): bit j of lo and of hi is bit 0 and bit 1 of digit j."""
+    lo = hi = 0
+    for j, d in enumerate(digits):
+        lo |= (d & 1) << j
+        hi |= (d >> 1 & 1) << j
+    return lo, hi
+
+
+def _minus(lo, hi, v):
+    """(lo, hi) - v entrywise mod 4: bit 1 of each entry takes the borrow of bit 0."""
+    v0, v1 = v
+    borrow = ~lo & v0
+    return lo ^ v0, hi ^ v1 ^ borrow
 
 
 def _reduce1(level1, lo, hi):
@@ -29,7 +42,7 @@ def _reduce1(level1, lo, hi):
         v = level1.get(lo.bit_length() - 1)
         if v is None:
             break
-        lo, hi = _sub(lo, hi, *v)
+        lo, hi = _minus(lo, hi, v)
     return lo, hi
 
 
@@ -52,7 +65,7 @@ def span_min_length(digits) -> int:
     s = [int(d) % 4 for d in digits]
     T = len(s)
     mask = (1 << T) - 1
-    s0, s1 = _planes(s)
+    s0, s1 = _to_planes(s)
     level1 = {}  # top bit of lo -> (lo, hi) of a span vector, its pivot entry odd
     level2 = {}  # top bit -> u, a GF(2) echelon basis of {u : 2u in the span}
     r0, r1 = s0, s1  # s less span vectors: s is in the span iff this is

@@ -8,6 +8,7 @@ from formula_reference import defining_poly_formula
 from gr_reference import root_power
 from snf_reference import snf_min_length
 from z4seq.analysis import (
+    _ring_and_beta,
     admissible_pairs,
     analyze,
     dft,
@@ -20,7 +21,7 @@ from z4seq.cyclotomy import build_system
 from z4seq.errors import TraceFormulaPreconditionFailed
 from z4seq.galois import make_ring, root_of_unity
 from z4seq.lfsr import reeds_sloane
-from z4seq.numtheory import mult_order
+from z4seq.numtheory import R_MAX, mult_order
 from z4seq.sequence import QuaternarySequence, generate
 from z4seq.trace_repr import check_trace_repr, trace_params
 
@@ -30,15 +31,10 @@ def report(name, ok):
     assert ok, name
 
 
-def ring_beta(system):
-    ring = make_ring(mult_order(2, system.pq), r_max=64)
-    return ring, root_of_unity(ring, system.pq)
-
-
 def test_criterion_1_full_period_complexity():
     started = time.perf_counter()
     system = build_system(5, 13)
-    ring, beta = ring_beta(system)
+    ring, beta = _ring_and_beta(system, R_MAX)
     assert ring.r == 12
     seq = generate(system)
     by_formula = lc_by_theorem(system)
@@ -54,7 +50,7 @@ def test_criterion_2_reduced_complexity_branches():
     results = {}
     for pair in [(5, 17), (13, 17)]:
         system = build_system(*pair)
-        ring, beta = ring_beta(system)
+        ring, beta = _ring_and_beta(system, R_MAX)
         seq = generate(system)
         branch = system.two_class
         expected = (system.q + 3 * system.e) if branch == 0 else \
@@ -77,7 +73,7 @@ def test_criterion_3_coefficientwise_identity():
     ok = len(pairs) >= 8
     for pair in pairs:
         system = build_system(*pair)
-        ring, beta = ring_beta(system)
+        ring, beta = _ring_and_beta(system, R_MAX)
         lhs = defining_poly_formula(system, ring, beta)
         rhs = dft(generate(system), ring, beta)
         ok = ok and lhs == rhs
@@ -89,7 +85,7 @@ def test_criterion_4_identity_suite():
     ok = True
     for pair in pairs:
         system = build_system(*pair)
-        ring, beta = ring_beta(system)
+        ring, beta = _ring_and_beta(system, R_MAX)
         checks = verify_identities(system, ring, beta)
         ok = ok and len(checks) >= 7 and all(checks.values())
     report(f"4 identity suite on {len(pairs)} pairs", ok)
@@ -102,7 +98,7 @@ def test_criterion_5_trace_form():
     failed_preconditions = []
     for pair in pairs:
         system = build_system(*pair)
-        ring, beta = ring_beta(system)
+        ring, beta = _ring_and_beta(system, R_MAX)
         try:
             params = trace_params(system, ring, beta)
         except TraceFormulaPreconditionFailed as exc:
@@ -141,7 +137,7 @@ def test_criterion_6_oracle_soundness():
 
 def test_criterion_7_beta_independence():
     system = build_system(5, 13)
-    ring, beta = ring_beta(system)
+    ring, beta = _ring_and_beta(system, R_MAX)
     seq = generate(system)
     baseline = lc_by_count(dft(seq, ring, beta))
     rng = random.Random(7)

@@ -10,6 +10,7 @@ from z4seq import analysis
 from z4seq.analysis import (
     _class_rows,
     _inner_products,
+    _ring_and_beta,
     _theorem_holds,
     admissible_pairs,
     analyze,
@@ -31,13 +32,8 @@ from z4seq.errors import (
 )
 from z4seq.galois import is_constant, make_ring, root_of_unity
 from z4seq.lfsr import reeds_sloane
-from z4seq.numtheory import mult_order
+from z4seq.numtheory import R_MAX, mult_order
 from z4seq.sequence import QuaternarySequence, generate
-
-
-def ring_beta(system):
-    ring = make_ring(mult_order(2, system.pq))
-    return ring, root_of_unity(ring, system.pq)
 
 
 def evaluate(ring, coeffs, u, pows):
@@ -58,7 +54,7 @@ def class_sum(system, i, ring, pows, m=1):
 def test_class_sum_at_one_and_subgroup_points():
     for pair in [(5, 13), (5, 17)]:
         s = build_system(*pair)
-        ring, beta = ring_beta(s)
+        ring, beta = _ring_and_beta(s, R_MAX)
         pows = power_table(beta, s.pq)
         target = scalar(ring, 3 * (s.q - 1) // 4)
         for i in range(4):
@@ -72,7 +68,7 @@ def test_class_sum_at_one_and_subgroup_points():
 
 def test_root_of_unity_sums():
     s = build_system(5, 13)
-    ring, beta = ring_beta(s)
+    ring, beta = _ring_and_beta(s, R_MAX)
     pows = power_table(beta, s.pq)
     assert sum((unpack(ring, pows[j * s.p % s.pq]) for j in range(s.q)),
                zero(ring)) == zero(ring)
@@ -155,7 +151,7 @@ def test_dft_zero_and_counts():
 
 def test_dft_coeff0_of_quaternary_5_13():
     s = build_system(5, 13)
-    ring, beta = ring_beta(s)
+    ring, beta = _ring_and_beta(s, R_MAX)
     coeffs = dft(generate(s), ring, beta)
     assert unpack(ring, coeffs[0]) == scalar(ring, 2)
 
@@ -205,7 +201,7 @@ def test_coset_count_on_paper_sequences():
     assert len(pairs) == 32
     for p, q in pairs:
         s = build_system(p, q)
-        ring, beta = ring_beta(s)
+        ring, beta = _ring_and_beta(s, R_MAX)
         pows = power_table(beta, s.pq)
         seq = generate(s)
         assert coset_dft(seq, ring, pows)[0] == lc_by_count(dft(seq, ring, beta)), (p, q)
@@ -227,7 +223,7 @@ def test_coset_count_is_the_lc_on_periods_three_mod_4(case):
 def test_reconstruction_exhaustive():
     for pair in [(5, 13), (5, 17)]:
         s = build_system(*pair)
-        ring, beta = ring_beta(s)
+        ring, beta = _ring_and_beta(s, R_MAX)
         seq = generate(s)
         coeffs = dft(seq, ring, beta)
         pows = [unpack(ring, row) for row in power_table(beta, s.pq)]
@@ -238,14 +234,14 @@ def test_reconstruction_exhaustive():
 def test_formula_equals_dft():
     for pair in [(5, 13), (13, 5), (5, 17), (17, 5)]:
         s = build_system(*pair)
-        ring, beta = ring_beta(s)
+        ring, beta = _ring_and_beta(s, R_MAX)
         assert defining_poly_formula(s, ring, beta) == dft(generate(s), ring, beta), pair
 
 
 def test_formula_structure():
     # Case1: zero on Q; nonzero count follows the rho membership split
     s = build_system(5, 17)
-    ring, beta = ring_beta(s)
+    ring, beta = _ring_and_beta(s, R_MAX)
     coeffs = defining_poly_formula(s, ring, beta)
     for u in s.classes["Q"]:
         assert unpack(ring, coeffs[u]) == zero(ring)
@@ -261,7 +257,7 @@ def test_formula_structure():
 
     # Case2: coefficient 2 at exponent 0; every coefficient nonzero
     s = build_system(5, 13)
-    ring, beta = ring_beta(s)
+    ring, beta = _ring_and_beta(s, R_MAX)
     coeffs = defining_poly_formula(s, ring, beta)
     assert unpack(ring, coeffs[0]) == scalar(ring, 2)
     assert lc_by_count(coeffs) == s.pq
@@ -271,7 +267,7 @@ def test_inner_product_patterns():
     # (5, 1321): the constant (q-1)/4 = 330 is reduced mod 4 before it is added
     for pair in [(5, 17), (5, 13), (17, 5), (5, 1321)]:
         s = build_system(*pair)
-        ring, beta = ring_beta(s)
+        ring, beta = _ring_and_beta(s, R_MAX)
         products = _inner_products(s, ring, _class_rows(s, ring, power_table(beta, s.pq)))
         for i in range(4):
             for j in range(4):
@@ -286,7 +282,7 @@ def test_inner_product_patterns():
 def test_rho_constancy_follows_two_class():
     for pair, expected in [((5, 113), True), ((5, 17), False), ((5, 13), False)]:
         s = build_system(*pair)
-        ring, beta = ring_beta(s)
+        ring, beta = _ring_and_beta(s, R_MAX)
         in_z4 = is_constant(rho_value(s, beta, power_table(beta, s.pq)))
         assert in_z4 == expected, pair
         assert in_z4 == (s.two_class == 0)
@@ -320,7 +316,7 @@ def test_analyze_agrees():
 
 def coset_values(s):
     """ring, rho and the DFT at each coset's first index, as `analyze` reads them."""
-    ring, beta = ring_beta(s)
+    ring, beta = _ring_and_beta(s, R_MAX)
     pows = power_table(beta, s.pq)
     return ring, rho_value(s, beta, pows), coset_dft(generate(s), ring, pows)[1]
 
@@ -386,7 +382,7 @@ def test_analyze_respects_ring_cap():
 def test_rho_shift_relation():
     # evaluating rho at beta^k for k in D_l subtracts l from every class index
     s = build_system(5, 13)
-    ring, beta = ring_beta(s)
+    ring, beta = _ring_and_beta(s, R_MAX)
     rng = random.Random(5)
     pows = power_table(beta, s.pq)
     rho = unpack(ring, rho_value(s, beta, pows))
@@ -414,7 +410,7 @@ def test_admissible_pairs():
 def test_verify_identities_all_pass():
     for pair in [(5, 13), (5, 17)]:
         s = build_system(*pair)
-        ring, beta = ring_beta(s)
+        ring, beta = _ring_and_beta(s, R_MAX)
         checks = verify_identities(s, ring, beta)
         assert checks and all(checks.values()), (pair, checks)
 
@@ -453,7 +449,7 @@ def test_residue_swap_is_seen_by_the_theorem_check_alone(pair):
 
 def test_verify_identities_can_fail():
     s = build_system(5, 13)
-    ring, beta = ring_beta(s)
+    ring, beta = _ring_and_beta(s, R_MAX)
 
     def failing(system):
         checks = verify_identities(system, ring, beta)

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -434,6 +435,32 @@ def test_sweep_error_is_a_row(monkeypatch, capsys):
     assert lines[1] == clean_lines[1] and lines[1].startswith("5,13,")
     assert lines[2] == "13,5,,,,,,,,RuntimeError: injected failure"
     assert lines[-1] == "# pairs=2 agree=1 disagree=0 errors=1"
+
+
+COMMA_ERROR = 'ValueError: not enough values to unpack (expected 2, got 1) at "x"'
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_error_with_a_comma_keeps_its_row(monkeypatch, capsys, workers):
+    real = analysis.analyze
+
+    def analyze(system, r_max):
+        if (system.p, system.q) == (13, 5):
+            raise ValueError(COMMA_ERROR.split(": ", 1)[1])
+        return real(system, r_max)
+
+    monkeypatch.setattr(analysis, "analyze", analyze)
+    argv = ("sweep", "--p-max", "13", "--q-max", "13", "--workers", workers)
+    code, out, _ = run(capsys, *argv)
+    header, *rows = csv.reader(out.splitlines()[:-1])
+    assert code == 1 and len(header) == 10 and len(rows) == 2
+    assert all(len(row) == len(header) for row in rows)
+    assert rows[1][-1] == COMMA_ERROR
+    code, out, _ = run(capsys, *argv, "--format", "text")
+    rows = [line.split("\t") for line in out.splitlines()[:-1]]
+    assert code == 1 and len(rows) == 2
+    assert all(len(row) == len(header) for row in rows)
+    assert rows[1][-1] == COMMA_ERROR
 
 
 def test_unknown_method_is_usage_error(tmp_path, capsys):

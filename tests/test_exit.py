@@ -3,13 +3,13 @@ each call as `main()` does in-process, then ends the process by `os._exit`.
 
 Before `os._exit` the atexit handlers run and both standard streams are
 flushed, so every exit code, stream byte and `--out` file must be the same
-as those of `main()` in-process, with stdout buffered or not.  Where the
-flush fails, the interpreter's own exit takes over: `--help` into a closed
-pipe keeps the status and message of an interpreter exit.  Output into a
-pipe whose reader has gone exits 2 with one `ERROR BrokenPipeError` line,
-buffered or not.  A call started with stdout closed (`sys.stdout` None)
-exits 2 with one `ERROR OSError` line for EBADF, and a pooled sweep into
-`--out` still writes the whole file.
+as those of `main()` in-process, with stdout buffered or not.  A failed
+write of any output, `--help` included, exits 2 with one `ERROR` line,
+buffered or not: into a pipe whose reader has gone, `ERROR BrokenPipeError`;
+into a full device, `ERROR OSError` for ENOSPC.  A call started with stdout
+closed (`sys.stdout` None) exits 2 with one `ERROR OSError` line for EBADF,
+and a pooled sweep into `--out` still writes the whole file.  With stderr
+closed, an error still exits 2, with nothing written.
 """
 
 import json
@@ -145,21 +145,26 @@ BROKEN_PIPE = b"ERROR BrokenPipeError: [Errno 32] Broken pipe\n"
     ("system", *PAIR),
     ("lc", "--method", "formula", *PAIR),
     ("gen", *PAIR),
-], ids=["system", "lc", "gen"])
+    ("--help",),
+], ids=["system", "lc", "gen", "help"])
 def test_small_output_into_a_closed_pipe(argv, unbuffered):
     # a buffered stdout keeps bytes the gone reader never took; the exit's
     # flush must not fail on them a second time
     assert into_a_closed_pipe(argv, unbuffered) == (2, BROKEN_PIPE)
 
 
-def test_help_into_a_closed_pipe_keeps_the_interpreter_exit():
-    # argparse drops a failed write: unbuffered, nothing is left to flush;
-    # buffered, the flush fails and the interpreter's exit reports it
-    assert into_a_closed_pipe(("--help",), unbuffered=True) == (0, b"")
-    code, stderr = into_a_closed_pipe(("--help",), unbuffered=False)
-    assert code == 120
-    assert stderr.startswith(b"Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
-    assert stderr.endswith(b"\nBrokenPipeError: [Errno 32] Broken pipe\n")
+NO_SPACE = b"ERROR OSError: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [("--help",), ("system", *PAIR)], ids=["help", "system"])
+def test_output_into_a_full_device(argv, unbuffered):
+    # the bytes a buffered stdout still holds must not fail the exit's flush
+    with open("/dev/full", "wb") as full, run_module(
+            *argv, unbuffered=unbuffered, stdout=full, stderr=subprocess.PIPE) as proc:
+        _, stderr = proc.communicate(timeout=120)
+    assert (proc.returncode, stderr) == (2, NO_SPACE)
 
 
 def gen_into_a_reader_that_stops_after_one_byte(unbuffered):
@@ -213,6 +218,22 @@ BAD_FD = b"ERROR OSError: [Errno 9] Bad file descriptor\n"
 def test_output_with_stdout_closed(argv):
     # the JSON sweep writes only after its pool has run all its pairs
     assert with_stdout_closed(argv) == (2, BAD_FD)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_error_with_stderr_closed(unbuffered):
+    # the ERROR line has nowhere to go; the status alone reports the error
+    with run_module("system", "--p", "4", "--q", "13", unbuffered=unbuffered,
+                    stdout=subprocess.PIPE, preexec_fn=lambda: os.close(2)) as proc:
+        stdout, _ = proc.communicate(timeout=120)
+    assert (proc.returncode, stdout) == (2, b"")
+
+
+def test_error_in_process_without_stderr(capsys, monkeypatch):
+    # no stderr (None) is not a reason to write the ERROR line to stdout
+    monkeypatch.setattr(sys, "stderr", None)
+    assert main(["system", "--p", "4", "--q", "13"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_pooled_sweep_into_a_file_with_stdout_closed(tmp_path, capsys):

@@ -1,7 +1,7 @@
 """The import graph: each CLI call loads only the modules its command runs.
 
 No library module imports numpy, nor does the span oracle of
-`tests/span_reference.py`, which shares the library's bit-plane helpers, and
+`tests/span_reference.py`, which imports no z4seq module at all, and
 no call loads `dataclasses` (which pulls in `inspect`), `typing` or
 `random`; `system` loads neither `sequence` nor a ring module, `json`
 loads only where JSON is written, `lfsr` only where a register is
@@ -154,12 +154,14 @@ def test_json_loads_only_for_json_output(argv, digest):
 
 
 def test_span_oracle_runs_without_numpy():
+    # nor with any z4seq module: a fault there cannot reach the oracle too
     done = run_fresh("-S", "-c", f"import sys; sys.path.insert(0, {str(TESTS)!r}); "
                                  "from span_reference import span_min_length; "
                                  "print(span_min_length([1, 0, 0, 0, 0]), "
-                                 "'numpy' in sys.modules)")
+                                 "'numpy' in sys.modules, "
+                                 "any(m.split('.')[0] == 'z4seq' for m in sys.modules))")
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "5 False\n"
+    assert done.stdout == "5 False False\n"
 
 
 def library_imports():

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gr_reference import element, mul, one, power, root_power, scalar, unpack, zero
-from z4seq.analysis import power_table
+from z4seq.analysis import _ring_and_beta, power_table
 from z4seq.cyclotomy import CASE1, build_system
 from z4seq.errors import NonConstantResult, PeriodMismatch
 from z4seq.galois import SLOT_BITS, make_ring, root_of_unity
-from z4seq.numtheory import mult_order
+from z4seq.numtheory import R_MAX
 from z4seq.sequence import generate
 from z4seq.trace_repr import _trace_values, check_trace_repr, trace_params
 
@@ -23,8 +23,7 @@ TRACE_PAIRS = [(5, 13), (13, 5), (5, 17), (17, 5)]
 def setup(pair):
     """System, ring, beta, and beta^0 .. beta^(pq-1) as a running reference product."""
     s = build_system(*pair)
-    ring = make_ring(mult_order(2, s.pq))
-    beta = root_of_unity(ring, s.pq)
+    ring, beta = _ring_and_beta(s, R_MAX)
     step = unpack(ring, beta.value)
     pows = [one(ring)]
     for _ in range(s.pq - 1):

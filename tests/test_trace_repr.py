@@ -1,35 +1,30 @@
 import pytest
 
 from gr_reference import frobenius, trace, unpack, zero
-from z4seq.analysis import admissible_pairs, power_table
+from z4seq.analysis import _ring_and_beta, admissible_pairs, power_table
 from z4seq.cyclotomy import build_system, lc_by_theorem
 from z4seq.errors import InternalCaseError, TraceFormulaPreconditionFailed
 from z4seq.galois import make_ring, root_of_unity
-from z4seq.numtheory import mult_order
+from z4seq.numtheory import R_MAX
 from z4seq.sequence import generate
 from z4seq.trace_repr import _trace_values, check_trace_repr, trace_params
 
 
-def ring_beta(system):
-    ring = make_ring(mult_order(2, system.pq))
-    return ring, root_of_unity(ring, system.pq)
-
-
 def test_params_fixtures():
     s = build_system(5, 13)
-    ring, beta = ring_beta(s)
+    ring, beta = _ring_and_beta(s, R_MAX)
     params = trace_params(s, ring, beta)
     assert params.ell == 12 and params.ell_p == 4 and params.ell_q == 12
     assert params.epsilon is None  # Case2 descends through degree 4
 
     s = build_system(5, 17)
-    ring, beta = ring_beta(s)
+    ring, beta = _ring_and_beta(s, R_MAX)
     params = trace_params(s, ring, beta)
     assert params.ell == 8 and params.ell_p == 4 and params.ell_q == 8
     assert params.epsilon == 2  # 2 sits in D2
 
     s = build_system(5, 113)
-    ring, beta = ring_beta(s)
+    ring, beta = _ring_and_beta(s, R_MAX)
     params = trace_params(s, ring, beta)
     assert params.ell == 28 and params.epsilon == 1  # 2 sits in D0
 
@@ -38,7 +33,7 @@ def test_ell_is_lcm():
     import math
     for pair in [(5, 13), (5, 17), (13, 17), (17, 5)]:
         s = build_system(*pair)
-        ring, beta = ring_beta(s)
+        ring, beta = _ring_and_beta(s, R_MAX)
         params = trace_params(s, ring, beta)
         assert params.ell == math.lcm(params.ell_p, params.ell_q)
 
@@ -55,7 +50,7 @@ def test_orbit_shortcut_matches_general_trace():
     # every inner trace term is a pure beta power, so the conjugate orbit
     # sum must equal the generic trace map on that element
     s = build_system(5, 17)
-    ring, beta = ring_beta(s)
+    ring, beta = _ring_and_beta(s, R_MAX)
     params = trace_params(s, ring, beta)
     pows = power_table(beta, s.pq)
     eps = params.epsilon
@@ -67,7 +62,7 @@ def test_orbit_shortcut_matches_general_trace():
 
 def test_frobenius_squares_beta_powers():
     s = build_system(5, 13)
-    ring, beta = ring_beta(s)
+    ring, beta = _ring_and_beta(s, R_MAX)
     pows = power_table(beta, s.pq)
     for w in (1, 7, 30, 64):
         assert frobenius(unpack(ring, pows[w]), 1) == unpack(ring, pows[2 * w % s.pq])
@@ -75,7 +70,7 @@ def test_frobenius_squares_beta_powers():
 
 def test_q_orbit_sums_are_frobenius_invariant():
     s = build_system(5, 13)
-    ring, beta = ring_beta(s)
+    ring, beta = _ring_and_beta(s, R_MAX)
     params = trace_params(s, ring, beta)
     pows = power_table(beta, s.pq)
     for orbit in params.q_orbits:
@@ -85,7 +80,7 @@ def test_q_orbit_sums_are_frobenius_invariant():
 
 def test_digit_fixtures():
     s = build_system(5, 13)
-    ring, beta = ring_beta(s)
+    ring, beta = _ring_and_beta(s, R_MAX)
     params = trace_params(s, ring, beta)
     us = [0, *s.classes["P"][:4], *s.classes["Q"]]
     assert _trace_values(s, ring, params, us) == [2] + [0] * 4 + [2] * len(s.classes["Q"])
@@ -94,7 +89,7 @@ def test_digit_fixtures():
 @pytest.mark.parametrize("pair", [(5, 13), (13, 5), (5, 17), (17, 5)])
 def test_trace_reproduces_all_digits(pair):
     s = build_system(*pair)
-    ring, beta = ring_beta(s)
+    ring, beta = _ring_and_beta(s, R_MAX)
     ok, first = check_trace_repr(s, ring, beta, trace_params(s, ring, beta))
     assert ok and first is None
 
@@ -103,7 +98,7 @@ def test_non_constant_result_guard():
     from z4seq.errors import NonConstantResult
 
     s = build_system(5, 13)
-    ring, beta = ring_beta(s)
+    ring, beta = _ring_and_beta(s, R_MAX)
     params = trace_params(s, ring, beta)
     broken = params._replace(rho=ring.x)
     assert any(v > 3 for v in _trace_values(s, ring, broken, range(s.pq)))
@@ -116,7 +111,7 @@ def test_non_constant_message_shows_coefficients():
     from z4seq.errors import NonConstantResult
 
     s = build_system(5, 13)
-    ring, beta = ring_beta(s)
+    ring, beta = _ring_and_beta(s, R_MAX)
     broken = trace_params(s, ring, beta)._replace(rho=ring.x)
     with pytest.raises(NonConstantResult) as info:
         check_trace_repr(s, ring, beta, broken)
@@ -127,7 +122,7 @@ def test_non_constant_message_shows_coefficients():
 def test_trace_epsilon_one_branch():
     # 2 in D0 gives the epsilon = 1 variant of the Case1 form
     s = build_system(5, 113)
-    ring, beta = ring_beta(s)
+    ring, beta = _ring_and_beta(s, R_MAX)
     params = trace_params(s, ring, beta)
     seq = generate(s)
     us = list(range(24)) + [113, 226, 5, 10]
@@ -141,7 +136,7 @@ def test_trace_form_on_every_capped_pair():
     assert len(pairs) == 50
     for pair in pairs:
         s = build_system(*pair)
-        ring, beta = ring_beta(s)
+        ring, beta = _ring_and_beta(s, R_MAX)
         params = trace_params(s, ring, beta)
         assert check_trace_repr(s, ring, beta, params) == (True, None), pair
 
@@ -155,7 +150,7 @@ def test_orbits_must_tile_their_class(pair):
     u0, u1 = s.classes["D0"][0], s.classes["D1"][0]
     class_of[u0], class_of[u1] = "D1", "D0"
     tampered = s._replace(class_of=tuple(class_of))
-    ring, beta = ring_beta(s)
+    ring, beta = _ring_and_beta(s, R_MAX)
     with pytest.raises(TraceFormulaPreconditionFailed, match="D0"):
         trace_params(tampered, ring, beta)
 
@@ -165,7 +160,7 @@ def test_orbits_match_the_paper_parametrization(pair):
     # where e*eps/(4*ell) is an integer the orbits of D_i under u -> 2^eps u
     # are {g^(4t+i) h^j 2^(eps k) : k}, one per t < e*eps/(4*ell) and j < 4
     s = build_system(*pair)
-    ring, beta = ring_beta(s)
+    ring, beta = _ring_and_beta(s, R_MAX)
     params = trace_params(s, ring, beta)
     n = s.pq
     eps = params.epsilon or 4  # Case2 descends through degree 4
@@ -189,7 +184,7 @@ def test_case_and_class_of_two_must_agree():
     # Case1 needs 2 in D0 or D2, Case2 2 in D1 or D3; rotating the labels
     # moves 2 to a class of the other parity
     s = build_system(5, 113)
-    ring, beta = ring_beta(s)
+    ring, beta = _ring_and_beta(s, R_MAX)
     wrong = rotate_d_classes(s)
     assert s.two_class == 0 and wrong.two_class == 1
     with pytest.raises(InternalCaseError, match="Case1 system with 2 in D1"):
@@ -198,7 +193,7 @@ def test_case_and_class_of_two_must_agree():
         trace_params(wrong, ring, beta)
 
     s = build_system(5, 13)
-    ring, beta = ring_beta(s)
+    ring, beta = _ring_and_beta(s, R_MAX)
     wrong = rotate_d_classes(s)
     with pytest.raises(InternalCaseError, match="Case2 system with 2 in D2"):
         lc_by_theorem(wrong)
