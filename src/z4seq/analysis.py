@@ -260,16 +260,16 @@ def verify_identities(system: CyclotomicSystem, ring: GaloisRing,
     checks["class-sums"] = (all(v == 0 for _, sums in at_p for v in sums)
                             and all(v == target for _, sums in at_q for v in sums))
 
+    # -1 lies in D_t, t = (q-1)/2 mod 4: 0 in Case1, 2 in Case2
+    t = (q - 1) // 2 % 4
     ok = True
     for a in range(4):
-        hits = (a + (q - 1) // 2) % 4 == 0
+        hits = (a + t) % 4 == 0
         ok = ok and count_solutions(system, a, p) == (q - 1) // 4
         ok = ok and count_solutions(system, a, q) == ((p - 1) if hits else 0)
         ok = ok and count_solutions(system, a, n) == (1 if hits else 0)
     checks["solution-counts"] = ok
 
-    # -1 lies in D_t, t = (q-1)/2 mod 4: 0 in Case1, 2 in Case2
-    t = (q - 1) // 2 % 4
     expected = [[int((i - j) % 4 == t) for j in range(4)] for i in range(4)]
     checks["inner-products"] = _inner_products(system, ring, rows) == expected
     checks["rho-membership"] = is_constant(_rho(ring, rows)) == (system.two_class == 0)

@@ -3,15 +3,16 @@
 Exit codes: 0 all checks passed, 1 a check failed (disagreement, a register
 failing its own check, trace mismatch, failed identity), 2 domain or usage
 error or a failed write of any output (all of it, argparse's help and usage
-too, goes through `_write`).  Errors print one machine-parseable line
-`ERROR <Code>: <message>` on stderr, where stderr can take it.
+too, goes through `_write`; a stream the process lacks fails there).  Errors
+print one machine-parseable line `ERROR <Code>: <message>` on stderr, where
+stderr can take it.
 
 Every command runs on the standard library and imports only what it runs:
 the class data are integer arithmetic, and `sequence`, the ring modules
 (`galois`, `analysis`, `trace_repr`), whose arithmetic is on packed ints,
-and `lfsr` are imported by the commands that use them (`system` loads none
-of them), the sweep's rows and worker pool `_sweep` only by `sweep`, and
-`json` only on the branches that write JSON.
+and `lfsr` are imported by the commands that use them (`system` and `lc
+--method formula` load none of them), the sweep's rows and worker pool
+`_sweep` only by `sweep`, and `json` only on the branches that write JSON.
 """
 
 import argparse
@@ -152,7 +153,7 @@ def cmd_lc(args) -> int:
         if args.format == "json":
             text = _json_text(row)
         elif args.format == "csv":
-            text = f"{_LC_CSV_HEADER}\n{_csv_row(row, _SWEEP_COLUMNS[:8])}\n"
+            text = f"{_LC_CSV_HEADER}\n{_line(row, _SWEEP_COLUMNS[:8], ',')}\n"
         else:
             verdict = "AGREE" if row["agree"] else "DISAGREE"
             text = (f"{row['lc_formula']} {row['lc_dft']} "
@@ -160,20 +161,18 @@ def cmd_lc(args) -> int:
         _emit(text, args.out)
         return 0 if row["agree"] else 1
 
-    from . import sequence
-
     ok = True  # False only for a register that fails its own check
     if method == "formula":
         value = cyclotomy.lc_by_theorem(system)
     elif method == "dft":
-        from . import analysis
+        from . import analysis, sequence
 
         ring, beta = analysis._ring_and_beta(system, args.r_max)
         pows = analysis.power_table(beta, system.pq)
         value = analysis.coset_dft(sequence.generate(system), ring, pows)[0]
     else:  # reeds-sloane: argparse and the config check admit no other method
-        from .lfsr import reeds_sloane
-        synth = reeds_sloane(sequence.generate(system).digits * 2)
+        from . import lfsr, sequence
+        synth = lfsr.reeds_sloane(sequence.generate(system).digits * 2)
         value, ok = synth.length, synth.annihilates
     if args.format == "json":
         text = _json_text({"p": system.p, "q": system.q, "method": method, "value": value},
@@ -240,16 +239,19 @@ _SWEEP_COLUMNS = ("p", "q", "case", "two_class", "lc_formula", "lc_dft",
 _LC_CSV_HEADER = "p,q,case,two_class,lc_formula,lc_dft,lc_rs,agree"
 
 
-def _fields(row, columns) -> list:
-    """The row's values under `columns` as text; booleans lower-case."""
+def _line(row, columns, sep) -> str:
+    """The row's values under `columns` joined by `sep`, booleans lower-case.
+
+    A field holding `sep`, a CR or an LF is quoted, its quotes doubled, and in
+    CSV (`sep` ",") so is one holding a double quote: `csv.writer`'s quoting
+    with its default "\r\n" terminator (with `lineterminator="\n"` it leaves
+    a lone CR bare).  A text row keeps a bare double quote as it is.
+    """
+    specials = sep + '"\r\n' if sep == "," else sep + "\r\n"
     vals = [str(row.get(col, "")) for col in columns]
-    return [v.lower() if v in ("True", "False") else v for v in vals]
-
-
-def _csv_row(row, columns) -> str:
-    """The fields comma-joined, each holding , " or a line break quoted as by `csv.writer`."""
-    return ",".join('"' + v.replace('"', '""') + '"' if any(c in v for c in ',"\r\n')
-                    else v for v in _fields(row, columns))
+    vals = [v.lower() if v in ("True", "False") else v for v in vals]
+    return sep.join('"' + v.replace('"', '""') + '"' if any(c in v for c in specials)
+                    else v for v in vals)
 
 
 def cmd_sweep(args) -> int:
@@ -271,10 +273,8 @@ def cmd_sweep(args) -> int:
         for row in stack.enter_context(contextlib.closing(
                 _sweep.rows(pairs, r_max, args.workers))):
             rows.append(row)
-            if fmt == "csv":
-                _write(sink, _csv_row(row, columns) + "\n")
-            elif fmt == "text":
-                _write(sink, "\t".join(_fields(row, columns)) + "\n")
+            if fmt != "json":
+                _write(sink, _line(row, columns, "," if fmt == "csv" else "\t") + "\n")
 
         summary = {"pairs": len(rows),
                    "agree": sum(r.get("agree") is True for r in rows),
@@ -294,11 +294,18 @@ def cmd_sweep(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse, its help and usage written by `_write`: argparse's own drops an OSError."""
+    """argparse, each message written by `_write` to the stream argparse names.
+
+    argparse's own writer drops an OSError and swaps a missing stream (None)
+    for the other: the help onto stderr, a usage error's usage onto stdout.
+    """
 
     def _print_message(self, message, file=None):
-        if message:  # as in argparse, a missing stdout (None) falls back to stderr
-            _write(file or sys.stderr, message)
+        if message:
+            _write(file, message)
+
+    def error(self, message):
+        self.exit(2, f"{self.format_usage()}{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -312,11 +319,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, formats, default="text", pair=True, r_max=None):
-        """Shared flags; `formats` lists the output formats the subcommand writes.
+    def add_common(sp, run, formats, default="text", pair=True, r_max=None):
+        """Bind the subcommand to `run` and add the shared flags.
 
-        `r_max` is the ring-degree cap's default, for subcommands that build a ring.
+        `formats` lists the output formats the subcommand writes; `r_max` is
+        the ring-degree cap's default, for subcommands that build a ring.
         """
+        sp.set_defaults(run=run)
         if pair:
             sp.add_argument("--p", type=int, help="first prime")
             sp.add_argument("--q", type=int, help="second prime")
@@ -330,21 +339,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     all_formats = ("text", "json", "csv")
     add_common(sub.add_parser("system", help="print the cyclotomic system summary"),
-               ("text", "json"))
+               cmd_system, ("text", "json"))
     add_common(sub.add_parser("gen", help="emit one period of digits"),
-               ("text", "csv"))
+               cmd_gen, ("text", "csv"))
     sp = sub.add_parser("lc", help="linear complexity by chosen method(s)")
-    add_common(sp, all_formats, r_max=R_MAX)
+    add_common(sp, cmd_lc, all_formats, r_max=R_MAX)
     sp.add_argument("--method", choices=("formula", "dft", "reeds-sloane", "all"),
                     default="all", help="method (default %(default)s)")
     add_common(sub.add_parser("defpoly", help="dump defining polynomial coefficients"),
-               all_formats, r_max=R_MAX)
+               cmd_defpoly, all_formats, r_max=R_MAX)
     add_common(sub.add_parser("trace", help="check the trace form digit-for-digit"),
-               ("text",), r_max=R_MAX)
+               cmd_trace, ("text",), r_max=R_MAX)
     add_common(sub.add_parser("verify", help="run the structural identity suite"),
-               ("text",), r_max=R_MAX)
+               cmd_verify, ("text",), r_max=R_MAX)
     sp = sub.add_parser("sweep", help="analyze all admissible pairs under the caps")
-    add_common(sp, all_formats, default="csv", pair=False, r_max=SWEEP_R_MAX_DEFAULT)
+    add_common(sp, cmd_sweep, all_formats, default="csv", pair=False, r_max=SWEEP_R_MAX_DEFAULT)
     sp.add_argument("--p-max", dest="p_max", type=int, default=40,
                     help="cap on p (default %(default)s)")
     sp.add_argument("--q-max", dest="q_max", type=int, default=40,
@@ -356,24 +365,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "system": cmd_system,
-    "gen": cmd_gen,
-    "lc": cmd_lc,
-    "defpoly": cmd_defpoly,
-    "trace": cmd_trace,
-    "verify": cmd_verify,
-    "sweep": cmd_sweep,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         if args.config:
             args = _apply_config(parser, args, argv)
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (Z4SeqError, ValueError, OSError) as exc:
         with contextlib.suppress(OSError):  # no stderr to take it: the status tells
             _write(sys.stderr, f"ERROR {type(exc).__name__}: {exc}\n")

@@ -214,9 +214,17 @@ MUTANTS = [
            "        stream.flush()\n",
            ["tests/test_exit.py"]),
     Mutant("help-write-swallowed", "src/z4seq/cli.py",
-           "            _write(file or sys.stderr, message)\n",
+           "            _write(file, message)\n",
            "            with contextlib.suppress(OSError):\n"
-           "                _write(file or sys.stderr, message)\n",
+           "                _write(file, message)\n",
+           ["tests/test_exit.py"]),
+    Mutant("help-falls-back-to-stderr", "src/z4seq/cli.py",
+           "_write(file, message)", "_write(file or sys.stderr, message)",
+           ["tests/test_exit.py"]),
+    Mutant("usage-falls-back-to-stdout", "src/z4seq/cli.py",
+           "\n    def error(self, message):\n"
+           '        self.exit(2, f"{self.format_usage()}{self.prog}: error: {message}\\n")\n',
+           "",
            ["tests/test_exit.py"]),
     Mutant("error-line-unsuppressed", "src/z4seq/cli.py",
            "        with contextlib.suppress(OSError):  # no stderr to take it: the status tells\n"
@@ -229,7 +237,10 @@ MUTANTS = [
            "    except BrokenPipeError:\n        devnull = os.open(os.devnull, os.O_WRONLY)\n",
            ["tests/test_exit.py"]),
     Mutant("csv-field-unquoted", "src/z4seq/cli.py",
-           'if any(c in v for c in \',"\\r\\n\')', "if False",
+           "if any(c in v for c in specials)", "if False",
+           ["tests/test_cli.py"]),
+    Mutant("text-row-breaks-on-tab", "src/z4seq/cli.py",
+           'else sep + "\\r\\n"', 'else "\\r\\n"',
            ["tests/test_cli.py"]),
     # the rest were hand-made mutants of earlier changes, moved here from prose
     Mutant("xpow-without-shift", "src/z4seq/galois.py",

@@ -23,7 +23,7 @@ from z4seq.analysis import (
     rho_value,
     verify_identities,
 )
-from z4seq.cli import _SWEEP_COLUMNS, _csv_row, main
+from z4seq.cli import _SWEEP_COLUMNS, _line, main
 from z4seq.cyclotomy import CASE1, CASE2, build_system, class_coefficients
 from z4seq.errors import (
     GcdNotFour,
@@ -308,7 +308,7 @@ def test_analyze_agrees():
     rep = analyze(build_system(5, 13))
     assert rep["lc_formula"] == rep["lc_dft"] == rep["lc_reeds_sloane"] == 65
     assert rep["agree"] and rep["ring_degree"] == 12
-    assert _csv_row(rep, _SWEEP_COLUMNS[:8]) == "5,13,Case2,1,65,65,65,true"
+    assert _line(rep, _SWEEP_COLUMNS[:8], ",") == "5,13,Case2,1,65,65,65,true"
     # the keys in output order: the JSON row and the sweep columns read them
     assert list(rep) == ["p", "q", "case", "two_class", "rho", "rho_in_z4", "lc_formula",
                          "lc_dft", "lc_reeds_sloane", "agree", "ring_degree"]

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -461,6 +462,31 @@ def test_sweep_error_with_a_comma_keeps_its_row(monkeypatch, capsys, workers):
     assert code == 1 and len(rows) == 2
     assert all(len(row) == len(header) for row in rows)
     assert rows[1][-1] == COMMA_ERROR
+
+
+@pytest.mark.parametrize("message", ["line one\nline\ttwo", "one\ttab"],
+                         ids=["line-break", "tab"])
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_error_with_a_tab_or_line_break_keeps_its_row(monkeypatch, capsys, workers,
+                                                            message):
+    # a field holding the separator, a CR or an LF is quoted in text rows too
+    real = analysis.analyze
+
+    def analyze(system, r_max):
+        if (system.p, system.q) == (13, 5):
+            raise ValueError(message)
+        return real(system, r_max)
+
+    monkeypatch.setattr(analysis, "analyze", analyze)
+    argv = ("sweep", "--p-max", "13", "--q-max", "13", "--workers", workers)
+    for fmt, sep in (("csv", ","), ("text", "\t")):
+        code, out, _ = run(capsys, *argv, "--format", fmt)
+        *records, summary = csv.reader(io.StringIO(out), delimiter=sep)
+        rows = records[1:] if fmt == "csv" else records
+        assert code == 1 and len(rows) == 2, fmt
+        assert all(len(row) == 10 for row in rows), fmt
+        assert rows[1][-1] == f"ValueError: {message}", fmt
+        assert summary[0].endswith("pairs=2 agree=1 disagree=0 errors=1"), fmt
 
 
 def test_unknown_method_is_usage_error(tmp_path, capsys):

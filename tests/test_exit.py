@@ -8,8 +8,9 @@ write of any output, `--help` included, exits 2 with one `ERROR` line,
 buffered or not: into a pipe whose reader has gone, `ERROR BrokenPipeError`;
 into a full device, `ERROR OSError` for ENOSPC.  A call started with stdout
 closed (`sys.stdout` None) exits 2 with one `ERROR OSError` line for EBADF,
-and a pooled sweep into `--out` still writes the whole file.  With stderr
-closed, an error still exits 2, with nothing written.
+`--help` included, and a pooled sweep into `--out` still writes the whole
+file.  With stderr closed, an error, a usage error included, still exits 2,
+with nothing written.
 """
 
 import json
@@ -213,27 +214,42 @@ BAD_FD = b"ERROR OSError: [Errno 9] Bad file descriptor\n"
     ("verify", *PAIR),
     (*SWEEP, "--workers", "2"),
     (*SWEEP, "--workers", "2", "--format", "json"),
+    ("--help",),
 ], ids=["system", "gen", "lc", "defpoly", "trace", "verify", "sweep-csv",
-        "pooled-sweep-json"])
+        "pooled-sweep-json", "help"])
 def test_output_with_stdout_closed(argv):
-    # the JSON sweep writes only after its pool has run all its pairs
+    # the JSON sweep writes only after its pool has run all its pairs; the
+    # help, like any output, does not turn to stderr
     assert with_stdout_closed(argv) == (2, BAD_FD)
 
 
-@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-def test_error_with_stderr_closed(unbuffered):
-    # the ERROR line has nowhere to go; the status alone reports the error
-    with run_module("system", "--p", "4", "--q", "13", unbuffered=unbuffered,
-                    stdout=subprocess.PIPE, preexec_fn=lambda: os.close(2)) as proc:
+DOMAIN_ERROR = ("system", "--p", "4", "--q", "13")
+UNKNOWN_FLAG = ("--bogus",)
+BAD_FORMAT = ("lc", *PAIR, "--format", "xml")  # a subcommand's usage error
+
+
+@pytest.mark.parametrize("argv, unbuffered", [
+    (DOMAIN_ERROR, False), (DOMAIN_ERROR, True),
+    (UNKNOWN_FLAG, False), (UNKNOWN_FLAG, True),
+    (BAD_FORMAT, False), (BAD_FORMAT, True),
+], ids=["buffered", "unbuffered", "unknown-flag-buffered", "unknown-flag-unbuffered",
+        "bad-format-buffered", "bad-format-unbuffered"])
+def test_error_with_stderr_closed(argv, unbuffered):
+    # the ERROR line, or argparse's usage, has nowhere to go; the status
+    # alone reports the error
+    with run_module(*argv, unbuffered=unbuffered, stdout=subprocess.PIPE,
+                    preexec_fn=lambda: os.close(2)) as proc:
         stdout, _ = proc.communicate(timeout=120)
     assert (proc.returncode, stdout) == (2, b"")
 
 
 def test_error_in_process_without_stderr(capsys, monkeypatch):
-    # no stderr (None) is not a reason to write the ERROR line to stdout
+    # no stderr (None) is not a reason to write the ERROR line, or a usage
+    # error's usage line, to stdout
     monkeypatch.setattr(sys, "stderr", None)
-    assert main(["system", "--p", "4", "--q", "13"]) == 2
-    assert capsys.readouterr().out == ""
+    for argv in (DOMAIN_ERROR, UNKNOWN_FLAG):
+        assert main(list(argv)) == 2
+        assert capsys.readouterr().out == ""
 
 
 def test_pooled_sweep_into_a_file_with_stdout_closed(tmp_path, capsys):
