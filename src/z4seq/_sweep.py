@@ -17,7 +17,8 @@ The z4seq command line starts no threads, so forking it is safe (a program
 that calls `cli.main` while other threads run should sweep with `--workers
 1`), and the children inherit every module loaded here, `lfsr` included.  A
 child leaves only through `os._exit`, so it never unwinds into the parent's
-frames or runs its cleanup.
+frames or runs its cleanup; first, on every way out, it flushes stdout and
+stderr, so what its pairs printed and its own failure report are kept.
 """
 
 import marshal
@@ -125,12 +126,14 @@ def _fork(pairs, r_max, pool, cpu):
                 while data := os.read(task_read, 4):
                     marshal.dump(_row(pairs[int.from_bytes(data, "little")], r_max), out)
                     out.flush()
-            _flush(sys.stdout)  # os._exit skips the flush of a normal exit
             status = 0
         except BaseException:  # reported, not raised: the child must not unwind
             sys.excepthook(*sys.exc_info())
         finally:
-            os._exit(status)
+            try:
+                _flush(sys.stdout, sys.stderr)  # os._exit skips a normal exit's flush
+            finally:
+                os._exit(status)
     os.close(task_read)
     os.close(result_write)
     return _Worker(pid, task_write, open(result_read, "rb"))

@@ -72,7 +72,7 @@ def _apply_config(parser, args, argv):
 
 
 def _write(stream, text: str) -> None:
-    """Write text to a text stream through its binary layer, then flush both.
+    """Write text through the stream's binary layer, if it has one; flush both.
 
     An unbuffered binary layer (PYTHONUNBUFFERED) may take only part of a
     write, as when a pipe's reader closes; the text layer would drop the
@@ -88,6 +88,9 @@ def _write(stream, text: str) -> None:
         import errno  # only this branch reads it
 
         raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    if not hasattr(stream, "buffer"):  # a text-only stream takes each write whole
+        stream.write(text)
+        return
     try:
         stream.flush()
         data = memoryview(text.encode(stream.encoding, stream.errors))
@@ -366,12 +369,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one call in this process and return its status: an int for every
+    argv and on any text stream, argparse's `--help` and usage exits too."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         if args.config:
             args = _apply_config(parser, args, argv)
         return args.run(args)
+    except SystemExit as exc:  # argparse's --help and usage errors
+        return exc.code
     except (Z4SeqError, ValueError, OSError) as exc:
         with contextlib.suppress(OSError):  # no stderr to take it: the status tells
             _write(sys.stderr, f"ERROR {type(exc).__name__}: {exc}\n")
@@ -379,21 +386,13 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    """The process's way out: `main`, then end the process with its status.
-
-    The status is `main`'s, or that of argparse's `SystemExit` (`--help`, a
-    usage error).  The atexit handlers run and each standard stream the
-    process has is flushed, as in an interpreter exit; then `os._exit` ends
-    the process with no interpreter teardown after the last write.  By then
-    `main` has closed its files and reaped the sweep's workers, and `_write`
-    has left no bytes of a failed write to flush.  An exception `main` lets
-    out, KeyboardInterrupt included, ends the process as usual.  In-process
-    callers of `main` see none of this.
-    """
-    try:
-        status = main()
-    except SystemExit as exc:
-        status = exc.code
+    """The process's way out: the atexit handlers, a flush of each standard
+    stream the process has, then `os._exit` with `main`'s status, so no
+    interpreter teardown follows the last write.  By then `main` has closed
+    its files and reaped the sweep's workers, and `_write` has left no bytes
+    of a failed write to flush.  An exception `main` lets out,
+    KeyboardInterrupt included, ends the process as usual."""
+    status = main()
     atexit._run_exitfuncs()
     for stream in (sys.stdout, sys.stderr):
         if stream is not None:

@@ -112,6 +112,11 @@ SUM_CHUNK = 0xFFFF // 3 - 1  # addends per masked partial sum, room for the carr
 MAX_DEGREE = 0xFFFF // 9  # a product slot sums at most r terms of at most 9
 
 
+def _check_slots(r: int) -> None:
+    if r > MAX_DEGREE:
+        raise DegreeTooLarge(f"degree {r} exceeds {MAX_DEGREE}, the most 16-bit slots hold")
+
+
 def _slot_mask(k: int) -> int:
     """Mask of k slots holding 3: v & mask reduces each of them mod 4."""
     return int.from_bytes(b"\x03\x00" * k, "little")
@@ -130,8 +135,7 @@ class GaloisRing:
         self.modulus = tuple(c % 4 for c in modulus)
         if len(self.modulus) != r + 1 or self.modulus[r] != 1:
             raise Z4SeqError("modulus must be monic of degree r")
-        if r > MAX_DEGREE:
-            raise DegreeTooLarge(f"degree {r} exceeds {MAX_DEGREE}, the most 16-bit slots hold")
+        _check_slots(r)
         self.order = (1 << r) - 1  # size of the Teichmuller group G1
         self.mask = _slot_mask(r)
         self._mask2 = _slot_mask(2 * r - 1)
@@ -240,6 +244,7 @@ def make_ring(r: int, r_max: int = R_MAX) -> GaloisRing:
         raise ValueError(f"degree must be positive, got {r}")
     if r > r_max:
         raise DegreeTooLarge(f"extension degree {r} exceeds cap {r_max}")
+    _check_slots(r)  # before the primitive search factors 2^r - 1
     return _build_ring(r)
 
 

@@ -107,8 +107,12 @@ MUTANTS = [
            "os._exit(status)", "sys.exit(status)",
            ["tests/test_cli.py"]),
     Mutant("child-stdout-not-flushed", "src/z4seq/_sweep.py",
-           "            _flush(sys.stdout)  # os._exit skips the flush of a normal exit\n",
-           "",
+           "_flush(sys.stdout, sys.stderr)  # os._exit skips a normal exit's flush",
+           "_flush(sys.stderr)",
+           ["tests/test_cli.py"]),
+    Mutant("child-stderr-not-flushed", "src/z4seq/_sweep.py",
+           "_flush(sys.stdout, sys.stderr)  # os._exit skips a normal exit's flush",
+           "_flush(sys.stdout)",
            ["tests/test_cli.py"]),
     Mutant("dead-child-pair-not-lost", "src/z4seq/_sweep.py",
            "done[held] = _lost(pairs[held], worker.reap())", "worker.reap()",
@@ -168,6 +172,20 @@ MUTANTS = [
     Mutant("broken-pipe-keeps-stdout", "src/z4seq/cli.py",
            "os.dup2(devnull, stream.fileno())", "pass",
            ["tests/test_exit.py"]),
+    Mutant("argparse-exit-escapes-main", "src/z4seq/cli.py",
+           "    except SystemExit as exc:  # argparse's --help and usage errors\n"
+           "        return exc.code\n",
+           "",
+           ["tests/test_cli.py"]),
+    Mutant("text-stream-needs-buffer", "src/z4seq/cli.py",
+           '    if not hasattr(stream, "buffer"):  # a text-only stream takes each write whole\n'
+           "        stream.write(text)\n"
+           "        return\n",
+           "",
+           ["tests/test_cli.py"]),
+    Mutant("slot-cap-after-search", "src/z4seq/galois.py",
+           "    _check_slots(r)  # before the primitive search factors 2^r - 1\n", "",
+           ["tests/test_galois.py"]),
     Mutant("index-table-mod-p", "src/z4seq/cyclotomy.py",
            "x = x * g % q", "x = x * g % p",
            ["tests/test_cyclotomy.py"]),

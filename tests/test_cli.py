@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -5,12 +6,13 @@ import json
 import os
 import subprocess
 import sys
+import traceback
 from pathlib import Path
 
 import pytest
 
 import z4seq
-from z4seq import _sweep, analysis, lfsr
+from z4seq import _sweep, analysis, galois, lfsr
 from z4seq.lfsr import LfsrResult
 from z4seq.cli import SWEEP_R_MAX_DEFAULT, main
 from z4seq.numtheory import R_MAX
@@ -104,11 +106,9 @@ def test_trace_check(capsys):
 
 
 def test_trace_check_flag_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["trace", "--p", "5", "--q", "13", "--check"])
-    captured = capsys.readouterr()
-    assert exc.value.code == 2 and not captured.out
-    assert "unrecognized arguments: --check" in captured.err
+    code, out, err = run(capsys, "trace", "--p", "5", "--q", "13", "--check")
+    assert code == 2 and not out
+    assert "unrecognized arguments: --check" in err
 
 
 def test_lc_above_default_cap(capsys):
@@ -266,23 +266,55 @@ def test_no_worker_left(monkeypatch, capsys):
     assert out.splitlines()[-1] == "# pairs=6 agree=0 disagree=0 errors=6"
 
 
-def test_worker_print_reaches_stdout(monkeypatch, tmp_path):
+def sweep_notes(monkeypatch, tmp_path, name):
+    """The lines the pairs of a 2-worker sweep print on `sys.<name>`, there a
+    block-buffered file, which pytest's capture is not."""
     real = analysis.analyze
 
     def analyze(system, r_max):
-        print(f"note {system.p},{system.q}")
+        print(f"note {system.p},{system.q}", file=getattr(sys, name))
         return real(system, r_max)
 
     monkeypatch.setattr(analysis, "analyze", analyze)
     argv = [*SMALL_SWEEP, "--workers", "2", "--out", str(tmp_path / "sweep.csv")]
-    stdout = tmp_path / "stdout"
-    # a block-buffered stdout, which pytest's capture is not
-    with open(stdout, "w", encoding="utf-8") as fh, monkeypatch.context() as patch:
-        patch.setattr(sys, "stdout", fh)
+    path = tmp_path / name
+    with open(path, "w", encoding="utf-8") as fh, monkeypatch.context() as patch:
+        patch.setattr(sys, name, fh)
         assert main(argv) == 0
-    notes = stdout.read_text().splitlines()
-    assert sorted(notes) == ["note 13,17", "note 13,5", "note 17,13", "note 17,5",
-                             "note 5,13", "note 5,17"]
+    return sorted(path.read_text().splitlines())
+
+
+NOTES = ["note 13,17", "note 13,5", "note 17,13", "note 17,5", "note 5,13", "note 5,17"]
+
+
+def test_worker_print_reaches_stdout(monkeypatch, tmp_path):
+    assert sweep_notes(monkeypatch, tmp_path, "stdout") == NOTES
+
+
+def test_worker_print_reaches_stderr(monkeypatch, tmp_path):
+    assert sweep_notes(monkeypatch, tmp_path, "stderr") == NOTES
+
+
+def test_worker_failure_report_reaches_stderr(monkeypatch, tmp_path):
+    real = analysis.analyze
+
+    def analyze(system, r_max):
+        if (system.p, system.q) == (13, 5):
+            raise KeyboardInterrupt  # not a pair's error: it ends the worker
+        return real(system, r_max)
+
+    monkeypatch.setattr(analysis, "analyze", analyze)
+    # the default hook flushes stderr itself; this one, like many, does not
+    monkeypatch.setattr(sys, "excepthook", traceback.print_exception)
+    out = tmp_path / "sweep.csv"
+    stderr = tmp_path / "stderr"
+    with open(stderr, "w", encoding="utf-8") as fh, monkeypatch.context() as patch:
+        patch.setattr(sys, "stderr", fh)
+        assert main([*SMALL_SWEEP, "--workers", "2", "--out", str(out)]) == 1
+    assert_no_child_left()
+    assert "13,5,,,,,,,,WorkerLost: worker exited with status 1" in out.read_text()
+    report = stderr.read_text()
+    assert report.startswith("Traceback") and report.endswith("\nKeyboardInterrupt\n")
 
 
 @pytest.mark.parametrize("workers", [2, 3])
@@ -489,12 +521,45 @@ def test_sweep_error_with_a_tab_or_line_break_keeps_its_row(monkeypatch, capsys,
         assert summary[0].endswith("pairs=2 agree=1 disagree=0 errors=1"), fmt
 
 
+CONFIG = object()  # stands for a --config file's path
+
+
+@pytest.mark.parametrize("argv, code", [
+    ([], 2), (["--help"], 0), (["lc", "--help"], 0), (["--bogus"], 2),
+    (["lc", "--p", "5", "--q", "13", "--method", "x"], 2),
+    (["lc", "--config", CONFIG, "--help"], 0),
+], ids=["empty", "help", "lc-help", "unknown-flag", "bad-method", "config-help"])
+def test_main_returns_argparse_exits(tmp_path, capsys, argv, code):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("p = 5\nq = 13\n")
+    assert main([str(cfg) if a is CONFIG else a for a in argv]) == code
+    assert capsys.readouterr().err.startswith("usage: z4seq") == (code == 2)
+
+
+@pytest.mark.parametrize("argv", [
+    "lc --p 5 --q 13 --method all --format json",
+    "defpoly --p 13 --q 17 --format csv",
+    "sweep --p-max 40 --q-max 40 --r-max 64 --workers 1 --format text",
+    "sweep --p-max 17 --q-max 17 --r-max 24 --workers 2",
+    "--help",
+    "lc --p 5 --q 13 --bogus",
+    "system --p 4 --q 13",
+])
+def test_main_writes_text_only_streams(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help to the terminal
+    expected = run(capsys, *argv.split())
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv.split())
+    assert (code, out.getvalue(), err.getvalue()) == expected
+    if argv in GOLDEN:
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == GOLDEN[argv]
+
+
 def test_unknown_method_is_usage_error(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["lc", "--p", "5", "--q", "13", "--method", "bogus"])
-    captured = capsys.readouterr()
-    assert exc.value.code == 2 and not captured.out
-    assert "argument --method: invalid choice: 'bogus'" in captured.err
+    code, out, err = run(capsys, "lc", "--p", "5", "--q", "13", "--method", "bogus")
+    assert code == 2 and not out
+    assert "argument --method: invalid choice: 'bogus'" in err
     cfg = tmp_path / "run.cfg"
     cfg.write_text("p = 5\nq = 13\nmethod = bogus\n")
     code, out, err = run(capsys, "lc", "--config", str(cfg))
@@ -522,10 +587,9 @@ def test_config_unknown_key(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["system", "gen"])
 def test_r_max_only_where_a_ring_is_built(tmp_path, capsys, command):
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--p", "5", "--q", "13", "--r-max", "8"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --r-max 8" in capsys.readouterr().err
+    code, _, err = run(capsys, command, "--p", "5", "--q", "13", "--r-max", "8")
+    assert code == 2
+    assert "unrecognized arguments: --r-max 8" in err
     cfg = tmp_path / "run.cfg"
     cfg.write_text("p = 5\nq = 13\nr_max = 8\n")
     code, out, err = run(capsys, command, "--config", str(cfg))
@@ -538,10 +602,9 @@ def test_r_max_only_where_a_ring_is_built(tmp_path, capsys, command):
     ("sweep", SWEEP_R_MAX_DEFAULT),
 ])
 def test_r_max_help_states_the_default(capsys, command, default):
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--help"])
-    assert exc.value.code == 0
-    assert f"ring-degree cap (default {default})" in " ".join(capsys.readouterr().out.split())
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0
+    assert f"ring-degree cap (default {default})" in " ".join(out.split())
 
 
 def test_register_failing_its_check_disagrees(monkeypatch, capsys):
@@ -574,9 +637,8 @@ def test_register_failing_its_check_disagrees(monkeypatch, capsys):
     ("verify", "json"), ("verify", "csv"),
 ])
 def test_unwritten_format_is_rejected(tmp_path, capsys, command, fmt):
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--p", "5", "--q", "13", "--format", fmt])
-    assert exc.value.code == 2 and "invalid choice" in capsys.readouterr().err
+    code, _, err = run(capsys, command, "--p", "5", "--q", "13", "--format", fmt)
+    assert code == 2 and "invalid choice" in err
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"p = 5\nq = 13\nformat = {fmt}\n")
     code, out, err = run(capsys, command, "--config", str(cfg))
@@ -918,7 +980,17 @@ def test_cli_bytes_are_golden(capsys, argv):
     assert_golden(capsys, argv)
 
 
-def test_degree_cap_error_bytes(capsys):
+def test_degree_cap_error_bytes(monkeypatch, capsys):
     code, out, err = run(capsys, "lc", "--p", "5", "--q", "2113", "--r-max", "30")
     assert (code, out) == (2, "")
     assert err == "ERROR DegreeTooLarge: extension degree 44 exceeds cap 30\n"
+    # ell = 7348 passes the 7281 degrees 16-bit slots hold; the slot cap is
+    # checked before the primitive search, still running after 10 s at this degree
+    def search(r):
+        raise AssertionError(f"primitive search reached at degree {r}")
+
+    monkeypatch.setattr(galois, "_smallest_primitive_binary", search)
+    code, out, err = run(capsys, "lc", "--p", "5", "--q", "7349", "--r-max", "9000")
+    assert (code, out) == (2, "")
+    assert err == ("ERROR DegreeTooLarge: degree 7348 exceeds 7281, "
+                   "the most 16-bit slots hold\n")

@@ -50,11 +50,7 @@ def read_bytes(path):
 
 def run_main(capsys, argv):
     """(exit code, stdout, stderr) of `main(argv)` in this process."""
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # argparse's --help and usage errors
-        code = exc.code
-    return (code, *capsys.readouterr())
+    return (main(argv), *capsys.readouterr())
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -17,8 +17,9 @@ from gr_reference import (
     unpack,
     zero,
 )
+from z4seq import galois
 from z4seq.errors import DegreeTooLarge, PeriodNotDividing
-from z4seq.galois import is_constant, make_ring, root_of_unity
+from z4seq.galois import MAX_DEGREE, is_constant, make_ring, root_of_unity
 
 
 def random_element(ring, rng):
@@ -82,6 +83,16 @@ def test_degree_cap():
         make_ring(65)
     with pytest.raises(DegreeTooLarge):
         make_ring(5, r_max=4)
+
+
+def test_slot_cap_is_checked_before_the_primitive_search(monkeypatch):
+    # the search first factors 2^r - 1, far too slow at such degrees
+    def search(r):
+        raise AssertionError(f"primitive search reached at degree {r}")
+
+    monkeypatch.setattr(galois, "_smallest_primitive_binary", search)
+    with pytest.raises(DegreeTooLarge, match="the most 16-bit slots hold"):
+        make_ring(MAX_DEGREE + 1, MAX_DEGREE + 1)
 
 
 def test_teichmuller_scalars():

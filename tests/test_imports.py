@@ -34,10 +34,7 @@ TESTS = Path(__file__).resolve().parent
 PROBE = """
 import sys
 from z4seq.cli import main
-try:
-    code = main(sys.argv[1:])
-except SystemExit as exc:
-    code = exc.code
+code = main(sys.argv[1:])
 print("PROBE", code, *sorted(sys.modules), file=sys.stderr)
 """
 # Loaded by no CLI call: dataclasses brings inspect, ast and dis with it
