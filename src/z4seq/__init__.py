@@ -10,6 +10,7 @@ Ring arithmetic is on packed Python ints and the register synthesis of
 """
 
 import importlib
+import sys
 
 __version__ = "0.1.0"
 
@@ -44,3 +45,13 @@ def __getattr__(name):
 
 def __dir__():
     return sorted(set(globals()) | _HOME.keys() | _SUBMODULES)
+
+
+def _flush_streams():
+    """Flush each standard stream the process has: one whose descriptor was
+    closed when the process started is None.  The CLI and the sweep's
+    workers call it before `os._exit`, which flushes nothing, and the sweep
+    before it forks, so that no child inherits a copy of the buffers."""
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()

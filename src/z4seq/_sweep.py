@@ -28,7 +28,7 @@ import signal
 import sys
 import time
 
-from . import analysis, cyclotomy, lfsr  # noqa: F401  (lfsr: loaded once, before forking)
+from . import _flush_streams, analysis, cyclotomy, lfsr  # noqa: F401  (lfsr: loaded once, before forking)
 
 
 def _row(pair, r_max):
@@ -41,14 +41,6 @@ def _row(pair, r_max):
         row = {"p": p, "q": q, "error": f"{type(exc).__name__}: {exc}"}
     row["seconds"] = round(time.perf_counter() - started, 3)
     return row
-
-
-def _flush(*streams):
-    """Flush each stream the process has: a standard stream whose descriptor
-    was closed when the process started is None."""
-    for stream in streams:
-        if stream is not None:
-            stream.flush()
 
 
 def _lost(pair, reason):
@@ -131,7 +123,7 @@ def _fork(pairs, r_max, pool, cpu):
             sys.excepthook(*sys.exc_info())
         finally:
             try:
-                _flush(sys.stdout, sys.stderr)  # os._exit skips a normal exit's flush
+                _flush_streams()  # os._exit skips a normal exit's flush
             finally:
                 os._exit(status)
     os.close(task_read)
@@ -142,7 +134,7 @@ def _fork(pairs, r_max, pool, cpu):
 def _forked(pairs, r_max, workers):
     """The rows from `workers` children.  Every child is waited for on every
     exit path; closing the generator early kills them first."""
-    _flush(sys.stdout, sys.stderr)  # so the children's copies of the buffers are empty
+    _flush_streams()  # so the children's copies of the buffers are empty
     cpus = (sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity")
             else [None])
     pool = []

@@ -21,7 +21,7 @@ import contextlib
 import os
 import sys
 
-from . import cyclotomy
+from . import _flush_streams, cyclotomy
 from .errors import TraceFormulaPreconditionFailed, Z4SeqError
 from .numtheory import R_MAX
 
@@ -394,9 +394,7 @@ def entry() -> None:
     KeyboardInterrupt included, ends the process as usual."""
     status = main()
     atexit._run_exitfuncs()
-    for stream in (sys.stdout, sys.stderr):
-        if stream is not None:
-            stream.flush()
+    _flush_streams()
     os._exit(status)
 
 

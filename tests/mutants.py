@@ -18,6 +18,10 @@ not collect this file.
 
 Three entries break the span oracle `tests/span_reference.py`, not the
 library: the tests check it against the SNF reference and the closed form.
+Two more break that reference, `tests/snf_reference.py`: one skips the
+elimination below a pivot of 2, the other drops the check that a row with a
+pivot of 2 has an even right side.  `solvable_z4`'s tests check it against
+enumeration.
 """
 
 import os
@@ -76,6 +80,14 @@ MUTANTS = [
     Mutant("span-reduction-without-borrow", "tests/span_reference.py",
            "lo, hi = _minus(lo, hi, v)", "lo, hi = lo ^ v[0], hi ^ v[1]",
            ["tests/test_lfsr.py"]),
+    Mutant("snf-even-pivot-elimination-skipped", "tests/snf_reference.py",
+           "factors = [(i, M[i][r] // 2) for i in range(r + 1, nrows)]", "factors = []",
+           ["tests/test_lfsr.py"]),
+    Mutant("snf-two-pivot-parity-check-dropped", "tests/snf_reference.py",
+           "    if any(M[i][i] == 2 and v[i] % 2 for i in range(r)):\n"
+           "        return False\n",
+           "",
+           ["tests/test_lfsr.py"]),
     Mutant("config-overrides-flags", "src/z4seq/cli.py",
            "    subparser.set_defaults(**values)\n"
            "    return parser.parse_args(argv)\n",
@@ -100,19 +112,19 @@ MUTANTS = [
            "",
            ["tests/test_trace_repr.py"]),
     Mutant("no-flush-before-fork", "src/z4seq/_sweep.py",
-           "    _flush(sys.stdout, sys.stderr)  # so the children's copies of the buffers are empty\n",
+           "    _flush_streams()  # so the children's copies of the buffers are empty\n",
            "",
            ["tests/test_cli.py"]),
     Mutant("child-exits-by-sys-exit", "src/z4seq/_sweep.py",
            "os._exit(status)", "sys.exit(status)",
            ["tests/test_cli.py"]),
     Mutant("child-stdout-not-flushed", "src/z4seq/_sweep.py",
-           "_flush(sys.stdout, sys.stderr)  # os._exit skips a normal exit's flush",
-           "_flush(sys.stderr)",
+           "_flush_streams()  # os._exit skips a normal exit's flush",
+           "sys.stderr.flush()",
            ["tests/test_cli.py"]),
     Mutant("child-stderr-not-flushed", "src/z4seq/_sweep.py",
-           "_flush(sys.stdout, sys.stderr)  # os._exit skips a normal exit's flush",
-           "_flush(sys.stdout)",
+           "_flush_streams()  # os._exit skips a normal exit's flush",
+           "sys.stdout.flush()",
            ["tests/test_cli.py"]),
     Mutant("dead-child-pair-not-lost", "src/z4seq/_sweep.py",
            "done[held] = _lost(pairs[held], worker.reap())", "worker.reap()",
@@ -161,7 +173,7 @@ MUTANTS = [
            "_, status = os.waitpid(self.pid, 0)", "status = 0",
            ["tests/test_cli.py"]),
     Mutant("exit-skips-flush", "src/z4seq/cli.py",
-           "    for stream in (sys.stdout, sys.stderr):\n", "    for stream in ():\n",
+           "    _flush_streams()\n    os._exit(status)\n", "    os._exit(status)\n",
            ["tests/test_exit.py"]),
     Mutant("exit-drops-status", "src/z4seq/cli.py",
            "    os._exit(status)\n", "    os._exit(0)\n",
@@ -186,6 +198,9 @@ MUTANTS = [
     Mutant("slot-cap-after-search", "src/z4seq/galois.py",
            "    _check_slots(r)  # before the primitive search factors 2^r - 1\n", "",
            ["tests/test_galois.py"]),
+    Mutant("gcd-message-p-minus-2", "src/z4seq/cyclotomy.py",
+           "gcd({p - 1}, {q - 1})", "gcd({p - 2}, {q - 1})",
+           ["tests/test_cli.py"]),
     Mutant("index-table-mod-p", "src/z4seq/cyclotomy.py",
            "x = x * g % q", "x = x * g % p",
            ["tests/test_cyclotomy.py"]),
@@ -227,7 +242,7 @@ MUTANTS = [
     Mutant("missing-stdout-not-an-oserror", "src/z4seq/cli.py",
            "    if stream is None:\n", "    if False:\n",
            ["tests/test_exit.py"]),
-    Mutant("missing-stream-flushed", "src/z4seq/_sweep.py",
+    Mutant("missing-stream-flushed", "src/z4seq/__init__.py",
            "        if stream is not None:\n            stream.flush()\n",
            "        stream.flush()\n",
            ["tests/test_exit.py"]),
@@ -338,7 +353,8 @@ MUTANTS = [
            "",
            ["tests/test_imports.py"]),
     Mutant("eager-analysis-import-in-cli", "src/z4seq/cli.py",
-           "from . import cyclotomy\n", "from . import analysis, cyclotomy\n",
+           "from . import _flush_streams, cyclotomy\n",
+           "from . import _flush_streams, analysis, cyclotomy\n",
            ["tests/test_imports.py"]),
     Mutant("library-imports-the-cli", "src/z4seq/galois.py",
            "from .numtheory import R_MAX, factorize\n",

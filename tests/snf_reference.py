@@ -4,15 +4,23 @@ The span oracle is `span_min_length` in `tests/span_reference.py`.  For each
 length L ascending, snf_min_length builds the Toeplitz system that an
 order-L recurrence on the *periodic* sequence must satisfy and decides its
 solvability by Smith diagonalization over Z4 (solvable_z4).  It shares no
-linear algebra with the span oracle or with Reeds-Sloane.  It is
-numpy code, one system per length, so it is capped at period 128.
+linear algebra with the span oracle or with Reeds-Sloane.  It works on
+plain lists of ints, one system per length, so it is capped at period 128.
 """
-
-import numpy as np
 
 
 class OracleTooLarge(ValueError):
     """The SNF oracle is capped at period 128."""
+
+
+def _first(M, r, values):
+    """(i, j) of the first entry of M[r:, r:] in `values`, row by row, or None."""
+    for i in range(r, len(M)):
+        row = M[i]
+        for j in range(r, len(row)):
+            if row[j] in values:
+                return i, j
+    return None
 
 
 def solvable_z4(A, b) -> bool:
@@ -22,62 +30,48 @@ def solvable_z4(A, b) -> bool:
     reparametrize the unknowns.  After diagonalization the pivots are units
     or 2, and compatibility is a per-row valuation check.
     """
-    M = np.asarray(A, dtype=np.int64).copy() % 4
-    v = np.asarray(b, dtype=np.int64).copy() % 4
-    if M.size == 0:
-        return bool(np.all(v % 4 == 0))
-    nrows, ncols = M.shape
+    M = [[x % 4 for x in row] for row in A]
+    v = [x % 4 for x in b]
+    nrows, ncols = len(M), len(M[0]) if M else 0
     r = 0
     while r < nrows and r < ncols:
-        sub = M[r:, r:]
-        picks = np.argwhere(sub % 2 == 1)
-        if picks.size == 0:
-            picks = np.argwhere(sub == 2)
-            if picks.size == 0:
-                break
-        pi, pj = int(picks[0][0]) + r, int(picks[0][1]) + r
-        if pi != r:
-            M[[r, pi]] = M[[pi, r]]
-            v[[r, pi]] = v[[pi, r]]
-        if pj != r:
-            M[:, [r, pj]] = M[:, [pj, r]]
-        piv = int(M[r, r])
+        pick = _first(M, r, (1, 3)) or _first(M, r, (2,))
+        if pick is None:
+            break
+        pi, pj = pick
+        M[r], M[pi] = M[pi], M[r]
+        v[r], v[pi] = v[pi], v[r]
+        for row in M:
+            row[r], row[pj] = row[pj], row[r]
+        # columns left of r are zero outside their pivots, so each row
+        # operation reads and writes columns r onward only; `& 3` is `% 4`
+        # on ints, and the faster of the two
+        pivot_row = M[r]
+        piv = pivot_row[r]
         if piv % 2:
-            M[r] = M[r] * piv % 4  # units are self-inverse
-            v[r] = v[r] * piv % 4
-            col = M[:, r].copy()
-            col[r] = 0
-            if np.any(col):
-                M -= np.outer(col, M[r])
-                M %= 4
-                v -= col * v[r]
-                v %= 4
-            M[r, r + 1:] = 0  # column eliminations against a cleared column
+            pivot_row[r:] = [x * piv & 3 for x in pivot_row[r:]]  # units are self-inverse
+            v[r] = v[r] * piv & 3
+            factors = [(i, M[i][r]) for i in range(nrows) if i != r]
         else:
             # the working submatrix is entirely even here
-            col = M[r + 1:, r] // 2
-            if np.any(col):
-                M[r + 1:] -= np.outer(col, M[r])
-                M[r + 1:] %= 4
-                v[r + 1:] -= col * v[r]
-                v[r + 1:] %= 4
-            M[r, r + 1:] = 0
+            factors = [(i, M[i][r] // 2) for i in range(r + 1, nrows)]
+        tail = pivot_row[r:]
+        for i, c in factors:
+            if c:
+                row = M[i]
+                row[r:] = [(x - c * y) & 3 for x, y in zip(row[r:], tail)]
+                v[i] = (v[i] - c * v[r]) & 3
+        pivot_row[r + 1:] = [0] * (ncols - r - 1)  # column eliminations against a cleared column
         r += 1
-    diag = M.diagonal()[:r]
-    if np.any((diag == 2) & (v[:r] % 2 != 0)):
+    if any(M[i][i] == 2 and v[i] % 2 for i in range(r)):
         return False
-    return bool(np.all(v[r:] % 4 == 0))
+    return not any(v[r:])
 
 
 def _periodic_system(s, L, period):
     """Toeplitz system for an order-L recurrence on the periodic sequence."""
-    A = np.empty((period, L), dtype=np.int64)
-    b = np.empty(period, dtype=np.int64)
-    for t in range(period):
-        i = L + t
-        for j in range(1, L + 1):
-            A[t, j - 1] = s[(i - j) % period]
-        b[t] = -s[i % period] % 4
+    A = [[s[(L + t - j) % period] for j in range(1, L + 1)] for t in range(period)]
+    b = [-s[(L + t) % period] % 4 for t in range(period)]
     return A, b
 
 

@@ -16,7 +16,8 @@ only when a new pivot meets its top bit.  The oracle shares no code with
 `z4seq`, its bit-plane conversion and subtraction included, has no period
 cap and is O(T^2) operations on T-bit ints: about 40 ms for the 565 digits
 of (5,113) on a 2-vCPU machine.  It needs the standard library alone;
-`tests/snf_reference.py` is the numpy reference it is checked against.
+`tests/snf_reference.py`, on plain lists, is the reference it is checked
+against.
 """
 
 

@@ -41,10 +41,15 @@ def test_system_json_roundtrip(capsys):
     assert doc["case"] == "Case1" and doc["two_class"] == 2
 
 
-def test_system_error_exit(capsys):
-    code, out, err = run(capsys, "system", "--p", "3", "--q", "13")
+@pytest.mark.parametrize("p, q, gcds", [
+    (3, 13, "gcd(2, 12) = 2"),
+    (5, 7, "gcd(4, 6) = 2"),
+    (13, 37, "gcd(12, 36) = 12"),
+])
+def test_system_error_exit(capsys, p, q, gcds):
+    code, out, err = run(capsys, "system", "--p", str(p), "--q", str(q))
     assert code == 2 and not out
-    assert err.startswith("ERROR GcdNotFour:")
+    assert err == f"ERROR GcdNotFour: {gcds}, need 4\n"
 
 
 def test_missing_pair_is_usage_error(capsys):

@@ -1,6 +1,8 @@
 """The import graph: each CLI call loads only the modules its command runs.
 
-No library module imports numpy, nor does the span oracle of
+The library and its tests import the standard library, z4seq, each other,
+pytest and hypothesis, and nothing else; the `test` extra is pytest and
+hypothesis.  No library module imports numpy, nor does the span oracle of
 `tests/span_reference.py`, which imports no z4seq module at all, and
 no call loads `dataclasses` (which pulls in `inspect`), `typing` or
 `random`; `system` and `lc --method formula` load neither `sequence` nor
@@ -17,6 +19,7 @@ import ast
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,7 +30,9 @@ import z4seq
 
 SRC = str(Path(z4seq.__file__).resolve().parents[1])
 STAGES = Path(__file__).resolve().parents[1] / "bench" / "stages.py"
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 TESTS = Path(__file__).resolve().parent
+LIBRARY = sorted(Path(SRC, "z4seq").glob("*.py"))
 
 # Runs the CLI's main on argv and reports, as the last stderr line, the exit
 # code and every module imported by then.
@@ -163,13 +168,13 @@ def test_span_oracle_runs_without_numpy():
     assert done.stdout == "5 False False\n"
 
 
-def library_imports():
-    """(file name, line, names) of each import in the library's sources.
+def file_imports(paths):
+    """(file name, line, names) of each import in the files.
 
     A `from` import names its module and each module.name it takes, so
     `from . import cli` names `.cli`.
     """
-    for path in sorted(Path(SRC, "z4seq").glob("*.py")):
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 yield path.name, node.lineno, [alias.name for alias in node.names]
@@ -177,6 +182,27 @@ def library_imports():
                 base = "." * node.level + (node.module or "")
                 yield path.name, node.lineno, [base] + [
                     f"{base.rstrip('.')}.{alias.name}" for alias in node.names]
+
+
+def library_imports():
+    return file_imports(LIBRARY)
+
+
+def test_code_imports_only_the_standard_library_pytest_and_hypothesis():
+    # a relative import stays inside the package
+    allowed = (set(sys.stdlib_module_names) | {p.stem for p in TESTS.glob("*.py")}
+               | {"z4seq", "pytest", "hypothesis"})
+    for name, line, names in file_imports(LIBRARY + sorted(TESTS.glob("*.py"))):
+        tops = {n.split(".")[0] for n in names if not n.startswith(".")}
+        assert tops <= allowed, (name, line, tops - allowed)
+
+
+def test_test_extra_is_pytest_and_hypothesis():
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from 3.11
+    project = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]
+    assert project["dependencies"] == []
+    extra = project["optional-dependencies"]["test"]
+    assert sorted(re.match(r"[\w.-]+", req)[0] for req in extra) == ["hypothesis", "pytest"]
 
 
 def test_no_library_module_imports_numpy():

@@ -332,14 +332,17 @@ def test_solvable_z4_basics():
 
 def test_solvable_z4_vs_enumeration():
     rng = random.Random(21)
-    for _ in range(300):
-        m = rng.randrange(1, 4)
-        k = rng.randrange(1, 4)
-        A = [[rng.randrange(4) for _ in range(k)] for _ in range(m)]
-        b = [rng.randrange(4) for _ in range(m)]
-        brute = any(
-            all(sum(A[i][j] * x[j] for j in range(k)) % 4 == b[i] % 4
-                for i in range(m))
-            for x in itertools.product(range(4), repeat=k)
-        )
-        assert solvable_z4(A, b) == brute
+    # uniform entries, then even ones: with every pivot 2, the rows below
+    # each pivot need their own elimination
+    for entries, min_rows, count in ((range(4), 1, 300), ((0, 2), 2, 200)):
+        for _ in range(count):
+            m = rng.randrange(min_rows, 4)
+            k = rng.randrange(1, 4)
+            A = [[rng.choice(entries) for _ in range(k)] for _ in range(m)]
+            b = [rng.randrange(4) for _ in range(m)]
+            brute = any(
+                all(sum(A[i][j] * x[j] for j in range(k)) % 4 == b[i] % 4
+                    for i in range(m))
+                for x in itertools.product(range(4), repeat=k)
+            )
+            assert solvable_z4(A, b) == brute
