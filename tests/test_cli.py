@@ -41,15 +41,13 @@ def test_system_json_roundtrip(capsys):
     assert doc["case"] == "Case1" and doc["two_class"] == 2
 
 
-@pytest.mark.parametrize("p, q, gcds", [
-    (3, 13, "gcd(2, 12) = 2"),
-    (5, 7, "gcd(4, 6) = 2"),
-    (13, 37, "gcd(12, 36) = 12"),
-])
-def test_system_error_exit(capsys, p, q, gcds):
-    code, out, err = run(capsys, "system", "--p", str(p), "--q", str(q))
-    assert code == 2 and not out
-    assert err == f"ERROR GcdNotFour: {gcds}, need 4\n"
+def test_system_error_exit(capsys):
+    for p, q, gcds in [(3, 13, "gcd(2, 12) = 2"),
+                       (5, 7, "gcd(4, 6) = 2"),
+                       (13, 37, "gcd(12, 36) = 12")]:
+        code, out, err = run(capsys, "system", "--p", str(p), "--q", str(q))
+        assert code == 2 and not out, (p, q)
+        assert err == f"ERROR GcdNotFour: {gcds}, need 4\n"
 
 
 def test_missing_pair_is_usage_error(capsys):
