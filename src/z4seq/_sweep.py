@@ -2,9 +2,20 @@
 
 The pool is bare `os.fork` and pipes.  Each child has two: the parent writes
 a pair's index (4 bytes) to its task pipe, and the child writes the row back
-(one marshal record) on its result pipe.  A child holds one pair at a time
-and gets the next index as soon as it returns a row, so the load balances
-itself.  The parent waits on the result pipes with `select`.
+(one marshal record) on its result pipe.  The parent waits on the result
+pipes with `select`.
+
+Work goes out by pq group: a pair and its mirror share pq, so they share the
+ring GR(4, 4^ord_2(pq)), beta and the power table, which the child keeps
+(`galois.make_ring` caches rings, `analysis.power_table` its last table).  A
+child takes a whole group, largest pq first, and runs its pairs back to
+back, one at a time: it gets the group's next index when it returns a row,
+and the next group when its own is done, so the load still balances itself.
+A row is never left in flight behind another, since the parent reads each
+result pipe through a buffered reader that `select` cannot see into.  When
+a child dies, the unsent pairs of its group go back to the front of the
+queue.  So a child with no group left to take stays open while another
+still has unsent pairs, and closes once none has.
 
 Each child pins itself to one CPU of the parent's affinity mask before it
 reads a task: worker i takes the i-th CPU of the sorted mask, round robin
@@ -15,10 +26,11 @@ unpinned.  The parent is never pinned.
 
 The z4seq command line starts no threads, so forking it is safe (a program
 that calls `cli.main` while other threads run should sweep with `--workers
-1`), and the children inherit every module loaded here, `lfsr` included.  A
-child leaves only through `os._exit`, so it never unwinds into the parent's
-frames or runs its cleanup; first, on every way out, it flushes stdout and
-stderr, so what its pairs printed and its own failure report are kept.
+1`), and the children inherit every module loaded here, `lfsr` and
+`sequence` included.  A child leaves only through `os._exit`, so it never
+unwinds into the parent's frames or runs its cleanup; first, on every way
+out, it flushes stdout and stderr, so what its pairs printed and its own
+failure report are kept.
 """
 
 import marshal
@@ -28,7 +40,7 @@ import signal
 import sys
 import time
 
-from . import _flush_streams, analysis, cyclotomy, lfsr  # noqa: F401  (lfsr: loaded once, before forking)
+from . import _flush_streams, analysis, cyclotomy, lfsr, sequence  # noqa: F401  (loaded once, before forking)
 
 
 def _row(pair, r_max):
@@ -52,10 +64,11 @@ def rows(pairs, r_max, workers):
     """One row dict per pair, in pair order, whatever the worker count.
 
     A pair that raises is a row naming its error.  A worker that dies turns
-    the pair it held into a `WorkerLost` row naming its exit status; once
-    none is left, each pair not yet run is a `WorkerLost: no worker left`
-    row.  `workers` <= 0 means one per CPU in the affinity mask, at most 8;
-    there is at most one per pair, and without `os.fork` none is forked.
+    the pair it held into a `WorkerLost` row naming its exit status, and
+    another worker runs the rest of its pq group; once none is left, each
+    pair not yet run is a `WorkerLost: no worker left` row.  `workers` <= 0
+    means one per CPU in the affinity mask, at most 8; there is at most one
+    per pair, and without `os.fork` none is forked.
     """
     if workers <= 0:
         cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -76,6 +89,7 @@ class _Worker:
         self.pid = pid
         self.tasks = tasks
         self.results = results
+        self.group = []  # the unsent indices of the pq group it runs
 
     def close_tasks(self):
         """Send end-of-file: the child exits when it next waits for a task."""
@@ -131,6 +145,14 @@ def _fork(pairs, r_max, pool, cpu):
     return _Worker(pid, task_write, open(result_read, "rb"))
 
 
+def _groups(pairs):
+    """The pair indices grouped by pq, largest pq first, pair order within each."""
+    groups = {}
+    for index, (p, q) in enumerate(pairs):
+        groups.setdefault(p * q, []).append(index)
+    return [groups[pq] for pq in sorted(groups, reverse=True)]
+
+
 def _forked(pairs, r_max, workers):
     """The rows from `workers` children.  Every child is waited for on every
     exit path; closing the generator early kills them first."""
@@ -142,25 +164,46 @@ def _forked(pairs, r_max, workers):
     try:
         for i in range(workers):
             pool.append(_fork(pairs, r_max, pool, cpus[i % len(cpus)]))
+        queue = _groups(pairs)  # the groups no worker holds, next first
         busy = {}  # result fd -> (worker, index of the pair it holds)
+        parked = []  # free workers kept for a group a dead worker gives back
         done = {}  # index -> row not yet yielded
-        sent = 0
+
+        def requeue(worker):
+            """Put a dead worker's unsent pairs back at the front of the queue."""
+            if worker.group:
+                queue.insert(0, worker.group)
+                worker.group = []
 
         def feed(worker):
-            nonlocal sent
-            if sent == len(pairs):
-                worker.close_tasks()
-                return
+            """Send the next pair of the worker's group, or of the next group."""
+            if not worker.group:
+                if not queue:
+                    parked.append(worker)
+                    return
+                worker.group = queue.pop(0)
+            index = worker.group[0]
             try:
-                os.write(worker.tasks, sent.to_bytes(4, "little"))
+                os.write(worker.tasks, index.to_bytes(4, "little"))
             except BrokenPipeError:  # the child died while it held nothing
+                requeue(worker)
                 worker.reap()
                 return
-            busy[worker.results.fileno()] = worker, sent
-            sent += 1
+            busy[worker.results.fileno()] = worker, worker.group.pop(0)
+
+        def settle():
+            """Hand waiting groups to parked workers; close those workers once
+            no busy worker has an unsent pair that its death could give back."""
+            while parked and queue:
+                feed(parked.pop(0))
+            if not queue and not any(worker.group for worker, _ in busy.values()):
+                for worker in parked:
+                    worker.close_tasks()
+                parked.clear()
 
         for worker in pool:
             feed(worker)
+        settle()
         for index, pair in enumerate(pairs):
             while index not in done and busy:
                 ready, _, _ = select.select(list(busy), [], [])
@@ -169,9 +212,11 @@ def _forked(pairs, r_max, workers):
                     try:
                         done[held] = marshal.load(worker.results)
                     except EOFError:  # the child died holding `held`
+                        requeue(worker)
                         done[held] = _lost(pairs[held], worker.reap())
                     else:
                         feed(worker)
+                settle()
             # with no child busy, a pair not done was never sent
             yield done.pop(index) if index in done else _lost(pair, "no worker left")
         finished = True

@@ -7,8 +7,9 @@ for the cyclotomic quaternary sequences each coefficient is also a*rho + b,
 and the linear complexity equals the number of nonzero coefficients.  An
 LFSR-synthesis oracle cross-checks everything.
 
-Ring data is one list of packed ints (`galois.GaloisRing.pack`), the powers
-beta^0 .. beta^(T-1), checked to have order exactly T (`power_table`).  One
+Ring data is one tuple of packed ints (`galois.GaloisRing.pack`), the powers
+beta^0 .. beta^(T-1), checked to have order exactly T (`power_table`, which
+keeps its last table, so a mirror pair (q, p) reuses that of (p, q)).  One
 evaluator reads it: `coset_sums` gives the set sums of beta^(uw) at the
 first index u of each 2-cyclotomic coset, and the DFT, the class rows
 behind rho and the inner products, the identity suite and the trace form
@@ -28,13 +29,13 @@ full coefficient tuple.
 """
 
 import math
+from functools import lru_cache
 
 from .cyclotomy import (D_LABELS, LABELS, CyclotomicSystem, class_coefficients,
                         count_solutions, lc_by_theorem)
 from .errors import PeriodMismatch, PeriodNotCongruent1Mod4
 from .galois import GaloisRing, GrElement, is_constant, make_ring, root_of_unity
 from .numtheory import R_MAX, factorize, is_prime, mult_order
-from .sequence import QuaternarySequence, generate
 
 
 def _ring_and_beta(system: CyclotomicSystem, r_max: int) -> tuple:
@@ -43,8 +44,15 @@ def _ring_and_beta(system: CyclotomicSystem, r_max: int) -> tuple:
     return ring, root_of_unity(ring, system.pq)
 
 
-def power_table(beta: GrElement, n: int) -> list:
-    """Packed beta^0 .. beta^(n-1) after verifying ord(beta) = n."""
+@lru_cache(maxsize=1)
+def power_table(beta: GrElement, n: int) -> tuple:
+    """Packed beta^0 .. beta^(n-1) after verifying ord(beta) = n.
+
+    The last table is kept, keyed by beta (its ring, by identity, and its
+    value) and n, so a second call for the same root, such as a mirror
+    pair's, returns it unbuilt; a failed check keeps nothing.  A tuple, so
+    no caller can change the shared copy.
+    """
     ring, step = beta.ring, beta.value
     pows = [1]
     for _ in range(n):
@@ -54,7 +62,7 @@ def power_table(beta: GrElement, n: int) -> list:
     for d in factorize(n):
         if pows[n // d] == 1:
             raise PeriodMismatch(f"ord(beta) divides {n // d} < {n}")
-    return pows
+    return tuple(pows)
 
 
 def orbits(n: int, us, step: int = 2) -> list:
@@ -76,7 +84,7 @@ def orbits(n: int, us, step: int = 2) -> list:
     return out
 
 
-def coset_sums(ring: GaloisRing, pows: list, us, sets) -> list:
+def coset_sums(ring: GaloisRing, pows: tuple, us, sets) -> list:
     """[(coset, sums)] for each 2-cyclotomic coset mod n = len(pows) through us.
 
     sums holds, for each index set S in sets, the packed sum of beta^(uw)
@@ -103,7 +111,7 @@ def walk_cosets(ring: GaloisRing, pairs) -> dict:
     return out
 
 
-def _class_rows(system: CyclotomicSystem, ring: GaloisRing, pows: list) -> tuple:
+def _class_rows(system: CyclotomicSystem, ring: GaloisRing, pows: tuple) -> tuple:
     """D_0 .. D_3 evaluated at the table's base, packed."""
     [(_, rows)] = coset_sums(ring, pows, [1], [system.classes[lab] for lab in D_LABELS])
     return rows
@@ -114,7 +122,7 @@ def _rho(ring: GaloisRing, rows: tuple) -> int:
     return sum(i * d for i, d in enumerate(rows)) & ring.mask
 
 
-def coset_dft(seq: QuaternarySequence, ring: GaloisRing, powers: list) -> tuple:
+def coset_dft(seq: "QuaternarySequence", ring: GaloisRing, powers: tuple) -> tuple:
     """(count, [(coset, rho_i)]): the DFT at i, each 2-cyclotomic coset's first index.
 
     rho_2i = sigma(rho_i) and sigma is a ring automorphism, so the
@@ -131,7 +139,7 @@ def coset_dft(seq: QuaternarySequence, ring: GaloisRing, powers: list) -> tuple:
     return sum(len(c) for c, v in pairs if v), pairs
 
 
-def dft(seq: QuaternarySequence, ring: GaloisRing, beta: GrElement) -> tuple:
+def dft(seq: "QuaternarySequence", ring: GaloisRing, beta: GrElement) -> tuple:
     """Packed DFT coefficients rho_0 .. rho_(T-1) of one period against beta."""
     T = seq.period
     if T % 4 != 1:  # named before power_table finds beta of the wrong order
@@ -159,7 +167,7 @@ def _theorem_holds(system: CyclotomicSystem, ring: GaloisRing, rho: int,
     return ring.sigma(rho) == (rho + 4 - system.two_class) & ring.mask
 
 
-def rho_value(system: CyclotomicSystem, beta: GrElement, powers: list) -> int:
+def rho_value(system: CyclotomicSystem, beta: GrElement, powers: tuple) -> int:
     """Packed rho = sum_{i=1..3} i * D_i(beta); `powers` is `power_table(beta, pq)`."""
     return _rho(beta.ring, _class_rows(system, beta.ring, powers))
 
@@ -186,6 +194,7 @@ def analyze(system: CyclotomicSystem, r_max: int = R_MAX) -> dict:
     reads obey the paper's theorem (`_theorem_holds`).
     """
     from .lfsr import reeds_sloane  # here, so verify, trace and defpoly never load lfsr
+    from .sequence import generate  # and verify never loads sequence
 
     ring, beta = _ring_and_beta(system, r_max)
     seq = generate(system)

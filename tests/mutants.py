@@ -129,6 +129,19 @@ MUTANTS = [
     Mutant("dead-child-pair-not-lost", "src/z4seq/_sweep.py",
            "done[held] = _lost(pairs[held], worker.reap())", "worker.reap()",
            ["tests/test_cli.py"]),
+    Mutant("groups-in-pair-order", "src/z4seq/_sweep.py",
+           "sorted(groups, reverse=True)", "list(groups)",
+           ["tests/test_cli.py"]),
+    Mutant("groups-keyed-by-pair", "src/z4seq/_sweep.py",
+           "groups.setdefault(p * q, [])", "groups.setdefault((p, q), [])",
+           ["tests/test_cli.py"]),
+    Mutant("dead-worker-group-dropped", "src/z4seq/_sweep.py",
+           "                queue.insert(0, worker.group)\n", "",
+           ["tests/test_cli.py"]),
+    Mutant("free-worker-closes-early", "src/z4seq/_sweep.py",
+           "if not queue and not any(worker.group for worker, _ in busy.values()):",
+           "if not queue:",
+           ["tests/test_cli.py"]),
     Mutant("worker-not-pinned", "src/z4seq/_sweep.py",
            "os.sched_setaffinity(0, {cpu})", "pass",
            ["tests/test_cli.py"]),

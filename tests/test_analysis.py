@@ -314,6 +314,14 @@ def test_analyze_agrees():
                          "lc_dft", "lc_reeds_sloane", "agree", "ring_degree"]
 
 
+def test_mirror_pair_reuses_the_power_table():
+    # (5,13) and (13,5) share pq = 65, so the ring, beta and the checked table
+    power_table.cache_clear()
+    assert analyze(build_system(5, 13))["agree"] and analyze(build_system(13, 5))["agree"]
+    info = power_table.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
 def coset_values(s):
     """ring, rho and the DFT at each coset's first index, as `analyze` reads them."""
     ring, beta = _ring_and_beta(s, R_MAX)

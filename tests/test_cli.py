@@ -6,7 +6,9 @@ import json
 import os
 import subprocess
 import sys
+import time
 import traceback
+from itertools import groupby
 from pathlib import Path
 
 import pytest
@@ -238,13 +240,18 @@ def test_pooled_sweep_error_is_a_row(monkeypatch, capsys):
     assert lines[-1] == "# pairs=2 agree=1 disagree=0 errors=1"
 
 
-def test_worker_death_is_a_row(monkeypatch, capsys):
+# (5,13) runs before (13,5) in their pq group, the last one sent out, so a
+# death at (5,13) gives (13,5) back to the queue; it comes late, when the
+# other worker has run its own group and waits with nothing to take.
+@pytest.mark.parametrize("pair", [(13, 5), (5, 13)], ids=["13-5", "5-13"])
+def test_worker_death_is_a_row(monkeypatch, capsys, pair):
     argv = (*SMALL_SWEEP, "--workers", "2")
     _, clean, _ = run(capsys, *argv)
     real = analysis.analyze
 
     def analyze(system, r_max):
-        if (system.p, system.q) == (13, 5):
+        if (system.p, system.q) == pair:
+            time.sleep(0.5)
             os._exit(3)
         return real(system, r_max)
 
@@ -252,8 +259,8 @@ def test_worker_death_is_a_row(monkeypatch, capsys):
     code, out, err = run(capsys, *argv)
     assert_no_child_left()
     assert code == 1 and not err
-    lost = "13,5,,,,,,,,WorkerLost: worker exited with status 3"
-    want = [lost if line.startswith("13,5,") else line
+    lost = "{},{},,,,,,,,WorkerLost: worker exited with status 3".format(*pair)
+    want = [lost if line.startswith("{},{},".format(*pair)) else line
             for line in clean.splitlines()[:-1]]
     assert out.splitlines() == want + ["# pairs=6 agree=5 disagree=0 errors=1"]
 
@@ -326,7 +333,7 @@ def test_workers_pin_one_cpu_each(monkeypatch, tmp_path, workers):
     real = analysis.analyze
 
     def analyze(system, r_max):
-        print(os.getpid(), *sorted(os.sched_getaffinity(0)))
+        print(os.getpid(), system.p, system.q, *sorted(os.sched_getaffinity(0)))
         return real(system, r_max)
 
     monkeypatch.setattr(analysis, "analyze", analyze)
@@ -338,11 +345,18 @@ def test_workers_pin_one_cpu_each(monkeypatch, tmp_path, workers):
         assert main(argv) == 0
     assert_no_child_left()
     pins = {}
+    runs = {}  # pid -> the pairs it ran, in order
     for line in stdout.read_text().splitlines():
-        pid, *cpus = map(int, line.split())
+        pid, p, q, *cpus = map(int, line.split())
         pins.setdefault(pid, set()).add(tuple(cpus))
+        runs.setdefault(pid, []).append((p, q))
     # each worker is fed a pair before any gets a second, so all report
     assert len(pins) == workers
+    # a pair and its mirror run in one worker, back to back, and the groups
+    # go out largest pq first: 221, then 85, then 65
+    blocks = [pq for ran in runs.values() for pq, _ in groupby(p * q for p, q in ran)]
+    assert sorted(blocks) == [65, 85, 221]
+    assert {ran[0] for ran in runs.values()} == set([(13, 17), (5, 17), (5, 13)][:workers])
     assert all(len(reported) == 1 for reported in pins.values())
     # one CPU each, the first CPUs of the mask, round robin past its end
     assert {cpus for reported in pins.values() for cpus in reported} == {

@@ -6,13 +6,13 @@ hypothesis.  No library module imports numpy, nor does the span oracle of
 `tests/span_reference.py`, which imports no z4seq module at all, and
 no call loads `dataclasses` (which pulls in `inspect`), `typing` or
 `random`; `system` and `lc --method formula` load neither `sequence` nor
-a ring module, `json` loads only where JSON is written, `lfsr` only where a
-register is synthesized, `trace_repr` only for `trace` and the sweep's rows
-`_sweep` only for `sweep`, whose pool loads no thread, queue or
-process-pool machinery.  No library module imports the CLI.  Each case
-runs in a fresh interpreter, since this test process has long since
-imported all of them; the CLI probes run it with `-S`, so that no site hook
-can import a module first and hide the CLI's own import.
+a ring module and `verify` no `sequence`, `json` loads only where JSON is
+written, `lfsr` only where a register is synthesized, `trace_repr` only for
+`trace` and the sweep's rows `_sweep` only for `sweep`, whose pool loads no
+thread, queue or process-pool machinery.  No library module imports the
+CLI.  Each case runs in a fresh interpreter, since this test process has
+long since imported all of them; the CLI probes run it with `-S`, so that
+no site hook can import a module first and hide the CLI's own import.
 """
 
 import ast
@@ -117,6 +117,8 @@ def test_commands_load_only_what_they_run(argv, code, stdout):
             "z4seq.cli", "z4seq.cyclotomy", "z4seq.errors", "z4seq.numtheory"}
     if argv[0] in ("verify", "trace", "defpoly"):
         assert "z4seq.lfsr" not in modules
+    if argv[0] == "verify":  # the identities need the classes, not the digits
+        assert "z4seq.sequence" not in modules
     if argv[0] == "lc":
         assert "z4seq.trace_repr" not in modules
     if argv[:3] == ("lc", "--method", "formula"):  # the theorem alone: no sequence

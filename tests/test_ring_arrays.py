@@ -35,6 +35,7 @@ def setup(pair):
 def test_power_table_rows_are_beta_powers(pair):
     s, ring, beta, _ = setup(pair)
     table = power_table(beta, s.pq)
+    assert isinstance(table, tuple)  # the kept copy is shared: no caller may change it
     assert len(table) == s.pq and all(v >> SLOT_BITS * ring.r == 0 for v in table)
     step = unpack(ring, beta.value)
     for k in range(s.pq):
@@ -59,10 +60,11 @@ def test_power_table_of_a_beta_power(pair, m):
 def test_power_table_rejects_wrong_order():
     ring65 = make_ring(12)
     beta = root_of_unity(ring65, 65)
-    with pytest.raises(PeriodMismatch):
-        power_table(root_power(beta, 5), 65)  # order 13, not 65
-    with pytest.raises(PeriodMismatch):
-        power_table(beta, 13)  # beta^13 != 1
+    for _ in range(2):  # a failed check is never kept as a table
+        with pytest.raises(PeriodMismatch):
+            power_table(root_power(beta, 5), 65)  # order 13, not 65
+        with pytest.raises(PeriodMismatch):
+            power_table(beta, 13)  # beta^13 != 1
 
 
 def reference_value(system, ring, params, pows, u):
