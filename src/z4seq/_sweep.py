@@ -14,8 +14,8 @@ and the next group when its own is done, so the load still balances itself.
 A row is never left in flight behind another, since the parent reads each
 result pipe through a buffered reader that `select` cannot see into.  When
 a child dies, the unsent pairs of its group go back to the front of the
-queue.  So a child with no group left to take stays open while another
-still has unsent pairs, and closes once none has.
+queue, or to a child waiting with none.  So a child with no group left to
+take waits, its task pipe open, until the sweep ends.
 
 Each child pins itself to one CPU of the parent's affinity mask before it
 reads a task: worker i takes the i-th CPU of the sorted mask, round robin
@@ -123,7 +123,8 @@ def _fork(pairs, r_max, pool, cpu):
                     pass
             os.close(task_write)
             os.close(result_read)
-            for sibling in pool:  # else a sibling's copy would hide its end-of-file
+            # else a sibling's copy would hide its end-of-file: the final reap would hang
+            for sibling in pool:
                 sibling.close_tasks()
                 sibling.results.close()
             # Ctrl-C ends a child quietly; the parent raises KeyboardInterrupt
@@ -166,44 +167,37 @@ def _forked(pairs, r_max, workers):
             pool.append(_fork(pairs, r_max, pool, cpus[i % len(cpus)]))
         queue = _groups(pairs)  # the groups no worker holds, next first
         busy = {}  # result fd -> (worker, index of the pair it holds)
-        parked = []  # free workers kept for a group a dead worker gives back
+        waiting = []  # free workers kept for a group a dead worker gives back
         done = {}  # index -> row not yet yielded
 
-        def requeue(worker):
-            """Put a dead worker's unsent pairs back at the front of the queue."""
+        def drop(worker):
+            """Reap a dead worker and hand its unsent pairs on, at the front of
+            the queue; how it ended, as text."""
+            reason = worker.reap()
             if worker.group:
                 queue.insert(0, worker.group)
                 worker.group = []
+                if waiting:
+                    feed(waiting.pop(0))
+            return reason
 
         def feed(worker):
             """Send the next pair of the worker's group, or of the next group."""
             if not worker.group:
                 if not queue:
-                    parked.append(worker)
+                    waiting.append(worker)
                     return
                 worker.group = queue.pop(0)
             index = worker.group[0]
             try:
                 os.write(worker.tasks, index.to_bytes(4, "little"))
             except BrokenPipeError:  # the child died while it held nothing
-                requeue(worker)
-                worker.reap()
+                drop(worker)
                 return
             busy[worker.results.fileno()] = worker, worker.group.pop(0)
 
-        def settle():
-            """Hand waiting groups to parked workers; close those workers once
-            no busy worker has an unsent pair that its death could give back."""
-            while parked and queue:
-                feed(parked.pop(0))
-            if not queue and not any(worker.group for worker, _ in busy.values()):
-                for worker in parked:
-                    worker.close_tasks()
-                parked.clear()
-
         for worker in pool:
             feed(worker)
-        settle()
         for index, pair in enumerate(pairs):
             while index not in done and busy:
                 ready, _, _ = select.select(list(busy), [], [])
@@ -212,11 +206,9 @@ def _forked(pairs, r_max, workers):
                     try:
                         done[held] = marshal.load(worker.results)
                     except EOFError:  # the child died holding `held`
-                        requeue(worker)
-                        done[held] = _lost(pairs[held], worker.reap())
+                        done[held] = _lost(pairs[held], drop(worker))
                     else:
                         feed(worker)
-                settle()
             # with no child busy, a pair not done was never sent
             yield done.pop(index) if index in done else _lost(pair, "no worker left")
         finished = True

@@ -127,7 +127,7 @@ MUTANTS = [
            "sys.stdout.flush()",
            ["tests/test_cli.py"]),
     Mutant("dead-child-pair-not-lost", "src/z4seq/_sweep.py",
-           "done[held] = _lost(pairs[held], worker.reap())", "worker.reap()",
+           "done[held] = _lost(pairs[held], drop(worker))", "drop(worker)",
            ["tests/test_cli.py"]),
     Mutant("groups-in-pair-order", "src/z4seq/_sweep.py",
            "sorted(groups, reverse=True)", "list(groups)",
@@ -138,9 +138,16 @@ MUTANTS = [
     Mutant("dead-worker-group-dropped", "src/z4seq/_sweep.py",
            "                queue.insert(0, worker.group)\n", "",
            ["tests/test_cli.py"]),
-    Mutant("free-worker-closes-early", "src/z4seq/_sweep.py",
-           "if not queue and not any(worker.group for worker, _ in busy.values()):",
-           "if not queue:",
+    Mutant("requeued-group-not-handed-on", "src/z4seq/_sweep.py",
+           "                if waiting:\n"
+           "                    feed(waiting.pop(0))\n",
+           "",
+           ["tests/test_cli.py"]),
+    Mutant("broken-pipe-group-dropped", "src/z4seq/_sweep.py",
+           "            except BrokenPipeError:  # the child died while it held nothing\n"
+           "                drop(worker)\n",
+           "            except BrokenPipeError:  # the child died while it held nothing\n"
+           "                worker.reap()\n",
            ["tests/test_cli.py"]),
     Mutant("worker-not-pinned", "src/z4seq/_sweep.py",
            "os.sched_setaffinity(0, {cpu})", "pass",

@@ -3,7 +3,9 @@ import csv
 import hashlib
 import io
 import json
+import marshal
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -14,7 +16,8 @@ from pathlib import Path
 import pytest
 
 import z4seq
-from z4seq import _sweep, analysis, galois, lfsr
+from z4seq import _sweep, analysis, galois, lfsr, trace_repr
+from z4seq.errors import TraceFormulaPreconditionFailed
 from z4seq.lfsr import LfsrResult
 from z4seq.cli import SWEEP_R_MAX_DEFAULT, main
 from z4seq.numtheory import R_MAX
@@ -274,6 +277,48 @@ def test_no_worker_left(monkeypatch, capsys):
     assert errors.count("WorkerLost: worker exited with status 4") == 2
     assert errors.count("WorkerLost: no worker left") == 4
     assert out.splitlines()[-1] == "# pairs=6 agree=0 disagree=0 errors=6"
+
+
+def test_worker_dead_between_pairs_loses_no_row(monkeypatch, capsys):
+    _, serial, _ = run(capsys, *SMALL_SWEEP, "--workers", "1")
+    real_dump, real_write = marshal.dump, os.write
+    mirror = analysis.admissible_pairs(17, 17, 24).index((13, 5))
+
+    def dump(row, out):  # in a child: hand back the row of (5,13), then die
+        real_dump(row, out)
+        if (row["p"], row["q"]) == (5, 13):
+            out.flush()
+            os._exit(6)
+
+    def write(fd, data):  # in the parent: send (13,5) once its worker is dead
+        if data == mirror.to_bytes(4, "little"):
+            time.sleep(0.5)
+        return real_write(fd, data)
+
+    monkeypatch.setattr(marshal, "dump", dump)
+    monkeypatch.setattr(os, "write", write)
+    code, out, err = run(capsys, *SMALL_SWEEP, "--workers", "2")
+    assert_no_child_left()
+    assert code == 0 and not err and out == serial
+
+
+def test_worker_killed_by_a_signal_is_a_row(monkeypatch, capsys):
+    argv = (*SMALL_SWEEP, "--workers", "2")
+    _, clean, _ = run(capsys, *argv)
+    real = analysis.analyze
+
+    def analyze(system, r_max):
+        if (system.p, system.q) == (13, 17):
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(system, r_max)
+
+    monkeypatch.setattr(analysis, "analyze", analyze)
+    code, out, err = run(capsys, *argv)
+    assert_no_child_left()
+    assert code == 1 and not err
+    lost = "13,17,,,,,,,,WorkerLost: worker killed by SIGKILL"
+    want = [lost if line.startswith("13,17,") else line for line in clean.splitlines()[:-1]]
+    assert out.splitlines() == want + ["# pairs=6 agree=5 disagree=0 errors=1"]
 
 
 def sweep_notes(monkeypatch, tmp_path, name):
@@ -592,6 +637,15 @@ def test_config_value_checked_like_flag(tmp_path, capsys):
         code, out, err = run(capsys, "system", "--config", str(cfg))
         assert code == 2 and not out
         assert err.startswith("ERROR ValueError:") and named in err
+
+
+def test_config_comments_blanks_and_bare_lines(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# the standard pair\n\n   \np = 5\n  # q next\nq = 13\n")
+    assert run(capsys, "lc", "--config", str(cfg), "--method", "formula") == (0, "65\n", "")
+    cfg.write_text("p 5\nq = 13\n")
+    assert run(capsys, "lc", "--config", str(cfg)) == \
+        (2, "", "ERROR ValueError: config line without '=': p 5\n")
 
 
 def test_config_unknown_key(tmp_path, capsys):
@@ -995,6 +1049,20 @@ DFT_KEYS = {golden_key(c, f, p, q) for f in ("json", "text") for c, p, q in gold
 @pytest.mark.parametrize("argv", [a for a in GOLDEN if a not in DFT_KEYS])
 def test_cli_bytes_are_golden(capsys, argv):
     assert_golden(capsys, argv)
+
+
+def test_trace_precondition_failure_bytes(monkeypatch, capsys):
+    def trace_params(system, ring, beta):
+        raise TraceFormulaPreconditionFailed("injected precondition")
+
+    monkeypatch.setattr(trace_repr, "trace_params", trace_params)
+    assert run(capsys, "trace", "--p", "5", "--q", "13") == \
+        (1, "PRECONDITION-FAILED injected precondition\n", "")
+
+
+def test_sweep_r_max_past_the_hard_cap_bytes(capsys):
+    assert run(capsys, "sweep", "--p-max", "13", "--q-max", "13", "--r-max", "65") == \
+        (2, "", "ERROR ValueError: r_max 65 exceeds the hard cap 64\n")
 
 
 def test_degree_cap_error_bytes(monkeypatch, capsys):

@@ -18,7 +18,7 @@ from gr_reference import (
     zero,
 )
 from z4seq import galois
-from z4seq.errors import DegreeTooLarge, PeriodNotDividing
+from z4seq.errors import DegreeTooLarge, PeriodNotDividing, Z4SeqError
 from z4seq.galois import MAX_DEGREE, is_constant, make_ring, root_of_unity
 
 
@@ -83,6 +83,13 @@ def test_degree_cap():
         make_ring(65)
     with pytest.raises(DegreeTooLarge):
         make_ring(5, r_max=4)
+
+
+def test_ring_inputs_are_checked():
+    with pytest.raises(ValueError, match="degree must be positive, got 0"):
+        make_ring(0)
+    with pytest.raises(Z4SeqError, match="modulus must be monic of degree r"):
+        galois.GaloisRing(2, (1, 0, 0, 0))
 
 
 def test_slot_cap_is_checked_before_the_primitive_search(monkeypatch):

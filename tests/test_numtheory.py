@@ -78,6 +78,13 @@ def test_mult_order_not_coprime():
         mult_order(10, 65)
 
 
+def test_inputs_below_range_are_rejected():
+    with pytest.raises(ValueError, match="factorize expects n >= 1, got 0"):
+        factorize(0)
+    with pytest.raises(ValueError, match="modulus must be >= 2, got 1"):
+        mult_order(2, 1)
+
+
 def test_order_divides_phi():
     rng = random.Random(5)
     for _ in range(100):
